@@ -10,6 +10,7 @@ from .deciders import (
     VerdictValue,
     classify_complexity,
     decide_eventual_periodicity,
+    decide_prime,
     decide_primitive,
     decide_uniform_recurrence,
     ring_property_report,

@@ -25,11 +25,12 @@ from .config import (
 from .deciders import (
     Verdict,
     decide_eventual_periodicity,
+    decide_prime,
     decide_primitive,
     decide_uniform_recurrence,
 )
 from .errors import ContractError, IterAlgError, MorphismParseError
-from .matrices import OccurrenceCount, incidence_matrix, occurrence_decider
+from .matrices import occurrence_decider
 from .words import Morphism, factor_closure, parse_morphism
 
 EXIT_OK = 0
@@ -68,8 +69,6 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
         mh_bound=args.mh_bound,
         k_max=args.k_max,
         d_max=args.d_max,
-        output_format=getattr(args, "format", "text"),
-        strict=getattr(args, "strict", False),
     )
 
 
@@ -83,9 +82,9 @@ def _emit(doc: dict, fmt: str) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     m, label = _resolve_morphism(args.path)
-    doc, ctx = report.analyze(m, cfg, label)
-    _emit(doc, cfg.output_format)
-    if cfg.strict and ctx.has_unknown:
+    doc, properties = report.analyze(m, cfg, label)
+    _emit(doc, args.format)
+    if args.strict and properties.has_unknown:
         return EXIT_UNKNOWN
     return EXIT_OK
 
@@ -103,22 +102,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
     m, _ = _resolve_morphism(args.path)
     prop = args.property
     if prop == "primitive":
-        verdict = decide_primitive(incidence_matrix(m), m)
+        verdict = decide_primitive(m)
     elif prop == "prime":
-        occurrence = occurrence_decider(m, m.start)
-        b_name = m.letters[m.start]
-        if occurrence is OccurrenceCount.AT_LEAST_TWICE:
-            verdict = Verdict.yes(
-                {"witness": "start-occurs-at-least-twice", "letter": b_name}
-            )
-        else:
-            verdict = Verdict.no(
-                {
-                    "witness": "nilpotent-ideal",
-                    "generator": b_name,
-                    "reason": f"{b_name} occurs exactly once",
-                }
-            )
+        verdict = decide_prime(m, occurrence_decider(m, m.start))
     elif prop in ("periodic", "pi", "noetherian"):
         f = factor_closure(m, cfg.max_len)
         verdict = decide_eventual_periodicity(
@@ -149,7 +135,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         sys.stderr.write("audit: morphism carries no grading\n")
         return EXIT_PARSE
     doc, passed, counterexamples = report.audit(m, cfg, label, max_len=args.max_len)
-    _emit(doc, cfg.output_format)
+    _emit(doc, args.format)
     for c in counterexamples:
         sys.stdout.write(f"counterexample: {c}\n")
     return EXIT_OK if passed else EXIT_NO

@@ -23,15 +23,11 @@ class AnalysisConfig:
     mh_bound: int = DEFAULT_MH_BOUND
     k_max: int = DEFAULT_K_MAX
     d_max: int = DEFAULT_D_MAX
-    output_format: str = "text"
-    strict: bool = False
 
     def __post_init__(self) -> None:
         for name in ("prefix_letters", "max_len", "mh_bound", "k_max", "d_max"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be positive")
-        if self.output_format not in ("text", "json"):
-            raise ContractError("output format must be 'text' or 'json'")
 
 
 __all__ = [

@@ -22,13 +22,9 @@ from .words import (
     growing_letters,
     occurring_letters,
     subword_complexity,
+    support_reach,
 )
-from .matrices import (
-    IncidenceMatrix,
-    OccurrenceCount,
-    incidence_matrix,
-    occurrence_decider,
-)
+from .matrices import OccurrenceCount, occurrence_decider
 
 
 class VerdictValue(enum.Enum):
@@ -100,6 +96,19 @@ class PropertyReport:
     gk_dimension: int | None
     complexity_class: ComplexityClass
 
+    @property
+    def has_unknown(self) -> bool:
+        verdicts = [
+            self.prime,
+            self.semiprime,
+            self.just_infinite,
+            self.pi,
+            self.noetherian,
+            self.jacobson_trivial,
+            self.primitive_algebra,
+        ]
+        return any(v.is_unknown for v in verdicts) or self.gk_dimension is None
+
 
 @dataclass(frozen=True)
 class DeciderOutputs:
@@ -114,26 +123,10 @@ class DeciderOutputs:
 # primitivity
 
 
-def _support_reach(m: Morphism, letters: frozenset[int]) -> dict[int, set[int]]:
-    """>= 1 step reachability in the digraph a -> letters of phi(a)."""
-    reach = {a: {ord(ch) for ch in m.images[a] if ord(ch) in letters} for a in letters}
-    changed = True
-    while changed:
-        changed = False
-        for a in letters:
-            add: set[int] = set()
-            for b in reach[a]:
-                add |= reach[b]
-            if not add <= reach[a]:
-                reach[a] |= add
-                changed = True
-    return reach
-
-
-def decide_primitive(M: IncidenceMatrix, m: Morphism) -> Verdict:
+def decide_primitive(m: Morphism) -> Verdict:
     """Irreducibility of the incidence structure over the occurring letters."""
     occ = occurring_letters(m)
-    reach = _support_reach(m, occ)
+    reach = support_reach(m, occ)
     missing = [
         (a, b) for a in sorted(occ) for b in sorted(occ) if b not in reach[a]
     ]
@@ -300,8 +293,7 @@ def decide_uniform_recurrence(
                 bound=k_max,
             )
 
-    M = incidence_matrix(m)
-    prim = decide_primitive(M, m)
+    prim = decide_primitive(m)
     if prim.is_yes:
         return Verdict.yes({"witness": "primitive"}, bound=k_max)
 
@@ -314,7 +306,7 @@ def decide_uniform_recurrence(
             }
         )
     growing = growing_letters(m)
-    reach = _support_reach(m, occ)
+    reach = support_reach(m, occ)
     for a in sorted(occ):
         if a in growing and b != a and b not in reach[a]:
             return Verdict.no(
@@ -331,7 +323,7 @@ def decide_uniform_recurrence(
 
 
 def _fit_complexity(
-    f: FactorSet, candidates: list[ComplexityClass], fit_max_n: int
+    f: FactorSet, candidates: list[ComplexityClass]
 ) -> tuple[ComplexityClass, dict]:
     """Least-squares shape fit of exact p(n) values; heuristic by design."""
     shapes = {
@@ -340,7 +332,7 @@ def _fit_complexity(
         ComplexityClass.N_LOG_N: lambda n: n * math.log(n) if n >= 2 else float(n),
         ComplexityClass.QUADRATIC: lambda n: float(n * n),
     }
-    ns = list(range(2, fit_max_n + 1))
+    ns = list(range(2, f.max_len + 1))
     values = [subword_complexity(f, n) for n in ns]
     best: tuple[float, ComplexityClass] | None = None
     residuals: dict[str, float] = {}
@@ -356,15 +348,13 @@ def _fit_complexity(
         if best is None or rel < best[0]:
             best = (rel, cls)
     assert best is not None
-    return best[1], {"residuals": residuals, "fit_up_to": fit_max_n}
+    return best[1], {"residuals": residuals, "fit_up_to": f.max_len}
 
 
 def classify_complexity(
     m: Morphism,
     f: FactorSet,
     ep: Verdict,
-    *,
-    fit_max_n: int | None = None,
 ) -> ComplexityResult:
     """Complexity class and GK dimension from the periodicity verdict.
 
@@ -381,12 +371,11 @@ def classify_complexity(
         return ComplexityResult(ComplexityClass.UNKNOWN, None, True, "periodicity-unresolved")
 
     shape = classify_shape(m)
-    M = incidence_matrix(m)
     if shape.d_uniform is not None and shape.d_uniform >= 2:
         return ComplexityResult(
             ComplexityClass.LINEAR, 2, ep.conditional, "d-uniform-aperiodic"
         )
-    if decide_primitive(M, m).is_yes:
+    if decide_primitive(m).is_yes:
         return ComplexityResult(
             ComplexityClass.LINEAR, 2, ep.conditional, "primitive-aperiodic"
         )
@@ -401,12 +390,11 @@ def classify_complexity(
     ]
     if bounded_present:
         candidates.append(ComplexityClass.QUADRATIC)
-    top = min(fit_max_n if fit_max_n is not None else f.max_len, f.max_len)
-    if top < 4:
+    if f.max_len < 4:
         return ComplexityResult(
             ComplexityClass.UNKNOWN, None, True, "insufficient-factor-bound"
         )
-    cls, fit = _fit_complexity(f, candidates, top)
+    cls, fit = _fit_complexity(f, candidates)
     fit["bounded_letters_present"] = bounded_present
     gk = 3 if cls is ComplexityClass.QUADRATIC else 2
     return ComplexityResult(cls, gk, True, "heuristic-fit", fit)
@@ -420,6 +408,27 @@ def _weakest(*verdicts: Verdict) -> bool:
     return any(v.conditional for v in verdicts)
 
 
+def decide_prime(m: Morphism, occurrence: OccurrenceCount) -> Verdict:
+    """Prime iff the start letter occurs at least twice in the fixed point.
+
+    ``occurrence`` is ``occurrence_decider(m, m.start)``, an exact count.
+    """
+    b_name = m.letters[m.start]
+    if occurrence is OccurrenceCount.ZERO:
+        raise InvariantError("start letter reported absent from its own fixed point")
+    if occurrence is OccurrenceCount.AT_LEAST_TWICE:
+        return Verdict.yes(
+            {"witness": "start-occurs-at-least-twice", "letter": b_name}
+        )
+    return Verdict.no(
+        {
+            "witness": "nilpotent-ideal",
+            "generator": b_name,
+            "reason": f"{b_name} occurs exactly once, so {b_name}..{b_name} is never a factor",
+        }
+    )
+
+
 def ring_property_report(m: Morphism, deps: DeciderOutputs) -> PropertyReport:
     """Map word-level verdicts to ring-theoretic ones.
 
@@ -428,22 +437,7 @@ def ring_property_report(m: Morphism, deps: DeciderOutputs) -> PropertyReport:
     periodic; the radical and primitivity entries use the uniformly
     recurrent + aperiodic implication and are Unknown outside it.
     """
-    occurrence = deps.start_occurrence
-    b_name = m.letters[m.start]
-    if occurrence is OccurrenceCount.ZERO:
-        raise InvariantError("start letter reported absent from its own fixed point")
-    if occurrence is OccurrenceCount.AT_LEAST_TWICE:
-        prime = Verdict.yes(
-            {"witness": "start-occurs-at-least-twice", "letter": b_name}
-        )
-    else:
-        prime = Verdict.no(
-            {
-                "witness": "nilpotent-ideal",
-                "generator": b_name,
-                "reason": f"{b_name} occurs exactly once, so {b_name}..{b_name} is never a factor",
-            }
-        )
+    prime = decide_prime(m, deps.start_occurrence)
     semiprime = Verdict(
         prime.value, prime.conditional, {**prime.certificate, "via": "semiprime-iff-prime"}, prime.bound
     )
@@ -500,16 +494,14 @@ def run_deciders(
     mh_bound: int | None = None,
     k_max: int = 6,
     prefix_letters: int = 4**8,
-    fit_max_n: int | None = None,
 ) -> DeciderOutputs:
     """Run the full decider battery over one shared factor set."""
-    M = incidence_matrix(m)
-    prim = decide_primitive(M, m)
+    prim = decide_primitive(m)
     ep = decide_eventual_periodicity(
         m, f, mh_bound=mh_bound, prefix_letters=prefix_letters
     )
     ur = decide_uniform_recurrence(m, f, k_max=k_max)
-    comp = classify_complexity(m, f, ep, fit_max_n=fit_max_n)
+    comp = classify_complexity(m, f, ep)
     occ = occurrence_decider(m, m.start)
     return DeciderOutputs(
         primitive=prim,
@@ -528,6 +520,7 @@ __all__ = [
     "PropertyReport",
     "DeciderOutputs",
     "decide_primitive",
+    "decide_prime",
     "decide_eventual_periodicity",
     "decide_uniform_recurrence",
     "classify_complexity",

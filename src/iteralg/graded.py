@@ -158,8 +158,6 @@ def graded_nilpotency_scan(
     m: Morphism,
     d_max: int,
     levels: list[int] | tuple[int, ...],
-    *,
-    memory_budget_bytes: int | None = None,
 ) -> NilpotencyScan:
     """Max chain length per degree at several generation levels.
 
@@ -176,9 +174,6 @@ def graded_nilpotency_scan(
     degenerate = len(set(m.degrees)) == 1
     if not lv or d_max == 0:
         return NilpotencyScan(levels=lv, rows=(), degenerate_grading=degenerate)
-    kwargs = {}
-    if memory_budget_bytes is not None:
-        kwargs["memory_budget_bytes"] = memory_budget_bytes
     # |phi^k(start)| via exact per-letter counts, to size the prefix once.
     top = max(lv)
     counts = [1 if i == m.start else 0 for i in range(m.size)]
@@ -189,7 +184,7 @@ def graded_nilpotency_scan(
                 for ch in m.images[j]:
                     nxt[ord(ch)] += c
         counts = nxt
-    prefix = fixed_point_prefix(m, sum(counts), **kwargs)
+    prefix = fixed_point_prefix(m, sum(counts))
     sums_per_level = []
     for k in lv:
         word_k = prefix.word[: prefix.gen_lengths[k]]

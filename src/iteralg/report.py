@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from . import algebra, graded
 from .config import DEFAULT_EMBEDDED_AUDIT_LEN, AnalysisConfig
 from .deciders import (
     ComplexityResult,
-    DeciderOutputs,
     PropertyReport,
     Verdict,
     decide_uniform_recurrence,
@@ -25,6 +23,7 @@ from .deciders import (
 from .errors import ContractError, InvariantError, NoSplitError
 from .matrices import (
     CharPoly,
+    IncidenceMatrix,
     WeightSequences,
     char_poly,
     incidence_matrix,
@@ -34,6 +33,7 @@ from .matrices import (
 from .words import (
     FactorSet,
     Morphism,
+    ShapeRecord,
     WordPrefix,
     classify_shape,
     factor_closure,
@@ -59,35 +59,6 @@ def verdict_doc(v: Verdict) -> dict:
     }
 
 
-@dataclass
-class AnalysisContext:
-    """Intermediate artifacts kept alongside the serialized document."""
-
-    morphism: Morphism
-    factor_set: FactorSet
-    prefix: WordPrefix
-    deciders: DeciderOutputs
-    properties: PropertyReport
-    poly: CharPoly
-    weights: WeightSequences | None
-    audit_passed: bool
-    counterexamples: list[str]
-
-    @property
-    def has_unknown(self) -> bool:
-        report = self.properties
-        verdicts = [
-            report.prime,
-            report.semiprime,
-            report.just_infinite,
-            report.pi,
-            report.noetherian,
-            report.jacobson_trivial,
-            report.primitive_algebra,
-        ]
-        return any(v.is_unknown for v in verdicts) or report.gk_dimension is None
-
-
 def _morphism_doc(m: Morphism, source: str) -> dict:
     doc = {
         "source": source,
@@ -101,8 +72,7 @@ def _morphism_doc(m: Morphism, source: str) -> dict:
     return doc
 
 
-def _shape_doc(m: Morphism) -> dict:
-    shape = classify_shape(m)
+def _shape_doc(m: Morphism, shape: ShapeRecord) -> dict:
     return {
         "d_uniform": shape.d_uniform,
         "erasing": shape.erasing,
@@ -111,8 +81,7 @@ def _shape_doc(m: Morphism) -> dict:
     }
 
 
-def _matrix_doc(m: Morphism, poly: CharPoly) -> dict:
-    M = incidence_matrix(m)
+def _matrix_doc(M: IncidenceMatrix, poly: CharPoly, shape: ShapeRecord) -> dict:
     doc = {
         "size": M.size,
         "entries": [[_s(e) for e in row] for row in M.rows],
@@ -124,7 +93,6 @@ def _matrix_doc(m: Morphism, poly: CharPoly) -> dict:
             "cayley_hamilton_verified": True,
         },
     }
-    shape = classify_shape(m)
     if shape.d_uniform is not None:
         doc["char_poly"]["value_at_d"] = _s(poly.evaluate(shape.d_uniform))
     return doc
@@ -181,17 +149,17 @@ def _properties_doc(report: PropertyReport) -> dict:
     }
 
 
-def _graded_doc(
-    m: Morphism,
-    prefix: WordPrefix,
-    f: FactorSet,
-    cfg: AnalysisConfig,
-    counterexamples: list[str],
-) -> dict:
-    assert m.degrees is not None
+def _graded_audit(
+    m: Morphism, prefix: WordPrefix, f: FactorSet, d_max: int, audit_len: int
+) -> tuple[dict, list[str]]:
+    """The s_prefix, chains, rotation_audit and lie entries, and their counterexamples.
+
+    Both audits read factors of length 2..audit_len; below a bound of 2 they
+    are reported as skipped.
+    """
     s = graded.s_set(m, prefix)
     chains = []
-    for d in range(1, cfg.d_max + 1):
+    for d in range(1, d_max + 1):
         witness = graded.max_homogeneous_chain(m, s, f, d)
         chains.append(
             {
@@ -203,7 +171,7 @@ def _graded_doc(
                 },
             }
         )
-    audit_len = min(DEFAULT_EMBEDDED_AUDIT_LEN, f.max_len)
+    counterexamples: list[str] = []
     if audit_len >= 2:
         rotation = graded.cyclic_rotation_audit(f, audit_len)
         rotation_doc = {
@@ -237,6 +205,20 @@ def _graded_doc(
     else:
         rotation_doc = {"max_len": audit_len, "pass": None, "skipped": "factor bound below 2"}
         lie_doc = {"max_len": audit_len, "pass": None, "skipped": "factor bound below 2"}
+    doc = {
+        "s_prefix": [_s(v) for v in s.sums[:S_PREFIX_SHOWN]],
+        "chains": chains,
+        "rotation_audit": rotation_doc,
+        "lie": lie_doc,
+    }
+    return doc, counterexamples
+
+
+def _graded_doc(m: Morphism, prefix: WordPrefix, f: FactorSet, cfg: AnalysisConfig) -> dict:
+    assert m.degrees is not None
+    audit_len = min(DEFAULT_EMBEDDED_AUDIT_LEN, f.max_len)
+    # analyze shows failures inside the entries; only audit lists counterexamples
+    doc, _ = _graded_audit(m, prefix, f, cfg.d_max, audit_len)
     levels = (
         (prefix.generation_level - 1, prefix.generation_level)
         if prefix.generation_level >= 1
@@ -260,24 +242,12 @@ def _graded_doc(
         _s(algebra.graded_dimension(f, m.degrees, d))
         for d in range(0, min(cfg.d_max, f.max_len) + 1)
     ]
-    return {
-        "s_prefix": [_s(v) for v in s.sums[:S_PREFIX_SHOWN]],
-        "chains": chains,
-        "rotation_audit": rotation_doc,
-        "lie": lie_doc,
-        "graded_dims": dims,
-        "nilpotency_scan": scan_doc,
-    }
+    return {**doc, "graded_dims": dims, "nilpotency_scan": scan_doc}
 
 
-def _diagnostics_doc(
-    m: Morphism,
-    poly: CharPoly,
-    weights: WeightSequences | None,
-    f: FactorSet,
-    warnings: list[str],
-) -> dict:
+def _diagnostics_doc(poly: CharPoly, weights: WeightSequences | None, f: FactorSet) -> dict:
     doc: dict = {}
+    warnings: list[str] = []
     if weights is not None:
         rec = recurrence_from_charpoly(poly, weights.direct)
         mismatch = weights.first_divergence is not None
@@ -319,9 +289,11 @@ def _diagnostics_doc(
     return doc
 
 
-def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, AnalysisContext]:
+def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, PropertyReport]:
     """Run the full pipeline and build the ordered report document."""
-    poly = char_poly(incidence_matrix(m))
+    M = incidence_matrix(m)
+    shape = classify_shape(m)
+    poly = char_poly(M)
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
     f = factor_closure(m, cfg.max_len)
     deps = run_deciders(
@@ -332,16 +304,14 @@ def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, Analys
         prefix_letters=cfg.prefix_letters,
     )
     properties = ring_property_report(m, deps)
-    warnings: list[str] = []
-    counterexamples: list[str] = []
     weights = (
         weight_sequence(m, WEIGHT_TERMS) if m.degrees is not None else None
     )
 
     doc = {
         "morphism": _morphism_doc(m, source),
-        "shape": _shape_doc(m),
-        "matrix": _matrix_doc(m, poly),
+        "shape": _shape_doc(m, shape),
+        "matrix": _matrix_doc(M, poly, shape),
         "word": _word_doc(m, prefix, f),
         "complexity": _complexity_doc(deps.complexity, f),
         "properties": {
@@ -352,21 +322,9 @@ def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, Analys
         },
     }
     if m.degrees is not None:
-        doc["graded"] = _graded_doc(m, prefix, f, cfg, counterexamples)
-    doc["diagnostics"] = _diagnostics_doc(m, poly, weights, f, warnings)
-
-    ctx = AnalysisContext(
-        morphism=m,
-        factor_set=f,
-        prefix=prefix,
-        deciders=deps,
-        properties=properties,
-        poly=poly,
-        weights=weights,
-        audit_passed=not counterexamples,
-        counterexamples=counterexamples,
-    )
-    return doc, ctx
+        doc["graded"] = _graded_doc(m, prefix, f, cfg)
+    doc["diagnostics"] = _diagnostics_doc(poly, weights, f)
+    return doc, properties
 
 
 def audit(
@@ -378,40 +336,9 @@ def audit(
     audit_len = max_len if max_len is not None else cfg.max_len
     if audit_len < 2:
         raise ContractError("audit needs a factor bound of at least 2")
-    counterexamples: list[str] = []
     f = factor_closure(m, audit_len)
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
-    s = graded.s_set(m, prefix)
-
-    chains = []
-    for d in range(1, cfg.d_max + 1):
-        witness = graded.max_homogeneous_chain(m, s, f, d)
-        chains.append(
-            {
-                "d": d,
-                "max_r": witness.length,
-                "witness": {
-                    "start": _s(witness.start_value),
-                    "pieces": [m.decode(p) for p in witness.pieces[:8]],
-                },
-            }
-        )
-
-    rotation = graded.cyclic_rotation_audit(f, audit_len)
-    if not rotation.passed and rotation.counterexample is not None:
-        counterexamples.append(
-            f"rotation audit: every rotation of '{m.decode(rotation.counterexample)}' is a factor"
-        )
-    lie_failures = []
-    for w in sorted(
-        (w for w in f.factors if 2 <= len(w) <= audit_len), key=lambda w: (len(w), w)
-    ):
-        try:
-            graded.lie_decomposition(f, w)
-        except NoSplitError:
-            lie_failures.append(m.decode(w))
-    for w in lie_failures:
-        counterexamples.append(f"bracket decomposition failed for '{w}'")
+    graded_doc, counterexamples = _graded_audit(m, prefix, f, cfg.d_max, audit_len)
 
     deps_ur = decide_uniform_recurrence(m, f, k_max=cfg.k_max)
     window_doc: dict = {"applicable": False}
@@ -435,40 +362,21 @@ def audit(
         }
 
     identity_results = []
-    n = 1
-    while n <= 8:
-        a = m.apply_n(chr(m.start), n + 1)
-        b = m.apply_n(chr(m.start), n)
-        if len(a) + len(b) > len(prefix.word):
+    for n in range(1, 9):
+        try:
+            holds = graded.prefix_identity_holds(m, n, prefix.word)
+        except ContractError:  # the prefix is too short for this n and every later one
             break
-        holds = prefix.word.startswith(a + b)
         identity_results.append({"n": n, "holds": holds})
         if not holds:
             counterexamples.append(
                 f"prefix identity fails at n={n}: phi^{n + 1}(start) phi^{n}(start) "
                 "is not a prefix of the fixed point"
             )
-        n += 1
 
     doc = {
         "morphism": _morphism_doc(m, source),
-        "graded": {
-            "s_prefix": [_s(v) for v in s.sums[:S_PREFIX_SHOWN]],
-            "chains": chains,
-            "rotation_audit": {
-                "max_len": rotation.max_len,
-                "pass": rotation.passed,
-                "counterexample": m.decode(rotation.counterexample)
-                if rotation.counterexample is not None
-                else None,
-                "per_length": {str(l): c for l, c in rotation.per_length},
-            },
-            "lie": {
-                "max_len": audit_len,
-                "pass": not lie_failures,
-                "failures": lie_failures,
-            },
-        },
+        "graded": graded_doc,
         "checks": {
             "window": window_doc,
             "prefix_identity": identity_results,
@@ -511,4 +419,4 @@ def render_text(doc: dict, indent: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
-__all__ = ["analyze", "audit", "to_json", "render_text", "verdict_doc", "AnalysisContext"]
+__all__ = ["analyze", "audit", "to_json", "render_text", "verdict_doc"]

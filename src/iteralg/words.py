@@ -75,12 +75,6 @@ class Morphism:
         except ValueError:
             raise ContractError(f"unknown letter {name!r}") from None
 
-    def letter_objects(self) -> list[Letter]:
-        return [Letter(i, n) for i, n in enumerate(self.letters)]
-
-    def image_of(self, letter_id: int) -> Word:
-        return self.images[letter_id]
-
     def apply(self, word: Word) -> Word:
         """phi(word), via one C-level translate pass."""
         return word.translate(self._table)
@@ -363,6 +357,22 @@ def occurring_letters(m: Morphism) -> frozenset[int]:
     return frozenset(seen)
 
 
+def support_reach(m: Morphism, letters: frozenset[int]) -> dict[int, set[int]]:
+    """>= 1 step reachability in the digraph a -> letters of phi(a), within ``letters``."""
+    reach = {a: {ord(ch) for ch in m.images[a] if ord(ch) in letters} for a in letters}
+    changed = True
+    while changed:
+        changed = False
+        for a in letters:
+            add: set[int] = set()
+            for b in reach[a]:
+                add |= reach[b]
+            if not add <= reach[a]:
+                reach[a] |= add
+                changed = True
+    return reach
+
+
 def growing_letters(m: Morphism) -> frozenset[int]:
     """Letters a with |phi^n(a)| unbounded.
 
@@ -380,18 +390,7 @@ def growing_letters(m: Morphism) -> frozenset[int]:
         i: [ord(ch) for ch in m.images[i] if ord(ch) not in mortal]
         for i in immortal
     }
-    # reach[i] = immortal letters reachable from i in >= 1 step
-    reach: dict[int, set[int]] = {i: set(psi[i]) for i in immortal}
-    changed = True
-    while changed:
-        changed = False
-        for i in immortal:
-            add = set()
-            for j in reach[i]:
-                add |= reach[j]
-            if not add <= reach[i]:
-                reach[i] |= add
-                changed = True
+    reach = support_reach(m, frozenset(immortal))
     cyclic = {i for i in immortal if i in reach[i]}
     multipliers = {i for i in immortal if len(psi[i]) >= 2}
     # a grows iff some multiplier letter is reachable from a cycle that a
@@ -613,6 +612,7 @@ __all__ = [
     "is_prolongable",
     "occurring_letters",
     "growing_letters",
+    "support_reach",
     "classify_shape",
     "fixed_point_prefix",
     "factor_closure",

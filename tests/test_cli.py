@@ -107,6 +107,17 @@ def test_decide_matrix(capsys, path, prop, expected_code, fragment):
     assert err == ""
 
 
+@pytest.mark.parametrize("entry", ["ba-example", "paper12"])
+def test_decide_prime_certificate_matches_analyze(capsys, entry):
+    path = f"gallery/{entry}.morph"
+    _, out, _ = run(capsys, "decide", path, "prime")
+    cert_line = out.splitlines()[1]
+    assert cert_line.startswith("certificate: ")
+    _, doc_out, _ = run(capsys, "analyze", path, "--max-len", "12", "--format", "json")
+    expected = json.loads(doc_out)["properties"]["prime"]["certificate"]
+    assert json.loads(cert_line[len("certificate: "):]) == expected
+
+
 def test_decide_unknown_exit(tmp_path, capsys):
     src = tmp_path / "u.morph"
     src.write_text(UNKNOWN_UR_SOURCE)
@@ -142,6 +153,19 @@ def test_audit_periodic_fails(capsys):
 def test_audit_fibonacci_default_grading(capsys):
     code, out, _ = run(capsys, "audit", "gallery/fibonacci.morph", "--max-len", "8")
     assert code == 1  # ab and ba are both factors
+
+
+@pytest.mark.parametrize("entry", ["paper12", "periodic-ab"])
+def test_analyze_and_audit_share_graded_entries(capsys, entry):
+    path = f"gallery/{entry}.morph"
+    _, analyze_out, _ = run(capsys, "analyze", path, "--max-len", "12", "--format", "json")
+    _, audit_out, _ = run(capsys, "audit", path, "--max-len", "12", "--format", "json")
+    analyzed = json.loads(analyze_out)["graded"]
+    # audit prints its counterexample lines after the JSON document
+    audited, _ = json.JSONDecoder().raw_decode(audit_out)
+    keys = ["s_prefix", "chains", "rotation_audit", "lie"]
+    assert list(audited["graded"]) == keys
+    assert {k: analyzed[k] for k in keys} == audited["graded"]
 
 
 def test_audit_needs_grading_programmatically():

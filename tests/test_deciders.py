@@ -9,7 +9,6 @@ from iteralg.deciders import (
     ring_property_report,
     run_deciders,
 )
-from iteralg.matrices import incidence_matrix
 from iteralg.words import factor_closure, fixed_point_prefix
 
 from conftest import small_morphisms
@@ -21,16 +20,16 @@ from test_words import mk
 
 
 def test_primitive_thue_morse(thue_morse):
-    assert decide_primitive(incidence_matrix(thue_morse), thue_morse).is_yes
+    assert decide_primitive(thue_morse).is_yes
 
 
 def test_primitive_paper12(paper12):
-    assert decide_primitive(incidence_matrix(paper12), paper12).is_yes
+    assert decide_primitive(paper12).is_yes
 
 
 def test_primitive_reducible():
     m = mk(["a", "b"], ["a b", "b"], "a")
-    verdict = decide_primitive(incidence_matrix(m), m)
+    verdict = decide_primitive(m)
     assert verdict.is_no
     assert verdict.certificate["from"] == "b" and verdict.certificate["to"] == "a"
 
@@ -38,7 +37,7 @@ def test_primitive_reducible():
 @settings(max_examples=50, deadline=None)
 @given(small_morphisms())
 def test_primitive_agrees_with_brute_force(m):
-    verdict = decide_primitive(incidence_matrix(m), m)
+    verdict = decide_primitive(m)
     from iteralg.words import occurring_letters
 
     occ = sorted(occurring_letters(m))
