@@ -62,11 +62,12 @@ def multiply(f: FactorSet, x: MonomialElement, y: MonomialElement) -> MonomialEl
     Concatenations longer than the computed bound are a contract error: the
     caller must enlarge the factor set first.
     """
+    known = f.factors
     for e in (x, y):
         for w in e.terms:
             if len(w) > f.max_len:
                 raise ContractError("support word exceeds the factor bound")
-            if w not in f.factors:
+            if w not in known:
                 raise ContractError("support word is not a known factor")
     out: dict[Word, Fraction] = {}
     for u, cu in x.terms.items():
@@ -77,7 +78,7 @@ def multiply(f: FactorSet, x: MonomialElement, y: MonomialElement) -> MonomialEl
                     f"product of length {len(w)} exceeds the factor bound "
                     f"{f.max_len}; enlarge the factor set"
                 )
-            if w in f.factors:
+            if w in known:
                 out[w] = out.get(w, Fraction(0)) + cu * cv
     return MonomialElement(out)
 
@@ -101,9 +102,10 @@ def graded_dimension(f: FactorSet, degrees: tuple[int, ...], d: int) -> int:
     if d == 0:
         return 1
     count = 0
-    for w in f.factors:
-        if 0 < len(w) <= d and sum(degrees[ord(ch)] for ch in w) == d:
-            count += 1
+    for n in range(1, d + 1):
+        for w in f.of_length(n):
+            if sum(degrees[ord(ch)] for ch in w) == d:
+                count += 1
     return count
 
 

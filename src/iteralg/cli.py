@@ -136,8 +136,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     doc, passed, counterexamples = report.audit(m, cfg, label, max_len=args.max_len)
     _emit(doc, args.format)
-    for c in counterexamples:
-        sys.stdout.write(f"counterexample: {c}\n")
+    if args.format == "text":  # the JSON document carries them in result.counterexamples
+        for c in counterexamples:
+            sys.stdout.write(f"counterexample: {c}\n")
     return EXIT_OK if passed else EXIT_NO
 
 

@@ -149,7 +149,7 @@ def max_homogeneous_chain(
                 raise InvariantError("chain piece has the wrong degree")
     if f is not None:
         cat = witness.concatenation()
-        if len(cat) <= f.max_len and cat and cat not in f.factors:
+        if len(cat) <= f.max_len and cat and cat not in f:
             raise InvariantError("chain concatenation is not a known factor")
     return witness
 
@@ -222,8 +222,10 @@ def cyclic_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
     per_length: list[tuple[int, int]] = []
     for length in range(2, max_len + 1):
         audited = 0
-        for v in sorted(w for w in f.factors if len(w) == length):
-            if not any(r not in f.factors for r in rotations(v)):
+        words = f.of_length(length)
+        present = frozenset(words)  # rotations keep the length
+        for v in words:
+            if not any(r not in present for r in rotations(v)):
                 return RotationAudit(
                     max_len=max_len,
                     per_length=tuple(per_length),
@@ -246,7 +248,8 @@ def lie_decomposition(f: FactorSet, u: Word) -> LieNode:
         raise ContractError("single letters are generators; nothing to decompose")
     if len(u) > f.max_len:
         raise ContractError("word exceeds the factor bound")
-    if u not in f.factors:
+    known = f.factors
+    if u not in known:
         raise ContractError("word is not a known factor")
 
     def split(w: Word) -> LieNode:
@@ -254,7 +257,7 @@ def lie_decomposition(f: FactorSet, u: Word) -> LieNode:
             return LieNode(word=w)
         for cut in range(1, len(w)):
             a, b = w[:cut], w[cut:]
-            if b + a not in f.factors:
+            if b + a not in known:
                 return LieNode(
                     word=w,
                     left=split(a),

@@ -173,7 +173,8 @@ def _graded_audit(
         )
     counterexamples: list[str] = []
     if audit_len >= 2:
-        rotation = graded.cyclic_rotation_audit(f, audit_len)
+        short = f.restricted(audit_len)
+        rotation = graded.cyclic_rotation_audit(short, audit_len)
         rotation_doc = {
             "max_len": rotation.max_len,
             "pass": rotation.passed,
@@ -187,14 +188,12 @@ def _graded_audit(
                 f"rotation audit: every rotation of '{m.decode(rotation.counterexample)}' is a factor"
             )
         lie_failures: list[str] = []
-        for w in sorted(
-            (w for w in f.factors if 2 <= len(w) <= audit_len),
-            key=lambda w: (len(w), w),
-        ):
-            try:
-                graded.lie_decomposition(f, w)
-            except NoSplitError:
-                lie_failures.append(m.decode(w))
+        for n in range(2, audit_len + 1):
+            for w in short.of_length(n):
+                try:
+                    graded.lie_decomposition(short, w)
+                except NoSplitError:
+                    lie_failures.append(m.decode(w))
         lie_doc = {
             "max_len": audit_len,
             "pass": not lie_failures,

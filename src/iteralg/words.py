@@ -8,7 +8,11 @@ word a hashable index sequence while letting morphism application run through
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -136,30 +140,87 @@ class ShapeRecord:
 
 @dataclass(frozen=True)
 class FactorSet:
-    """All factors of the fixed point up to ``max_len`` (exact for non-erasing).
+    """The factors of the fixed point up to ``max_len``, held as F_L.
 
-    When ``exact`` is false the set is the factor set of a finite generated
-    prefix: a sound lower bound, closed under sub-factors either way.
+    ``words`` is the sorted tuple of factors of length exactly L = ``max_len``
+    (exact for non-erasing morphisms).  Every factor of an infinite word is a
+    prefix of a length-L factor, so membership, the counts p(n) and the
+    shorter factors are all read off ``words`` by prefixes.  When ``exact``
+    is false the set is the factor set of a finite generated prefix, a sound
+    lower bound: ``words`` then also holds the prefix's suffixes shorter
+    than L, so every factor of the prefix is still a prefix of a stored word.
     """
 
     max_len: int
-    factors: frozenset[Word]
+    words: tuple[Word, ...]
     exact: bool
     closure_rounds: int
     counts: tuple[int, ...] = field(init=False)
+    _by_length: dict[int, tuple[Word, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
-        by_len = [0] * (self.max_len + 1)
-        for w in self.factors:
-            by_len[len(w)] += 1
-        object.__setattr__(self, "counts", tuple(by_len))
+        # p(n) = #{i : |s_i| >= n and lcp(s_{i-1}, s_i) < n}: word i adds one
+        # new n-prefix for each n in (lcp, |s_i|], tallied as a difference array
+        diff = [0] * (self.max_len + 2)
+        prev = ""
+        for s in self.words:
+            diff[_lcp(prev, s) + 1] += 1
+            diff[len(s) + 1] -= 1
+            prev = s
+        object.__setattr__(self, "counts", (1, *accumulate(diff[1 : self.max_len + 1])))
 
     def __contains__(self, word: Word) -> bool:
-        return word in self.factors
+        if len(word) > self.max_len:
+            return False
+        i = bisect_left(self.words, word)
+        return i < len(self.words) and self.words[i].startswith(word)
+
+    def of_length(self, n: int) -> tuple[Word, ...]:
+        """The factors of length ``n``, sorted: the distinct n-prefixes of ``words``."""
+        if n < 0 or n > self.max_len:
+            raise ContractError(f"length {n} outside the computed range 0..{self.max_len}")
+        found = self._by_length.get(n)
+        if found is None:
+            # prefixes of a sorted tuple come out sorted, equal ones adjacent
+            found = tuple(dict.fromkeys(s[:n] for s in self.words if len(s) >= n))
+            self._by_length[n] = found
+        return found
+
+    def restricted(self, n: int) -> "FactorSet":
+        """The same factor set cut down to ``max_len`` = n."""
+        if n < 0 or n > self.max_len:
+            raise ContractError(f"length {n} outside the computed range 0..{self.max_len}")
+        if n == self.max_len:
+            return self
+        return FactorSet(
+            max_len=n,
+            words=tuple(dict.fromkeys(s[:n] for s in self.words)),
+            exact=self.exact,
+            closure_rounds=self.closure_rounds,
+        )
+
+    @cached_property
+    def factors(self) -> frozenset[Word]:
+        """Every factor of length <= ``max_len`` as one set, built on first use."""
+        return frozenset().union(*(self.of_length(n) for n in range(self.max_len + 1)))
 
     def sorted_factors(self) -> list[Word]:
         """Deterministic length-then-canonical order."""
-        return sorted(self.factors, key=lambda w: (len(w), w))
+        return [w for n in range(self.max_len + 1) for w in self.of_length(n)]
+
+
+def _lcp(a: Word, b: Word) -> int:
+    """Length of the longest common prefix, by binary search over slices."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if b.startswith(a[:mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +499,8 @@ def fixed_point_prefix(
         raise NotProlongableError(reason)
     if n < 0:
         raise ContractError("prefix length must be nonnegative")
-    budget_letters = memory_budget_bytes  # ~1 byte per letter for small alphabets
-    if n > budget_letters:
+    # the generations are held as chunks and then joined: two copies
+    if 2 * _word_bytes(m, n) > memory_budget_bytes:
         raise ResourceBudgetError(
             f"prefix of {n} letters exceeds the {memory_budget_bytes}-byte budget"
         )
@@ -451,7 +512,7 @@ def fixed_point_prefix(
     gen_lengths = [1, total]  # |phi^0(b)|, |phi^1(b)|
     while total < n:
         chunk = m.apply(chunk)
-        if total + len(chunk) > budget_letters:
+        if 2 * _word_bytes(m, total + len(chunk)) > memory_budget_bytes:
             raise ResourceBudgetError(
                 f"prefix generation exceeds the {memory_budget_bytes}-byte budget"
             )
@@ -468,33 +529,32 @@ def fixed_point_prefix(
 # ---------------------------------------------------------------------------
 # factor sets
 
-
-def _substrings_upto(word: Word, max_len: int, out: set[Word]) -> None:
-    n = len(word)
-    for i in range(n):
-        top = min(max_len, n - i)
-        for l in range(1, top + 1):
-            out.add(word[i : i + l])
+# One stored word also costs its share of a hash set's table (16-byte slots,
+# filled to at most 3/5) and a tuple slot (8 bytes).
+_ENTRY_BYTES = 40
 
 
-def _harvest_new(z: Word, top: int, known: set[Word], pending: set[Word]) -> None:
-    """Record substrings of z (length <= top) that are not in ``known``.
+def _word_bytes(m: Morphism, length: int) -> int:
+    """Estimated size of a ``str`` of ``length`` letters of m's alphabet.
 
-    ``known`` must be closed under taking substrings, which makes membership
-    monotone in the length at every start position; a two-pointer sweep then
-    skips the already-known prefix at each start instead of re-deriving it.
-    ``pending`` collects the new words and stays disjoint from ``known``.
+    CPython stores 1, 2 or 4 bytes per code point, the narrowest width that
+    holds the largest letter id, after a header that depends on that width.
     """
-    n = len(z)
-    run = 0  # longest known substring length at the current start
-    for i in range(n):
-        if run:
-            run -= 1
-        limit = min(top, n - i)
-        while run < limit and z[i : i + run + 1] in known:
-            run += 1
-        for l in range(run + 1, limit + 1):
-            pending.add(z[i : i + l])
+    width = 1 if m.size <= 256 else 2 if m.size <= 65536 else 4
+    return sys.getsizeof(chr(m.size - 1)) - width + length * width
+
+
+def _check_budget(m: Morphism, stored: Iterable[tuple[int, int]], budget: int) -> None:
+    """Raise when (count, word length) groups of stored words exceed ``budget`` bytes."""
+    used = sum(count * (_word_bytes(m, length) + _ENTRY_BYTES) for count, length in stored)
+    if used > budget:
+        raise ResourceBudgetError(
+            f"factor closure needs about {used} bytes, over the {budget}-byte budget"
+        )
+
+
+def _windows(word: Word, size: int) -> set[Word]:
+    return {word[i : i + size] for i in range(len(word) - size + 1)}
 
 
 def factor_closure(
@@ -504,15 +564,20 @@ def factor_closure(
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     erasing_prefix_letters: int = DEFAULT_ERASING_PREFIX_LETTERS,
 ) -> FactorSet:
-    """The factors of the fixed point up to ``max_len``.
+    """The factors of the fixed point up to ``max_len``, stored as F_L.
 
-    Non-erasing morphisms get the exact set as the least fixpoint of
-    "add every factor of phi(v) of length <= max_len for v already present",
-    seeded with the factors of phi(start).  Expansion is restricted to words
-    of length <= B = (max_len-2)//min_image_len + 2: by the descent argument
-    any short factor of phi(s) already sits inside phi(v) for a sub-factor v
-    of s of length <= B, so the fixpoint is unchanged.  Erasing morphisms
-    fall back to scanning a generated prefix (exact=False, lower bound).
+    Non-erasing morphisms get the exact set.  With k the least image length,
+    let B = L when k = 1 and B = (L-2)//k + 2 (within 1..L) otherwise.  F_B
+    is the least fixpoint of "add the length-B windows of phi(v) for v
+    already present", seeded with the length-B windows of the first
+    generation phi^g0(start) of at least B letters.  Descent argument: a
+    factor at position p > 0 lies in phi(v) for the length-B factor v at the
+    position p' < p whose image covers p, and that image reaches
+    (B-1)k >= L-1 letters further.  So the fixpoint reaches all of F_B, and one
+    harvest of the length-L windows of phi(v), v in F_B, gives F_L.
+    ``closure_rounds`` is g0, plus the rounds that added a word, plus one for
+    the harvest.  Erasing morphisms fall back to scanning a generated prefix
+    (exact=False, lower bound).
     """
     reason = _prolongability_failure(m, m.start)
     if reason is not None:
@@ -520,21 +585,17 @@ def factor_closure(
     if max_len < 0:
         raise ContractError("max_len must be nonnegative")
     if max_len == 0:
-        return FactorSet(max_len=0, factors=frozenset({""}), exact=True, closure_rounds=0)
-
-    budget_letters = memory_budget_bytes
+        return FactorSet(max_len=0, words=("",), exact=True, closure_rounds=0)
 
     if m.min_image_len == 0:
-        prefix = fixed_point_prefix(
+        word = fixed_point_prefix(
             m, erasing_prefix_letters, memory_budget_bytes=memory_budget_bytes
-        )
-        found: set[Word] = {""}
-        _substrings_upto(prefix.word, max_len, found)
+        ).word
+        # windows of length max_len, then the suffixes too short for one
+        found = {word[i : i + max_len] for i in range(len(word))}
+        _check_budget(m, [(len(found), max_len)], memory_budget_bytes)
         return FactorSet(
-            max_len=max_len,
-            factors=frozenset(found),
-            exact=False,
-            closure_rounds=0,
+            max_len=max_len, words=tuple(sorted(found)), exact=False, closure_rounds=0
         )
 
     if m.min_image_len == 1:
@@ -542,45 +603,24 @@ def factor_closure(
     else:
         expand_bound = max(1, min(max_len, (max_len - 2) // m.min_image_len + 2))
 
-    factors: set[Word] = {""}
-    seed: set[Word] = set()
-    _harvest_new(m.images[m.start], expand_bound, factors, seed)
-    factors |= seed
-    frontier = [w for w in seed if len(w) <= expand_bound]
-    rounds = 0
-    stored_letters = sum(len(w) for w in factors)
-    # Phase 1: exact closure at length <= expand_bound.
-    while frontier:
+    prefix = fixed_point_prefix(m, expand_bound, memory_budget_bytes=memory_budget_bytes)
+    g0 = next(g for g, n in enumerate(prefix.gen_lengths) if g >= 1 and n >= expand_bound)
+    known = _windows(prefix.word[: prefix.gen_lengths[g0]], expand_bound)
+    frontier = known
+    rounds = g0
+    while frontier := {u for v in frontier for u in _windows(m.apply(v), expand_bound)} - known:
         rounds += 1
-        pending: set[Word] = set()
-        for v in frontier:
-            _harvest_new(m.apply(v), expand_bound, factors, pending)
-        stored_letters += sum(len(w) for w in pending)
-        if stored_letters > budget_letters:
-            raise ResourceBudgetError(
-                f"factor closure exceeds the {memory_budget_bytes}-byte budget"
-            )
-        factors |= pending
-        frontier = [w for w in pending if len(w) <= expand_bound]
-    # Phase 2: one harvest pass.  Every factor u with |u| <= max_len lies in
-    # phi(v) for some factor v of length exactly expand_bound (extend the
-    # descent witness rightward inside the infinite word).
+        known |= frontier
+        _check_budget(m, [(len(known), expand_bound)], memory_budget_bytes)
     if max_len > expand_bound:
         rounds += 1
-        harvest: set[Word] = set()
-        for v in (w for w in factors if len(w) == expand_bound):
-            _harvest_new(m.apply(v), max_len, factors, harvest)
-        stored_letters += sum(len(w) for w in harvest)
-        if stored_letters > budget_letters:
-            raise ResourceBudgetError(
-                f"factor closure exceeds the {memory_budget_bytes}-byte budget"
-            )
-        factors |= harvest
+        harvest = {u for v in known for u in _windows(m.apply(v), max_len)}
+        _check_budget(
+            m, [(len(known), expand_bound), (len(harvest), max_len)], memory_budget_bytes
+        )
+        known = harvest
     return FactorSet(
-        max_len=max_len,
-        factors=frozenset(factors),
-        exact=True,
-        closure_rounds=rounds,
+        max_len=max_len, words=tuple(sorted(known)), exact=True, closure_rounds=rounds
     )
 
 
@@ -589,7 +629,7 @@ def is_factor(f: FactorSet, u: Word) -> bool:
         raise ContractError(
             f"word of length {len(u)} exceeds the factor bound {f.max_len}"
         )
-    return u in f.factors
+    return u in f
 
 
 def subword_complexity(f: FactorSet, n: int) -> int:

@@ -148,6 +148,7 @@ def test_audit_periodic_fails(capsys):
     code, out, _ = run(capsys, "audit", "gallery/periodic-ab.morph", "--max-len", "8")
     assert code == 1
     assert "rotation audit" in out
+    assert "\ncounterexample: rotation audit: " in out  # text mode lists them after the document
 
 
 def test_audit_fibonacci_default_grading(capsys):
@@ -161,8 +162,7 @@ def test_analyze_and_audit_share_graded_entries(capsys, entry):
     _, analyze_out, _ = run(capsys, "analyze", path, "--max-len", "12", "--format", "json")
     _, audit_out, _ = run(capsys, "audit", path, "--max-len", "12", "--format", "json")
     analyzed = json.loads(analyze_out)["graded"]
-    # audit prints its counterexample lines after the JSON document
-    audited, _ = json.JSONDecoder().raw_decode(audit_out)
+    audited = json.loads(audit_out)
     keys = ["s_prefix", "chains", "rotation_audit", "lie"]
     assert list(audited["graded"]) == keys
     assert {k: analyzed[k] for k in keys} == audited["graded"]

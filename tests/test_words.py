@@ -1,3 +1,8 @@
+import itertools
+import json
+import tracemalloc
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,6 +242,96 @@ def test_erasing_morphism_flagged_inexact():
     assert not f.exact
     prefix = fixed_point_prefix(m, 500).word
     assert f.factors == frozenset(brute_factor_set(prefix, 4))
+
+
+# closure_rounds as printed by analyze (word.factors.closure_rounds)
+PINNED_ROUNDS = {
+    "ba-example": {12: 4, 32: 6, 64: 7},
+    "fibonacci": {12: 7, 32: 9, 64: 11, 128: 12},
+    "paper12": {12: 7, 32: 7, 64: 8, 128: 8},
+    "periodic-ab": {12: 4, 32: 6, 64: 7},
+    "thue-morse": {12: 6, 32: 7, 64: 8},
+}
+GOLDEN_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "expected.json"
+
+
+def test_closure_rounds_and_counts_pinned(closure):
+    for name, by_len in PINNED_ROUNDS.items():
+        for max_len, rounds in by_len.items():
+            assert closure(name, max_len).closure_rounds == rounds, (name, max_len)
+    golden = json.loads(GOLDEN_EXPECTED.read_text("utf-8"))["closure_counts"]
+    for key, counts in golden.items():
+        name, max_len = key.rsplit("-", 1)
+        assert list(closure(name, int(max_len)).counts) == counts, key
+
+
+def test_closure_holds_only_length_L_words(paper12):
+    f = factor_closure(paper12, 128)
+    assert "factors" not in vars(f) and not f._by_length
+    assert all(len(w) == 128 for w in f.words)
+    assert list(f.words) == sorted(set(f.words))
+    assert len(f.words) == f.counts[128]
+
+
+def test_fibonacci_complexity_at_256(closure):
+    f = closure("fibonacci", 256)
+    assert list(f.counts) == [n + 1 for n in range(257)]
+
+
+def _thue_morse_complexity(n: int) -> int:
+    if n <= 2:
+        return (1, 2, 4)[n]
+    r = (n - 2).bit_length() - 1  # n = 2^r + q + 1 with 0 < q <= 2^r
+    q = n - 1 - 2**r
+    half = 2 ** (r - 1)
+    return 6 * half + 4 * q if q <= half else 8 * half + 2 * q
+
+
+def test_thue_morse_complexity_at_256(closure):
+    f = closure("thue-morse", 256)
+    assert list(f.counts) == [_thue_morse_complexity(n) for n in range(257)]
+
+
+def test_closure_budget_error(paper12):
+    with pytest.raises(ResourceBudgetError):
+        factor_closure(paper12, 64, memory_budget_bytes=10_000)
+
+
+def test_closure_budget_estimate_tracks_traced_peak(paper12):
+    tracemalloc.start()
+    try:
+        factor_closure(paper12, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the estimate is within a factor of 2 of the peak: it fits twice the
+    # peak and does not fit half of it
+    factor_closure(paper12, 64, memory_budget_bytes=2 * peak)
+    with pytest.raises(ResourceBudgetError):
+        factor_closure(paper12, 64, memory_budget_bytes=peak // 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_morphisms(allow_erasing=True))
+def test_factor_views_agree(m):
+    max_len = 5
+    f = factor_closure(m, max_len, erasing_prefix_letters=400)
+    prefix = fixed_point_prefix(m, 400).word
+    oracle = brute_factor_set(prefix, max_len)
+    if f.exact:
+        assert oracle <= f.factors
+    else:
+        assert f.factors == oracle
+    for n in range(max_len + 1):
+        of_n = f.of_length(n)
+        assert of_n == tuple(sorted(w for w in f.factors if len(w) == n))
+        assert len(of_n) == f.counts[n]
+    alphabet = [chr(i) for i in range(m.size)]
+    for n in range(4):
+        for letters in itertools.product(alphabet, repeat=n):
+            u = "".join(letters)
+            assert (u in f) == is_factor(f, u) == (u in f.factors)
+    assert chr(0) * (max_len + 1) not in f
 
 
 def test_complexity_counts(fibonacci, periodic_ab, closure):
