@@ -131,9 +131,6 @@ def v_conditional(v: Verdict) -> bool:
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     m, label = _resolve_morphism(args.path)
-    if m.degrees is None:
-        sys.stderr.write("audit: morphism carries no grading\n")
-        return EXIT_PARSE
     doc, passed, counterexamples = report.audit(m, cfg, label, max_len=args.max_len)
     _emit(doc, args.format)
     if args.format == "text":  # the JSON document carries them in result.counterexamples

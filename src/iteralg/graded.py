@@ -8,10 +8,11 @@ degree d, i.e. a nonzero r-fold product in the degree-d component.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ContractError, InvariantError, NoSplitError
-from .words import FactorSet, Morphism, Word, WordPrefix, fixed_point_prefix
+from .words import FactorSet, Morphism, Word, WordPrefix
 
 
 @dataclass(frozen=True)
@@ -28,16 +29,12 @@ class PositionDegreeSet:
         if any(b <= a for a, b in zip(self.sums, self.sums[1:])):
             raise ValueError("degree sums must be strictly increasing")
 
-    def value_index(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.sums)}
-
 
 @dataclass(frozen=True)
 class ChainWitness:
     degree: int
     pieces: tuple[Word, ...]
     start_value: int
-    start_index: int
 
     @property
     def length(self) -> int:
@@ -103,22 +100,31 @@ def s_set(m: Morphism, prefix: WordPrefix | Word) -> PositionDegreeSet:
     return PositionDegreeSet(prefix_len=len(word), sums=tuple(sums), word=word)
 
 
-def _max_run_start(sums: tuple[int, ...], d: int) -> tuple[int, int]:
-    """(max pieces, start value) of the longest run v, v+d, ..., v+rd in sums.
+def _longest_runs(
+    sums: tuple[int, ...], d: int, ends: tuple[int, ...]
+) -> list[tuple[int, int]]:
+    """(max pieces, start value) of the longest run v, v+d, ..., v+rd in
+    ``sums[:e + 1]``, for each index e of the ascending ``ends``.
 
-    One descending pass with a value->run-length map keeps this linear in
-    |sums| per degree.
+    The run ending at v reads only smaller sums, so one forward pass with a
+    value->run-length map gives every prefix's best.  Of the longest runs the
+    one that ends first also starts lowest, so ties go to the smallest start.
     """
     run: dict[int, int] = {}
     best = 0
-    best_start = sums[0] if sums else 0
-    for v in reversed(sums):
-        pieces = run.get(v + d, -1) + 1
-        run[v] = pieces
-        if pieces > best or (pieces == best and v < best_start):
-            best = pieces
-            best_start = v
-    return best, best_start
+    best_end = sums[0]
+    out = []
+    lo = 0
+    for e in ends:
+        for v in sums[lo : e + 1]:
+            pieces = run.get(v - d, -1) + 1
+            run[v] = pieces
+            if pieces > best:
+                best = pieces
+                best_end = v
+        lo = e + 1
+        out.append((best, best_end - best * d))
+    return out
 
 
 def max_homogeneous_chain(
@@ -127,22 +133,15 @@ def max_homogeneous_chain(
     """Longest chain of consecutive degree-d pieces within the sampled prefix."""
     if d < 1:
         raise ContractError("chain degree must be positive")
-    pieces_count, start_value = _max_run_start(s.sums, d)
-    index = s.value_index()
-    start_index = index[start_value]
+    sums = s.sums
+    [(pieces_count, start_value)] = _longest_runs(sums, d, (s.prefix_len,))
     pieces: list[Word] = []
-    pos_value = start_value
+    i = bisect_left(sums, start_value)
     for _ in range(pieces_count):
-        i = index[pos_value]
-        j = index[pos_value + d]
+        j = bisect_left(sums, sums[i] + d, i + 1)
         pieces.append(s.word[i:j])
-        pos_value += d
-    witness = ChainWitness(
-        degree=d,
-        pieces=tuple(pieces),
-        start_value=start_value,
-        start_index=start_index,
-    )
+        i = j
+    witness = ChainWitness(degree=d, pieces=tuple(pieces), start_value=start_value)
     if m.degrees is not None:
         for p in witness.pieces:
             if m.degree_of(p) != d:
@@ -156,10 +155,16 @@ def max_homogeneous_chain(
 
 def graded_nilpotency_scan(
     m: Morphism,
+    prefix: WordPrefix,
+    s: PositionDegreeSet,
     d_max: int,
     levels: list[int] | tuple[int, ...],
 ) -> NilpotencyScan:
-    """Max chain length per degree at several generation levels.
+    """Max chain length per degree inside phi^k(start), for each level k.
+
+    ``s`` holds the degree sums of ``prefix``, and every level must be a
+    generation the prefix contains; level k reads the sums up to index
+    |phi^k(start)|, and one forward pass per degree gives all levels.
 
     Equal values across the last two levels are stabilization evidence, not
     a proof.  A degenerate grading (all letters the same degree) makes S an
@@ -170,29 +175,21 @@ def graded_nilpotency_scan(
         raise ContractError("nilpotency scan needs a grading")
     if d_max < 0:
         raise ContractError("d_max must be nonnegative")
+    if s.word != prefix.word:
+        raise ContractError("degree sums must come from the scanned prefix")
     lv = tuple(sorted(levels))
+    if any(not 0 <= k <= prefix.generation_level for k in lv):
+        raise ContractError(
+            f"scan levels must lie in 0..{prefix.generation_level}, the prefix's generations"
+        )
     degenerate = len(set(m.degrees)) == 1
     if not lv or d_max == 0:
         return NilpotencyScan(levels=lv, rows=(), degenerate_grading=degenerate)
-    # |phi^k(start)| via exact per-letter counts, to size the prefix once.
-    top = max(lv)
-    counts = [1 if i == m.start else 0 for i in range(m.size)]
-    for _ in range(top):
-        nxt = [0] * m.size
-        for j, c in enumerate(counts):
-            if c:
-                for ch in m.images[j]:
-                    nxt[ord(ch)] += c
-        counts = nxt
-    prefix = fixed_point_prefix(m, sum(counts))
-    sums_per_level = []
-    for k in lv:
-        word_k = prefix.word[: prefix.gen_lengths[k]]
-        sums_per_level.append(s_set(m, word_k).sums)
+    ends = tuple(prefix.gen_lengths[k] for k in lv)
     common = m.degrees[0] if degenerate else None
     rows = []
     for d in range(1, d_max + 1):
-        values = tuple(_max_run_start(sums, d)[0] for sums in sums_per_level)
+        values = tuple(r for r, _ in _longest_runs(s.sums, d, ends))
         unbounded = common is not None and d % common == 0
         stabilized = len(values) >= 2 and values[-1] == values[-2] and not unbounded
         rows.append(

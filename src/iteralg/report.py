@@ -150,14 +150,13 @@ def _properties_doc(report: PropertyReport) -> dict:
 
 
 def _graded_audit(
-    m: Morphism, prefix: WordPrefix, f: FactorSet, d_max: int, audit_len: int
+    m: Morphism, s: graded.PositionDegreeSet, f: FactorSet, d_max: int, audit_len: int
 ) -> tuple[dict, list[str]]:
     """The s_prefix, chains, rotation_audit and lie entries, and their counterexamples.
 
     Both audits read factors of length 2..audit_len; below a bound of 2 they
     are reported as skipped.
     """
-    s = graded.s_set(m, prefix)
     chains = []
     for d in range(1, d_max + 1):
         witness = graded.max_homogeneous_chain(m, s, f, d)
@@ -216,14 +215,11 @@ def _graded_audit(
 def _graded_doc(m: Morphism, prefix: WordPrefix, f: FactorSet, cfg: AnalysisConfig) -> dict:
     assert m.degrees is not None
     audit_len = min(DEFAULT_EMBEDDED_AUDIT_LEN, f.max_len)
+    s = graded.s_set(m, prefix)
     # analyze shows failures inside the entries; only audit lists counterexamples
-    doc, _ = _graded_audit(m, prefix, f, cfg.d_max, audit_len)
-    levels = (
-        (prefix.generation_level - 1, prefix.generation_level)
-        if prefix.generation_level >= 1
-        else (prefix.generation_level,)
-    )
-    scan = graded.graded_nilpotency_scan(m, cfg.d_max, list(levels))
+    doc, _ = _graded_audit(m, s, f, cfg.d_max, audit_len)
+    levels = (prefix.generation_level - 1, prefix.generation_level)
+    scan = graded.graded_nilpotency_scan(m, prefix, s, cfg.d_max, levels)
     scan_doc = {
         "levels": list(scan.levels),
         "degenerate_grading": scan.degenerate_grading,
@@ -337,7 +333,9 @@ def audit(
         raise ContractError("audit needs a factor bound of at least 2")
     f = factor_closure(m, audit_len)
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
-    graded_doc, counterexamples = _graded_audit(m, prefix, f, cfg.d_max, audit_len)
+    graded_doc, counterexamples = _graded_audit(
+        m, graded.s_set(m, prefix), f, cfg.d_max, audit_len
+    )
 
     deps_ur = decide_uniform_recurrence(m, f, k_max=cfg.k_max)
     window_doc: dict = {"applicable": False}

@@ -7,7 +7,15 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from iteralg.cli import gallery_text
-from iteralg.words import FactorSet, Morphism, factor_closure, is_prolongable, parse_morphism
+from iteralg.words import (
+    FactorSet,
+    Morphism,
+    WordPrefix,
+    factor_closure,
+    fixed_point_prefix,
+    is_prolongable,
+    parse_morphism,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +46,29 @@ def brute_factor_count(word: str, n: int) -> int:
 
 def letter_count(word: list[int], letter: int) -> int:
     return sum(1 for c in word if c == letter)
+
+
+def max_run_start(sums: tuple[int, ...], d: int) -> tuple[int, int]:
+    """(max pieces, start value) of the longest run v, v+d, ..., v+rd in sums.
+
+    Descending pass: the run starting at v extends the one starting at v+d.
+    Ties go to the smallest start value.
+    """
+    run: dict[int, int] = {}
+    best = 0
+    best_start = sums[0] if sums else 0
+    for v in reversed(sums):
+        pieces = run.get(v + d, -1) + 1
+        run[v] = pieces
+        if pieces > best or (pieces == best and v < best_start):
+            best = pieces
+            best_start = v
+    return best, best_start
+
+
+def level_prefix(m: Morphism, k: int) -> WordPrefix:
+    """The fixed-point prefix that ends exactly at phi^k(start)."""
+    return fixed_point_prefix(m, len(naive_power(m, k)))
 
 
 # ---------------------------------------------------------------------------

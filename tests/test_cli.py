@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,10 @@ start: a
 map a -> a a b
 map b -> b
 """
+
+
+GALLERY = ["ba-example", "fibonacci", "paper12", "periodic-ab", "thue-morse"]
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def run(capsys, *argv):
@@ -50,6 +55,19 @@ def test_analyze_paper12_json(capsys):
     assert doc["properties"]["gk_dimension"] == 2
     assert doc["graded"]["rotation_audit"]["pass"] is True
     assert doc["diagnostics"]["weights"]["convention_mismatch"] is True
+
+
+@pytest.mark.parametrize("entry", GALLERY)
+def test_analyze_json_matches_golden(capsys, entry):
+    """Refactor gate: default-budget analyze JSON stays byte-identical."""
+    code, out, err = run(capsys, "analyze", f"gallery/{entry}.morph", "--format", "json")
+    expected = json.loads((GOLDEN / "expected.json").read_text())["analyze_exit"]
+    assert (code, err) == (expected, "")
+    assert out.encode() == (GOLDEN / f"analyze-{entry}.json").read_bytes()
+    # the scan's top level is phi^G(start), the whole prefix the chains read
+    graded = json.loads(out)["graded"]
+    top = [int(row["values"][-1]) for row in graded["nilpotency_scan"]["table"]]
+    assert top == [chain["max_r"] for chain in graded["chains"]]
 
 
 def test_analyze_missing_file(capsys):

@@ -17,7 +17,7 @@ from iteralg.graded import (
 )
 from iteralg.words import fixed_point_prefix
 
-from conftest import small_morphisms
+from conftest import level_prefix, max_run_start, naive_power, small_morphisms
 from test_words import mk
 
 PAPER12_S_HEAD = (0, 1, 3, 5, 7, 8, 10, 12, 14)
@@ -101,7 +101,8 @@ def test_chain_witness_verifies(paper12, closure):
 
 
 def test_scan_paper12_stabilizes(paper12):
-    scan = graded_nilpotency_scan(paper12, 6, [7, 8])
+    prefix = level_prefix(paper12, 8)
+    scan = graded_nilpotency_scan(paper12, prefix, s_set(paper12, prefix), 6, [7, 8])
     assert scan.levels == (7, 8)
     assert not scan.degenerate_grading
     for row in scan.rows:
@@ -110,7 +111,8 @@ def test_scan_paper12_stabilizes(paper12):
 
 
 def test_scan_periodic_degree_one_grows(periodic_ab):
-    scan = graded_nilpotency_scan(periodic_ab, 2, [4, 6])
+    prefix = level_prefix(periodic_ab, 6)
+    scan = graded_nilpotency_scan(periodic_ab, prefix, s_set(periodic_ab, prefix), 2, [4, 6])
     assert scan.degenerate_grading
     row = next(r for r in scan.rows if r.degree == 2)
     assert row.unbounded_within_sample and not row.stabilized
@@ -118,8 +120,43 @@ def test_scan_periodic_degree_one_grows(periodic_ab):
 
 
 def test_scan_empty(paper12):
-    scan = graded_nilpotency_scan(paper12, 0, [3, 4])
+    prefix = level_prefix(paper12, 4)
+    scan = graded_nilpotency_scan(paper12, prefix, s_set(paper12, prefix), 0, [3, 4])
     assert scan.rows == ()
+
+
+def test_scan_contract(paper12):
+    prefix = level_prefix(paper12, 4)
+    s = s_set(paper12, prefix)
+    assert prefix.generation_level == 4
+    with pytest.raises(ContractError):
+        graded_nilpotency_scan(paper12, prefix, s, 6, [4, 5])
+    with pytest.raises(ContractError):
+        graded_nilpotency_scan(paper12, prefix, s, 0, [5])
+    with pytest.raises(ContractError):
+        graded_nilpotency_scan(paper12, prefix, s_set(paper12, prefix.word[:-1]), 6, [3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_morphisms(allow_erasing=True, graded=True),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+)
+def test_forward_runs_match_backward_reference(m, top, d_max):
+    prefix = level_prefix(m, top)
+    s = s_set(m, prefix)
+    scan = graded_nilpotency_scan(m, prefix, s, d_max, list(range(top + 1)))
+    ends = [len(naive_power(m, k)) for k in scan.levels]
+    for row in scan.rows:
+        for end, value in zip(ends, row.values):
+            assert value == max_run_start(s.sums[: end + 1], row.degree)[0]
+    for d in range(1, d_max + 1):
+        w = max_homogeneous_chain(m, s, None, d)
+        r, start = max_run_start(s.sums, d)
+        cuts = [s.sums.index(start + i * d) for i in range(r + 1)]
+        pieces = tuple(prefix.word[a:b] for a, b in zip(cuts, cuts[1:]))
+        assert (w.length, w.start_value, w.pieces) == (r, start, pieces)
 
 
 # ---------------------------------------------------------------------------
