@@ -111,8 +111,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
             m, f, mh_bound=cfg.mh_bound, prefix_letters=cfg.prefix_letters
         )
     elif prop == "ur":
-        f = factor_closure(m, cfg.max_len)
-        verdict = decide_uniform_recurrence(m, f, k_max=cfg.k_max)
+        verdict = decide_uniform_recurrence(m, k_max=cfg.k_max)
     else:  # pragma: no cover - argparse restricts choices
         raise ContractError(f"unknown property {prop!r}")
     suffix = " (conditional)" if v_conditional(verdict) else ""

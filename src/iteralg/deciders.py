@@ -262,7 +262,6 @@ def decide_eventual_periodicity(
 
 def decide_uniform_recurrence(
     m: Morphism,
-    f: FactorSet,
     *,
     k_max: int = 6,
 ) -> Verdict:
@@ -500,7 +499,7 @@ def run_deciders(
     ep = decide_eventual_periodicity(
         m, f, mh_bound=mh_bound, prefix_letters=prefix_letters
     )
-    ur = decide_uniform_recurrence(m, f, k_max=k_max)
+    ur = decide_uniform_recurrence(m, k_max=k_max)
     comp = classify_complexity(m, f, ep)
     occ = occurrence_decider(m, m.start)
     return DeciderOutputs(

@@ -17,14 +17,15 @@ from .words import FactorSet, Morphism, Word, WordPrefix
 
 @dataclass(frozen=True)
 class PositionDegreeSet:
-    """Partial degree sums s_0=0, s_i = s_{i-1} + deg(letter_i) of a prefix."""
+    """Partial degree sums s_0=0, s_i = s_{i-1} + deg(letter_i) of a prefix, and
+    the prefix's generation ends |phi^k(start)| (``()`` for a bare word)."""
 
-    prefix_len: int
     sums: tuple[int, ...]
     word: Word
+    gen_lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.sums) != self.prefix_len + 1:
+        if len(self.sums) != len(self.word) + 1:
             raise ValueError("sums must have one entry per letter boundary")
         if any(b <= a for a, b in zip(self.sums, self.sums[1:])):
             raise ValueError("degree sums must be strictly increasing")
@@ -35,6 +36,7 @@ class ChainWitness:
     degree: int
     pieces: tuple[Word, ...]
     start_value: int
+    level_lengths: tuple[int, ...]  # longest chain inside each phi^k(start)
 
     @property
     def length(self) -> int:
@@ -91,13 +93,14 @@ def s_set(m: Morphism, prefix: WordPrefix | Word) -> PositionDegreeSet:
     if m.degrees is None:
         raise ContractError("position-degree set needs a grading")
     word = prefix.word if isinstance(prefix, WordPrefix) else prefix
+    gen_lengths = prefix.gen_lengths if isinstance(prefix, WordPrefix) else ()
     degrees = m.degrees
     sums = [0]
     acc = 0
     for ch in word:
         acc += degrees[ord(ch)]
         sums.append(acc)
-    return PositionDegreeSet(prefix_len=len(word), sums=tuple(sums), word=word)
+    return PositionDegreeSet(sums=tuple(sums), word=word, gen_lengths=gen_lengths)
 
 
 def _longest_runs(
@@ -130,18 +133,20 @@ def _longest_runs(
 def max_homogeneous_chain(
     m: Morphism, s: PositionDegreeSet, f: FactorSet | None, d: int
 ) -> ChainWitness:
-    """Longest chain of consecutive degree-d pieces within the sampled prefix."""
+    """Longest chain of consecutive degree-d pieces within the sampled prefix;
+    the same run pass gives the longest inside each generation of ``s``."""
     if d < 1:
         raise ContractError("chain degree must be positive")
     sums = s.sums
-    [(pieces_count, start_value)] = _longest_runs(sums, d, (s.prefix_len,))
+    ends = s.gen_lengths + (len(s.word),)
+    *per_gen, (pieces_count, start_value) = _longest_runs(sums, d, ends)
     pieces: list[Word] = []
     i = bisect_left(sums, start_value)
     for _ in range(pieces_count):
         j = bisect_left(sums, sums[i] + d, i + 1)
         pieces.append(s.word[i:j])
         i = j
-    witness = ChainWitness(degree=d, pieces=tuple(pieces), start_value=start_value)
+    witness = ChainWitness(d, tuple(pieces), start_value, tuple(r for r, _ in per_gen))
     if m.degrees is not None:
         for p in witness.pieces:
             if m.degree_of(p) != d:
@@ -155,16 +160,14 @@ def max_homogeneous_chain(
 
 def graded_nilpotency_scan(
     m: Morphism,
-    prefix: WordPrefix,
-    s: PositionDegreeSet,
-    d_max: int,
+    level_lengths: list[tuple[int, ...]],
     levels: list[int] | tuple[int, ...],
 ) -> NilpotencyScan:
     """Max chain length per degree inside phi^k(start), for each level k.
 
-    ``s`` holds the degree sums of ``prefix``, and every level must be a
-    generation the prefix contains; level k reads the sums up to index
-    |phi^k(start)|, and one forward pass per degree gives all levels.
+    ``level_lengths[d - 1]`` is the degree-d chain witness's
+    ``level_lengths``, so the scan reads the run pass the chains already
+    made; every level must be a generation those lengths cover.
 
     Equal values across the last two levels are stabilization evidence, not
     a proof.  A degenerate grading (all letters the same degree) makes S an
@@ -173,23 +176,16 @@ def graded_nilpotency_scan(
     """
     if m.degrees is None:
         raise ContractError("nilpotency scan needs a grading")
-    if d_max < 0:
-        raise ContractError("d_max must be nonnegative")
-    if s.word != prefix.word:
-        raise ContractError("degree sums must come from the scanned prefix")
     lv = tuple(sorted(levels))
-    if any(not 0 <= k <= prefix.generation_level for k in lv):
-        raise ContractError(
-            f"scan levels must lie in 0..{prefix.generation_level}, the prefix's generations"
-        )
     degenerate = len(set(m.degrees)) == 1
-    if not lv or d_max == 0:
-        return NilpotencyScan(levels=lv, rows=(), degenerate_grading=degenerate)
-    ends = tuple(prefix.gen_lengths[k] for k in lv)
     common = m.degrees[0] if degenerate else None
     rows = []
-    for d in range(1, d_max + 1):
-        values = tuple(r for r, _ in _longest_runs(s.sums, d, ends))
+    for d, lengths in enumerate(level_lengths, start=1):
+        if any(not 0 <= k < len(lengths) for k in lv):
+            raise ContractError(
+                f"scan levels must lie in 0..{len(lengths) - 1}, the prefix's generations"
+            )
+        values = tuple(lengths[k] for k in lv)
         unbounded = common is not None and d % common == 0
         stabilized = len(values) >= 2 and values[-1] == values[-2] and not unbounded
         rows.append(

@@ -151,15 +151,17 @@ def _properties_doc(report: PropertyReport) -> dict:
 
 def _graded_audit(
     m: Morphism, s: graded.PositionDegreeSet, f: FactorSet, d_max: int, audit_len: int
-) -> tuple[dict, list[str]]:
-    """The s_prefix, chains, rotation_audit and lie entries, and their counterexamples.
+) -> tuple[dict, list[str], list[tuple[int, ...]]]:
+    """The s_prefix, chains, rotation_audit and lie entries, their counterexamples,
+    and each degree's chain ``level_lengths`` for the nilpotency scan.
 
-    Both audits read factors of length 2..audit_len; below a bound of 2 they
-    are reported as skipped.
+    Both audits read factors of length 2..audit_len; below 2 they are skipped.
     """
     chains = []
+    level_lengths = []
     for d in range(1, d_max + 1):
         witness = graded.max_homogeneous_chain(m, s, f, d)
+        level_lengths.append(witness.level_lengths)
         chains.append(
             {
                 "d": d,
@@ -187,12 +189,15 @@ def _graded_audit(
                 f"rotation audit: every rotation of '{m.decode(rotation.counterexample)}' is a factor"
             )
         lie_failures: list[str] = []
-        for n in range(2, audit_len + 1):
-            for w in short.of_length(n):
-                try:
-                    graded.lie_decomposition(short, w)
-                except NoSplitError:
-                    lie_failures.append(m.decode(w))
+        # Every subword of a factor is a factor, so a passed rotation audit
+        # gives an absent rotation at every step of every split: none fails.
+        if not rotation.passed:
+            for n in range(2, audit_len + 1):
+                for w in short.of_length(n):
+                    try:
+                        graded.lie_decomposition(short, w)
+                    except NoSplitError:
+                        lie_failures.append(m.decode(w))
         lie_doc = {
             "max_len": audit_len,
             "pass": not lie_failures,
@@ -209,7 +214,7 @@ def _graded_audit(
         "rotation_audit": rotation_doc,
         "lie": lie_doc,
     }
-    return doc, counterexamples
+    return doc, counterexamples, level_lengths
 
 
 def _graded_doc(m: Morphism, prefix: WordPrefix, f: FactorSet, cfg: AnalysisConfig) -> dict:
@@ -217,9 +222,9 @@ def _graded_doc(m: Morphism, prefix: WordPrefix, f: FactorSet, cfg: AnalysisConf
     audit_len = min(DEFAULT_EMBEDDED_AUDIT_LEN, f.max_len)
     s = graded.s_set(m, prefix)
     # analyze shows failures inside the entries; only audit lists counterexamples
-    doc, _ = _graded_audit(m, s, f, cfg.d_max, audit_len)
+    doc, _, level_lengths = _graded_audit(m, s, f, cfg.d_max, audit_len)
     levels = (prefix.generation_level - 1, prefix.generation_level)
-    scan = graded.graded_nilpotency_scan(m, prefix, s, cfg.d_max, levels)
+    scan = graded.graded_nilpotency_scan(m, level_lengths, levels)
     scan_doc = {
         "levels": list(scan.levels),
         "degenerate_grading": scan.degenerate_grading,
@@ -333,11 +338,11 @@ def audit(
         raise ContractError("audit needs a factor bound of at least 2")
     f = factor_closure(m, audit_len)
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
-    graded_doc, counterexamples = _graded_audit(
+    graded_doc, counterexamples, _ = _graded_audit(
         m, graded.s_set(m, prefix), f, cfg.d_max, audit_len
     )
 
-    deps_ur = decide_uniform_recurrence(m, f, k_max=cfg.k_max)
+    deps_ur = decide_uniform_recurrence(m, k_max=cfg.k_max)
     window_doc: dict = {"applicable": False}
     if deps_ur.is_yes and deps_ur.certificate.get("witness") == "block-cover":
         gap = deps_ur.certificate["start_gap_bound"]

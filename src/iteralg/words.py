@@ -119,9 +119,11 @@ class WordPrefix:
     """
 
     word: Word
-    generation_level: int
     gen_lengths: tuple[int, ...]
-    is_prefix_of_fixed_point: bool = True
+
+    @property
+    def generation_level(self) -> int:
+        return len(self.gen_lengths) - 1
 
     def __len__(self) -> int:
         return len(self.word)
@@ -521,7 +523,6 @@ def fixed_point_prefix(
         gen_lengths.append(total)
     return WordPrefix(
         word="".join(parts),
-        generation_level=len(gen_lengths) - 1,
         gen_lengths=tuple(gen_lengths),
     )
 

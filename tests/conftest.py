@@ -7,6 +7,8 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from iteralg.cli import gallery_text
+from iteralg.errors import NoSplitError
+from iteralg.graded import lie_decomposition, max_homogeneous_chain, s_set
 from iteralg.words import (
     FactorSet,
     Morphism,
@@ -69,6 +71,24 @@ def max_run_start(sums: tuple[int, ...], d: int) -> tuple[int, int]:
 def level_prefix(m: Morphism, k: int) -> WordPrefix:
     """The fixed-point prefix that ends exactly at phi^k(start)."""
     return fixed_point_prefix(m, len(naive_power(m, k)))
+
+
+def chain_level_lengths(m: Morphism, prefix: WordPrefix, d_max: int) -> list[tuple[int, ...]]:
+    """Each degree's chain ``level_lengths`` over ``prefix``, as analyze passes them."""
+    s = s_set(m, prefix)
+    return [max_homogeneous_chain(m, s, None, d).level_lengths for d in range(1, d_max + 1)]
+
+
+def lie_reference(m: Morphism, f: FactorSet, max_len: int) -> dict:
+    """The full bracket loop: split every factor of length 2..max_len."""
+    failures = []
+    for n in range(2, max_len + 1):
+        for w in f.of_length(n):
+            try:
+                lie_decomposition(f, w)
+            except NoSplitError:
+                failures.append(m.decode(w))
+    return {"pass": not failures, "failures": failures}
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,16 @@ def test_audit_paper12(capsys):
     assert "counterexample: rotation" not in out
 
 
+def test_audit_json_matches_golden(capsys):
+    """Refactor gate: the paper12 audit at --max-len 48 stays byte-identical."""
+    code, out, err = run(
+        capsys, "audit", "gallery/paper12.morph", "--max-len", "48", "--format", "json"
+    )
+    expected = json.loads((GOLDEN / "expected.json").read_text())["audit_exit"]
+    assert (code, err) == (expected, "")
+    assert out.encode() == (GOLDEN / "audit-paper12-48.json").read_bytes()
+
+
 def test_audit_periodic_fails(capsys):
     code, out, _ = run(capsys, "audit", "gallery/periodic-ab.morph", "--max-len", "8")
     assert code == 1

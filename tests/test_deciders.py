@@ -96,41 +96,39 @@ def test_periodicity_certificate_reproduces_prefix(periodic_ab, ba_example, clos
 # uniform recurrence
 
 
-def test_ur_paper12_block_cover(paper12, closure):
-    v = decide_uniform_recurrence(paper12, closure("paper12", 8))
+def test_ur_paper12_block_cover(paper12):
+    v = decide_uniform_recurrence(paper12)
     assert v.is_yes and not v.conditional
     assert v.certificate["witness"] == "block-cover"
     assert v.certificate["k"] == 2
     assert v.certificate["start_gap_bound"] == 16
 
 
-def test_ur_ba_occurs_once(ba_example, closure):
-    v = decide_uniform_recurrence(ba_example, closure("ba-example", 8))
+def test_ur_ba_occurs_once(ba_example):
+    v = decide_uniform_recurrence(ba_example)
     assert v.is_no and v.certificate["witness"] == "start-letter-occurs-once"
 
 
-def test_ur_thue_morse_via_primitivity(thue_morse, closure):
-    v = decide_uniform_recurrence(thue_morse, closure("thue-morse", 8))
+def test_ur_thue_morse_via_primitivity(thue_morse):
+    v = decide_uniform_recurrence(thue_morse)
     assert v.is_yes and v.certificate["witness"] == "primitive"
 
 
 def test_ur_growing_start_free_branch():
     # start occurs twice but c-blocks are start-free and grow without bound
     m = mk(["a", "c"], ["a c a", "c c"], "a")
-    f = factor_closure(m, 8)
-    v = decide_uniform_recurrence(m, f)
+    v = decide_uniform_recurrence(m)
     assert v.is_no and v.certificate["witness"] == "growing-start-free-branch"
 
 
 def test_ur_unknown_case():
     m = mk(["a", "b"], ["a a b", "b"], "a")
-    f = factor_closure(m, 8)
-    v = decide_uniform_recurrence(m, f)
+    v = decide_uniform_recurrence(m)
     assert v.is_unknown and v.bound == 6
 
 
-def test_ur_block_cover_witness_scans(paper12, closure):
-    v = decide_uniform_recurrence(paper12, closure("paper12", 8))
+def test_ur_block_cover_witness_scans(paper12):
+    v = decide_uniform_recurrence(paper12)
     gap = v.certificate["start_gap_bound"]
     max_block = v.certificate["max_block"]
     prefix = fixed_point_prefix(paper12, 4 * max_block * 16).word
@@ -238,7 +236,7 @@ def test_budget_monotonicity(m):
     # unconditional verdicts never flip; conditional ones may only resolve
     if not ep_small.conditional and not ep_small.is_unknown:
         assert ep_small.value == ep_large.value
-    ur_small = decide_uniform_recurrence(m, small, k_max=3)
-    ur_large = decide_uniform_recurrence(m, large, k_max=6)
+    ur_small = decide_uniform_recurrence(m, k_max=3)
+    ur_large = decide_uniform_recurrence(m, k_max=6)
     if not ur_small.is_unknown:
         assert ur_small.value == ur_large.value

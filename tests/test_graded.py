@@ -15,9 +15,17 @@ from iteralg.graded import (
     rotations,
     s_set,
 )
-from iteralg.words import fixed_point_prefix
+from iteralg.report import _graded_audit
+from iteralg.words import factor_closure, fixed_point_prefix
 
-from conftest import level_prefix, max_run_start, naive_power, small_morphisms
+from conftest import (
+    chain_level_lengths,
+    level_prefix,
+    lie_reference,
+    max_run_start,
+    naive_power,
+    small_morphisms,
+)
 from test_words import mk
 
 PAPER12_S_HEAD = (0, 1, 3, 5, 7, 8, 10, 12, 14)
@@ -102,7 +110,7 @@ def test_chain_witness_verifies(paper12, closure):
 
 def test_scan_paper12_stabilizes(paper12):
     prefix = level_prefix(paper12, 8)
-    scan = graded_nilpotency_scan(paper12, prefix, s_set(paper12, prefix), 6, [7, 8])
+    scan = graded_nilpotency_scan(paper12, chain_level_lengths(paper12, prefix, 6), [7, 8])
     assert scan.levels == (7, 8)
     assert not scan.degenerate_grading
     for row in scan.rows:
@@ -112,7 +120,8 @@ def test_scan_paper12_stabilizes(paper12):
 
 def test_scan_periodic_degree_one_grows(periodic_ab):
     prefix = level_prefix(periodic_ab, 6)
-    scan = graded_nilpotency_scan(periodic_ab, prefix, s_set(periodic_ab, prefix), 2, [4, 6])
+    lengths = chain_level_lengths(periodic_ab, prefix, 2)
+    scan = graded_nilpotency_scan(periodic_ab, lengths, [4, 6])
     assert scan.degenerate_grading
     row = next(r for r in scan.rows if r.degree == 2)
     assert row.unbounded_within_sample and not row.stabilized
@@ -121,20 +130,16 @@ def test_scan_periodic_degree_one_grows(periodic_ab):
 
 def test_scan_empty(paper12):
     prefix = level_prefix(paper12, 4)
-    scan = graded_nilpotency_scan(paper12, prefix, s_set(paper12, prefix), 0, [3, 4])
+    scan = graded_nilpotency_scan(paper12, chain_level_lengths(paper12, prefix, 0), [3, 4])
     assert scan.rows == ()
 
 
 def test_scan_contract(paper12):
     prefix = level_prefix(paper12, 4)
-    s = s_set(paper12, prefix)
+    lengths = chain_level_lengths(paper12, prefix, 6)
     assert prefix.generation_level == 4
     with pytest.raises(ContractError):
-        graded_nilpotency_scan(paper12, prefix, s, 6, [4, 5])
-    with pytest.raises(ContractError):
-        graded_nilpotency_scan(paper12, prefix, s, 0, [5])
-    with pytest.raises(ContractError):
-        graded_nilpotency_scan(paper12, prefix, s_set(paper12, prefix.word[:-1]), 6, [3])
+        graded_nilpotency_scan(paper12, lengths, [4, 5])
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,7 +151,8 @@ def test_scan_contract(paper12):
 def test_forward_runs_match_backward_reference(m, top, d_max):
     prefix = level_prefix(m, top)
     s = s_set(m, prefix)
-    scan = graded_nilpotency_scan(m, prefix, s, d_max, list(range(top + 1)))
+    lengths = chain_level_lengths(m, prefix, d_max)
+    scan = graded_nilpotency_scan(m, lengths, list(range(top + 1)))
     ends = [len(naive_power(m, k)) for k in scan.levels]
     for row in scan.rows:
         for end, value in zip(ends, row.values):
@@ -157,6 +163,15 @@ def test_forward_runs_match_backward_reference(m, top, d_max):
         cuts = [s.sums.index(start + i * d) for i in range(r + 1)]
         pieces = tuple(prefix.word[a:b] for a, b in zip(cuts, cuts[1:]))
         assert (w.length, w.start_value, w.pieces) == (r, start, pieces)
+        assert w.level_lengths == tuple(
+            max_run_start(s.sums[: e + 1], d)[0] for e in prefix.gen_lengths
+        )
+
+
+def test_bare_word_has_no_level_lengths(paper12):
+    s = s_set(paper12, fixed_point_prefix(paper12, 64).word)
+    assert s.gen_lengths == ()
+    assert max_homogeneous_chain(paper12, s, None, 2).level_lengths == ()
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +241,27 @@ def test_lie_no_split(periodic_ab, closure):
     f = closure("periodic-ab", 4)
     with pytest.raises(NoSplitError):
         lie_decomposition(f, periodic_ab.encode("a b"))
+
+
+def _lie_entry(m, f, max_len):
+    s = s_set(m, fixed_point_prefix(m, 16))
+    lie = _graded_audit(m, s, f, 1, max_len)[0]["lie"]
+    return {"pass": lie["pass"], "failures": lie["failures"]}
+
+
+def test_lie_entry_inferred_from_passed_rotation_audit(paper12, closure):
+    # the passing side: paper12's entry is inferred, not computed
+    for max_len in range(2, 13):
+        f = closure("paper12", max_len)
+        assert cyclic_rotation_audit(f, max_len).passed
+        assert _lie_entry(paper12, f, max_len) == lie_reference(paper12, f, max_len)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_morphisms(allow_erasing=True, graded=True), st.integers(min_value=2, max_value=8))
+def test_lie_entry_matches_full_loop(m, max_len):
+    f = factor_closure(m, max_len)
+    assert _lie_entry(m, f, max_len) == lie_reference(m, f, max_len)
 
 
 def test_audit_lie_linkage(paper12, closure):
