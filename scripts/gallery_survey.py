@@ -8,8 +8,9 @@ import argparse
 import time
 
 from iteralg.cli import GALLERY_NAMES, gallery_text
+from iteralg.config import DEFAULT_PREFIX_LETTERS
 from iteralg.deciders import ring_property_report, run_deciders
-from iteralg.words import classify_shape, factor_closure, parse_morphism
+from iteralg.words import classify_shape, factor_closure, fixed_point_prefix, parse_morphism
 
 
 def fmt(verdict) -> str:
@@ -29,11 +30,12 @@ def main() -> None:
     for name in GALLERY_NAMES:
         m = parse_morphism(gallery_text(name))
         t0 = time.perf_counter()
+        shape = classify_shape(m)
         f = factor_closure(m, args.max_len)
-        deps = run_deciders(m, f, mh_bound=args.mh_bound)
+        prefix = fixed_point_prefix(m, DEFAULT_PREFIX_LETTERS)
+        deps = run_deciders(m, shape, f, prefix, mh_bound=args.mh_bound)
         rep = ring_property_report(m, deps)
         elapsed = time.perf_counter() - t0
-        shape = classify_shape(m)
         shape_txt = f"{shape.d_uniform}-uniform" if shape.d_uniform else "general"
         gk = rep.gk_dimension if rep.gk_dimension is not None else "?"
         print(

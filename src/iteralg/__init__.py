@@ -54,7 +54,6 @@ from .words import (
     is_prolongable,
     load_morphism,
     mortal_letters,
-    occurring_letters,
     parse_morphism,
     subword_complexity,
 )

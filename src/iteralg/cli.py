@@ -31,7 +31,7 @@ from .deciders import (
 )
 from .errors import ContractError, IterAlgError, MorphismParseError
 from .matrices import occurrence_decider
-from .words import Morphism, factor_closure, parse_morphism
+from .words import Morphism, classify_shape, factor_closure, fixed_point_prefix, parse_morphism
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -102,16 +102,17 @@ def cmd_decide(args: argparse.Namespace) -> int:
     m, _ = _resolve_morphism(args.path)
     prop = args.property
     if prop == "primitive":
-        verdict = decide_primitive(m)
+        verdict = decide_primitive(m, classify_shape(m))
     elif prop == "prime":
         verdict = decide_prime(m, occurrence_decider(m, m.start))
     elif prop in ("periodic", "pi", "noetherian"):
         f = factor_closure(m, cfg.max_len)
-        verdict = decide_eventual_periodicity(
-            m, f, mh_bound=cfg.mh_bound, prefix_letters=cfg.prefix_letters
-        )
+        prefix = fixed_point_prefix(m, cfg.prefix_letters)
+        verdict = decide_eventual_periodicity(m, f, prefix, mh_bound=cfg.mh_bound)
     elif prop == "ur":
-        verdict = decide_uniform_recurrence(m, k_max=cfg.k_max)
+        verdict = decide_uniform_recurrence(
+            m, classify_shape(m), occurrence_decider(m, m.start), k_max=cfg.k_max
+        )
     else:  # pragma: no cover - argparse restricts choices
         raise ContractError(f"unknown property {prop!r}")
     suffix = " (conditional)" if v_conditional(verdict) else ""

@@ -16,13 +16,11 @@ from .errors import InvariantError
 from .words import (
     FactorSet,
     Morphism,
+    ShapeRecord,
     Word,
-    classify_shape,
+    WordPrefix,
     fixed_point_prefix,
-    growing_letters,
-    occurring_letters,
     subword_complexity,
-    support_reach,
 )
 from .matrices import OccurrenceCount, occurrence_decider
 
@@ -123,10 +121,14 @@ class DeciderOutputs:
 # primitivity
 
 
-def decide_primitive(m: Morphism) -> Verdict:
-    """Irreducibility of the incidence structure over the occurring letters."""
-    occ = occurring_letters(m)
-    reach = support_reach(m, occ)
+def decide_primitive(m: Morphism, shape: ShapeRecord) -> Verdict:
+    """Irreducibility of the incidence structure over the occurring letters.
+
+    The occurring letters are closed under images, so ``shape.reach`` of an
+    occurring letter stays inside them.
+    """
+    occ = shape.occurring
+    reach = shape.reach
     missing = [
         (a, b) for a in sorted(occ) for b in sorted(occ) if b not in reach[a]
     ]
@@ -205,16 +207,18 @@ def _periodic_candidates(prefix: Word, max_period: int):
 def decide_eventual_periodicity(
     m: Morphism,
     f: FactorSet,
+    prefix: WordPrefix,
     *,
     mh_bound: int | None = None,
-    prefix_letters: int = 4**8,
 ) -> Verdict:
     """Morse-Hedlund positive test plus verified period extraction.
 
     Yes is unconditional: the extracted (preperiod, period) pair is checked
     to reproduce a fixed point of the morphism starting with the start
-    letter.  No is conditional on the exhausted complexity bound; factor
-    counts are lower bounds even for inexact sets, so No stays sound there.
+    letter.  Periods are read off ``prefix`` first, then off prefixes 4 and
+    16 times as long; a verified pair is the minimal one whatever the length.
+    No is conditional on the exhausted complexity bound; factor counts are
+    lower bounds even for inexact sets, so No stays sound there.
     """
     bound = min(f.max_len, mh_bound if mh_bound is not None else f.max_len)
     fired_at = None
@@ -223,10 +227,11 @@ def decide_eventual_periodicity(
             fired_at = n
             break
     if fired_at is not None:
-        budget = prefix_letters
-        for attempt in range(3):
-            prefix = fixed_point_prefix(m, budget).word
-            for pre, per in _periodic_candidates(prefix, fired_at):
+        for scale in (1, 4, 16):
+            word = (
+                prefix.word if scale == 1 else fixed_point_prefix(m, scale * len(prefix)).word
+            )
+            for pre, per in _periodic_candidates(word, fired_at):
                 verified = _verify_periodic_fixed_point(m, pre, per)
                 if verified is not None:
                     return Verdict.yes(
@@ -238,16 +243,13 @@ def decide_eventual_periodicity(
                         },
                         bound=bound,
                     )
-            budget *= 4
         if f.exact:
             raise InvariantError(
                 "complexity bound says eventually periodic but no verified "
                 "period was found; this contradicts Morse-Hedlund"
             )
         return Verdict.unknown(bound=bound, note="inexact factor set fired MH without a verifiable period")
-    if bound >= 1 and all(
-        subword_complexity(f, n) >= n + 1 for n in range(1, bound + 1)
-    ):
+    if bound >= 1:  # MH did not fire, so p(n) >= n + 1 for every n <= bound
         return Verdict.no(
             {"witness": "complexity-exceeds-n", "checked_up_to": bound},
             conditional=True,
@@ -262,6 +264,8 @@ def decide_eventual_periodicity(
 
 def decide_uniform_recurrence(
     m: Morphism,
+    shape: ShapeRecord,
+    occurrence: OccurrenceCount,
     *,
     k_max: int = 6,
 ) -> Verdict:
@@ -270,11 +274,11 @@ def decide_uniform_recurrence(
     Block cover: if phi^k(a) begins with the start letter for every occurring
     a, the fixed point is a concatenation of such blocks and every factor
     recurs within a bounded window.  Refutations: the start letter occurring
-    exactly once, or a growing occurring letter that never produces it.
+    exactly once (``occurrence`` is ``occurrence_decider(m, m.start)``), or a
+    growing occurring letter that never produces it.
     """
-    occ = occurring_letters(m)
+    occ = shape.occurring
     b = m.start
-    shape = classify_shape(m)
     for k in range(1, k_max + 1):
         images_k = {a: m.apply_n(chr(a), k) for a in sorted(occ)}
         if all(img and ord(img[0]) == b for img in images_k.values()):
@@ -292,11 +296,9 @@ def decide_uniform_recurrence(
                 bound=k_max,
             )
 
-    prim = decide_primitive(m)
-    if prim.is_yes:
+    if decide_primitive(m, shape).is_yes:
         return Verdict.yes({"witness": "primitive"}, bound=k_max)
 
-    occurrence = occurrence_decider(m, b)
     if occurrence is OccurrenceCount.EXACTLY_ONCE:
         return Verdict.no(
             {
@@ -304,10 +306,8 @@ def decide_uniform_recurrence(
                 "letter": m.letters[b],
             }
         )
-    growing = growing_letters(m)
-    reach = support_reach(m, occ)
     for a in sorted(occ):
-        if a in growing and b != a and b not in reach[a]:
+        if shape.growing[a] and b != a and b not in shape.reach[a]:
             return Verdict.no(
                 {
                     "witness": "growing-start-free-branch",
@@ -352,6 +352,7 @@ def _fit_complexity(
 
 def classify_complexity(
     m: Morphism,
+    shape: ShapeRecord,
     f: FactorSet,
     ep: Verdict,
 ) -> ComplexityResult:
@@ -369,19 +370,16 @@ def classify_complexity(
     if ep.is_unknown:
         return ComplexityResult(ComplexityClass.UNKNOWN, None, True, "periodicity-unresolved")
 
-    shape = classify_shape(m)
     if shape.d_uniform is not None and shape.d_uniform >= 2:
         return ComplexityResult(
             ComplexityClass.LINEAR, 2, ep.conditional, "d-uniform-aperiodic"
         )
-    if decide_primitive(m).is_yes:
+    if decide_primitive(m, shape).is_yes:
         return ComplexityResult(
             ComplexityClass.LINEAR, 2, ep.conditional, "primitive-aperiodic"
         )
 
-    occ = occurring_letters(m)
-    growing = growing_letters(m)
-    bounded_present = any(a not in growing for a in occ)
+    bounded_present = any(not shape.growing[a] for a in shape.occurring)
     candidates = [
         ComplexityClass.LINEAR,
         ComplexityClass.N_LOG_LOG_N,
@@ -488,20 +486,19 @@ def ring_property_report(m: Morphism, deps: DeciderOutputs) -> PropertyReport:
 
 def run_deciders(
     m: Morphism,
+    shape: ShapeRecord,
     f: FactorSet,
+    prefix: WordPrefix,
     *,
     mh_bound: int | None = None,
     k_max: int = 6,
-    prefix_letters: int = 4**8,
 ) -> DeciderOutputs:
-    """Run the full decider battery over one shared factor set."""
-    prim = decide_primitive(m)
-    ep = decide_eventual_periodicity(
-        m, f, mh_bound=mh_bound, prefix_letters=prefix_letters
-    )
-    ur = decide_uniform_recurrence(m, k_max=k_max)
-    comp = classify_complexity(m, f, ep)
+    """Run the full decider battery over one letter record, factor set and prefix."""
+    prim = decide_primitive(m, shape)
+    ep = decide_eventual_periodicity(m, f, prefix, mh_bound=mh_bound)
     occ = occurrence_decider(m, m.start)
+    ur = decide_uniform_recurrence(m, shape, occ, k_max=k_max)
+    comp = classify_complexity(m, shape, f, ep)
     return DeciderOutputs(
         primitive=prim,
         eventually_periodic=ep,

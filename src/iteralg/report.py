@@ -27,6 +27,7 @@ from .matrices import (
     WeightSequences,
     char_poly,
     incidence_matrix,
+    occurrence_decider,
     recurrence_from_charpoly,
     weight_sequence,
 )
@@ -115,11 +116,7 @@ def _word_doc(m: Morphism, prefix: WordPrefix, f: FactorSet) -> dict:
 
 def _complexity_doc(result: ComplexityResult, f: FactorSet) -> dict:
     top = min(HILBERT_SHOWN, f.max_len)
-    hilbert = []
-    acc = 0
-    for n in range(top + 1):
-        acc += f.counts[n]
-        hilbert.append(_s(acc))
+    hilbert = [_s(algebra.hilbert_function(f, n)) for n in range(top + 1)]
     doc = {
         "class": result.complexity_class.value,
         "gk_dimension": result.gk_dimension if result.gk_dimension is not None else "Unknown",
@@ -296,13 +293,7 @@ def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, Proper
     poly = char_poly(M)
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
     f = factor_closure(m, cfg.max_len)
-    deps = run_deciders(
-        m,
-        f,
-        mh_bound=cfg.mh_bound,
-        k_max=cfg.k_max,
-        prefix_letters=cfg.prefix_letters,
-    )
+    deps = run_deciders(m, shape, f, prefix, mh_bound=cfg.mh_bound, k_max=cfg.k_max)
     properties = ring_property_report(m, deps)
     weights = (
         weight_sequence(m, WEIGHT_TERMS) if m.degrees is not None else None
@@ -342,7 +333,9 @@ def audit(
         m, graded.s_set(m, prefix), f, cfg.d_max, audit_len
     )
 
-    deps_ur = decide_uniform_recurrence(m, k_max=cfg.k_max)
+    deps_ur = decide_uniform_recurrence(
+        m, classify_shape(m), occurrence_decider(m, m.start), k_max=cfg.k_max
+    )
     window_doc: dict = {"applicable": False}
     if deps_ur.is_yes and deps_ur.certificate.get("witness") == "block-cover":
         gap = deps_ur.certificate["start_gap_bound"]

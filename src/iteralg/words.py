@@ -131,9 +131,19 @@ class WordPrefix:
 
 @dataclass(frozen=True)
 class ShapeRecord:
+    """The letter structure of a morphism; ``classify_shape`` builds it.
+
+    ``reach[a]`` is the set of letters reachable from a in one or more steps
+    of the digraph a -> letters of phi(a).  ``occurring`` is {start} |
+    reach[start], the letters of the fixed point when the start is
+    prolongable.  ``growing[a]`` says whether |phi^n(a)| is unbounded.
+    """
+
     d_uniform: int | None
     erasing: bool
     growing: tuple[bool, ...]
+    occurring: frozenset[int]
+    reach: tuple[frozenset[int], ...]
 
     @property
     def all_growing(self) -> bool:
@@ -400,26 +410,6 @@ def is_prolongable(m: Morphism, letter: int | Letter) -> bool:
     return _prolongability_failure(m, lid) is None
 
 
-def occurring_letters(m: Morphism) -> frozenset[int]:
-    """Closure of {start} under taking image letters.
-
-    Equals the set of letters of the fixed point when the start is
-    prolongable.
-    """
-    seen = {m.start}
-    frontier = [m.start]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for ch in m.images[i]:
-                j = ord(ch)
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return frozenset(seen)
-
-
 def support_reach(m: Morphism, letters: frozenset[int]) -> dict[int, set[int]]:
     """>= 1 step reachability in the digraph a -> letters of phi(a), within ``letters``."""
     reach = {a: {ord(ch) for ch in m.images[a] if ord(ch) in letters} for a in letters}
@@ -436,48 +426,36 @@ def support_reach(m: Morphism, letters: frozenset[int]) -> dict[int, set[int]]:
     return reach
 
 
-def growing_letters(m: Morphism) -> frozenset[int]:
-    """Letters a with |phi^n(a)| unbounded.
-
-    Mortal letters vanish and mortal letters never produce immortal ones, so
-    growth is decided on the immortal restriction psi.  There |psi(c)| >= 1
-    for every c, and a is growing iff some letter with |psi(c)| >= 2 can be
-    reached from a via a path that passes through a cycle (only then does c
-    recur often enough to keep multiplying).
-    """
-    mortal = mortal_letters(m)
-    immortal = [i for i in range(m.size) if i not in mortal]
-    if not immortal:
-        return frozenset()
-    psi = {
-        i: [ord(ch) for ch in m.images[i] if ord(ch) not in mortal]
-        for i in immortal
-    }
-    reach = support_reach(m, frozenset(immortal))
-    cyclic = {i for i in immortal if i in reach[i]}
-    multipliers = {i for i in immortal if len(psi[i]) >= 2}
-    # a grows iff some multiplier letter is reachable from a cycle that a
-    # itself reaches: only then does the multiplier recur at unboundedly
-    # many generations of psi^n(a).
-    growing = set()
-    for a in immortal:
-        cycles_from_a = ({a} | reach[a]) & cyclic
-        fed = set(cycles_from_a)
-        for d in cycles_from_a:
-            fed |= reach[d]
-        if fed & multipliers:
-            growing.add(a)
-    return frozenset(growing)
-
-
 def classify_shape(m: Morphism) -> ShapeRecord:
+    """The one letter record the deciders read, from one ``support_reach``.
+
+    Occurring letters are closed under images and mortal letters produce only
+    mortal letters, so the closure restricted to either set is this closure
+    intersected with it.  Growth is decided on the immortal letters, where
+    every image keeps at least one letter: a grows iff some letter with two
+    or more immortal image letters is reachable from a cycle that a reaches
+    (only then does it recur often enough to keep multiplying).
+    """
     lens = {len(img) for img in m.images}
     d_uniform = lens.pop() if len(lens) == 1 else None
-    growing = growing_letters(m)
+    closure = support_reach(m, frozenset(range(m.size)))
+    reach = tuple(frozenset(closure[a]) for a in range(m.size))
+    mortal = mortal_letters(m)
+    cyclic = {a for a in range(m.size) if a in reach[a]}  # all immortal
+    multipliers = {
+        a for a in range(m.size) if sum(ord(ch) not in mortal for ch in m.images[a]) >= 2
+    }
+    growing = []
+    for a in range(m.size):
+        cycles = ({a} | reach[a]) & cyclic  # empty for a mortal letter
+        fed = cycles.union(*(reach[c] for c in cycles))
+        growing.append(bool(fed & multipliers))
     return ShapeRecord(
         d_uniform=d_uniform,
         erasing=any(not img for img in m.images),
-        growing=tuple(i in growing for i in range(m.size)),
+        growing=tuple(growing),
+        occurring=frozenset({m.start} | reach[m.start]),
+        reach=reach,
     )
 
 
@@ -651,8 +629,6 @@ __all__ = [
     "load_morphism",
     "mortal_letters",
     "is_prolongable",
-    "occurring_letters",
-    "growing_letters",
     "support_reach",
     "classify_shape",
     "fixed_point_prefix",

@@ -16,7 +16,9 @@ from iteralg.words import (
     factor_closure,
     fixed_point_prefix,
     is_prolongable,
+    mortal_letters,
     parse_morphism,
+    support_reach,
 )
 
 
@@ -66,6 +68,50 @@ def max_run_start(sums: tuple[int, ...], d: int) -> tuple[int, int]:
             best = pieces
             best_start = v
     return best, best_start
+
+
+def occurring_reference(m: Morphism) -> frozenset[int]:
+    """Closure of {start} under taking image letters, by breadth-first search."""
+    seen = {m.start}
+    frontier = [m.start]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for ch in m.images[i]:
+                j = ord(ch)
+                if j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def growing_reference(m: Morphism) -> frozenset[int]:
+    """Letters a with |phi^n(a)| unbounded, decided on the immortal restriction psi.
+
+    a grows iff some letter c with |psi(c)| >= 2 is reachable from a cycle
+    that a reaches, with reachability taken within the immortal letters.
+    """
+    mortal = mortal_letters(m)
+    immortal = [i for i in range(m.size) if i not in mortal]
+    if not immortal:
+        return frozenset()
+    psi = {
+        i: [ord(ch) for ch in m.images[i] if ord(ch) not in mortal]
+        for i in immortal
+    }
+    reach = support_reach(m, frozenset(immortal))
+    cyclic = {i for i in immortal if i in reach[i]}
+    multipliers = {i for i in immortal if len(psi[i]) >= 2}
+    growing = set()
+    for a in immortal:
+        cycles_from_a = ({a} | reach[a]) & cyclic
+        fed = set(cycles_from_a)
+        for d in cycles_from_a:
+            fed |= reach[d]
+        if fed & multipliers:
+            growing.add(a)
+    return frozenset(growing)
 
 
 def level_prefix(m: Morphism, k: int) -> WordPrefix:

@@ -31,7 +31,7 @@ from iteralg.matrices import (
     weight_sequence,
 )
 from iteralg.report import analyze
-from iteralg.words import factor_closure, fixed_point_prefix
+from iteralg.words import classify_shape, factor_closure, fixed_point_prefix
 
 from conftest import brute_factor_count, chain_level_lengths, level_prefix, naive_power
 
@@ -159,7 +159,12 @@ def test_c08_graded_nilpotency_evidence(paper12, periodic_ab):
 
 
 def test_c09_dictionary_regression(paper12, ba_example, periodic_ab, closure):
-    deps = run_deciders(paper12, closure("paper12", 16), mh_bound=16)
+    def deciders(m, name, max_len, **kw):
+        return run_deciders(
+            m, classify_shape(m), closure(name, max_len), fixed_point_prefix(m, 4**8), **kw
+        )
+
+    deps = deciders(paper12, "paper12", 16, mh_bound=16)
     rep = ring_property_report(paper12, deps)
     assert rep.prime.is_yes and not rep.prime.conditional
     assert rep.semiprime.is_yes
@@ -170,11 +175,11 @@ def test_c09_dictionary_regression(paper12, ba_example, periodic_ab, closure):
     assert rep.jacobson_trivial.is_yes and rep.jacobson_trivial.conditional
     assert rep.primitive_algebra.is_yes and rep.primitive_algebra.conditional
 
-    deps_ba = run_deciders(ba_example, closure("ba-example", 8))
+    deps_ba = deciders(ba_example, "ba-example", 8)
     rep_ba = ring_property_report(ba_example, deps_ba)
     assert rep_ba.prime.is_no and rep_ba.pi.is_yes and rep_ba.gk_dimension == 1
 
-    deps_p = run_deciders(periodic_ab, closure("periodic-ab", 8))
+    deps_p = deciders(periodic_ab, "periodic-ab", 8)
     ep = deps_p.eventually_periodic
     assert ep.is_yes
     assert ep.certificate["preperiod"] == "" and ep.certificate["period"] == "a b"

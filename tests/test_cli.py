@@ -136,6 +136,26 @@ def test_decide_prime_certificate_matches_analyze(capsys, entry):
     assert json.loads(cert_line[len("certificate: "):]) == expected
 
 
+@pytest.mark.parametrize("entry", GALLERY)
+def test_decide_matches_analyze(capsys, entry):
+    """decide ur/periodic/primitive print analyze's value, flag, bound and certificate."""
+    path = f"gallery/{entry}.morph"
+    budget = ("--max-len", "24")
+    _, doc_out, _ = run(capsys, "analyze", path, "--format", "json", *budget)
+    props = json.loads(doc_out)["properties"]
+    keys = {"ur": "uniformly_recurrent", "periodic": "eventually_periodic", "primitive": "primitive_morphism"}
+    for prop, key in keys.items():
+        code, out, err = run(capsys, "decide", path, prop, *budget)
+        v = props[key]
+        suffix = " (conditional)" if v["conditional"] and v["value"] != "Unknown" else ""
+        bound = f" bound={v['bound']}" if v["bound"] is not None else ""
+        assert out == (
+            f"{prop}: {v['value']}{suffix}{bound}\n"
+            f"certificate: {json.dumps(v['certificate'], sort_keys=True)}\n"
+        )
+        assert (code, err) == ({"Yes": 0, "No": 1, "Unknown": 3}[v["value"]], "")
+
+
 def test_decide_unknown_exit(tmp_path, capsys):
     src = tmp_path / "u.morph"
     src.write_text(UNKNOWN_UR_SOURCE)

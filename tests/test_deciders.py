@@ -9,10 +9,21 @@ from iteralg.deciders import (
     ring_property_report,
     run_deciders,
 )
-from iteralg.words import factor_closure, fixed_point_prefix
+from iteralg.matrices import occurrence_decider
+from iteralg.words import classify_shape, factor_closure, fixed_point_prefix
 
-from conftest import small_morphisms
+from conftest import occurring_reference, small_morphisms
 from test_words import mk
+
+
+def ur(m, *, k_max=6):
+    return decide_uniform_recurrence(
+        m, classify_shape(m), occurrence_decider(m, m.start), k_max=k_max
+    )
+
+
+def prefix_of(m):
+    return fixed_point_prefix(m, 4**8)
 
 
 # ---------------------------------------------------------------------------
@@ -20,16 +31,16 @@ from test_words import mk
 
 
 def test_primitive_thue_morse(thue_morse):
-    assert decide_primitive(thue_morse).is_yes
+    assert decide_primitive(thue_morse, classify_shape(thue_morse)).is_yes
 
 
 def test_primitive_paper12(paper12):
-    assert decide_primitive(paper12).is_yes
+    assert decide_primitive(paper12, classify_shape(paper12)).is_yes
 
 
 def test_primitive_reducible():
     m = mk(["a", "b"], ["a b", "b"], "a")
-    verdict = decide_primitive(m)
+    verdict = decide_primitive(m, classify_shape(m))
     assert verdict.is_no
     assert verdict.certificate["from"] == "b" and verdict.certificate["to"] == "a"
 
@@ -37,10 +48,8 @@ def test_primitive_reducible():
 @settings(max_examples=50, deadline=None)
 @given(small_morphisms())
 def test_primitive_agrees_with_brute_force(m):
-    verdict = decide_primitive(m)
-    from iteralg.words import occurring_letters
-
-    occ = sorted(occurring_letters(m))
+    verdict = decide_primitive(m, classify_shape(m))
+    occ = sorted(occurring_reference(m))
     horizon = 2 * m.size * m.size
     produced = {}
     for a in occ:
@@ -62,7 +71,7 @@ def test_primitive_agrees_with_brute_force(m):
 
 def test_periodic_ab(periodic_ab, closure):
     f = closure("periodic-ab", 8)
-    v = decide_eventual_periodicity(periodic_ab, f)
+    v = decide_eventual_periodicity(periodic_ab, f, prefix_of(periodic_ab))
     assert v.is_yes and not v.conditional
     assert v.certificate["preperiod"] == "" and v.certificate["period"] == "a b"
     assert v.certificate["mh_length"] == 2
@@ -70,20 +79,20 @@ def test_periodic_ab(periodic_ab, closure):
 
 def test_periodic_ba(ba_example, closure):
     f = closure("ba-example", 8)
-    v = decide_eventual_periodicity(ba_example, f)
+    v = decide_eventual_periodicity(ba_example, f, prefix_of(ba_example))
     assert v.is_yes
     assert v.certificate["preperiod"] == "b" and v.certificate["period"] == "a"
 
 
 def test_fibonacci_aperiodic_conditional(fibonacci, closure):
     f = closure("fibonacci", 64)
-    v = decide_eventual_periodicity(fibonacci, f, mh_bound=64)
+    v = decide_eventual_periodicity(fibonacci, f, prefix_of(fibonacci), mh_bound=64)
     assert v.is_no and v.conditional and v.bound == 64
 
 
 def test_periodicity_certificate_reproduces_prefix(periodic_ab, ba_example, closure):
     for m, name in ((periodic_ab, "periodic-ab"), (ba_example, "ba-example")):
-        v = decide_eventual_periodicity(m, closure(name, 8))
+        v = decide_eventual_periodicity(m, closure(name, 8), prefix_of(m))
         pre = m.encode(v.certificate["preperiod"])
         per = m.encode(v.certificate["period"])
         need = v.certificate["verified_letters"]
@@ -92,12 +101,21 @@ def test_periodicity_certificate_reproduces_prefix(periodic_ab, ba_example, clos
         assert prefix[:need] == reps[:need]
 
 
+def test_periodicity_retries_short_prefix(periodic_ab, ba_example, closure):
+    """A prefix too short to show a period is retried longer; the pair stays minimal."""
+    for m, name in ((periodic_ab, "periodic-ab"), (ba_example, "ba-example")):
+        f = closure(name, 8)
+        short = decide_eventual_periodicity(m, f, fixed_point_prefix(m, 1))
+        assert short.is_yes
+        assert short == decide_eventual_periodicity(m, f, prefix_of(m))
+
+
 # ---------------------------------------------------------------------------
 # uniform recurrence
 
 
 def test_ur_paper12_block_cover(paper12):
-    v = decide_uniform_recurrence(paper12)
+    v = ur(paper12)
     assert v.is_yes and not v.conditional
     assert v.certificate["witness"] == "block-cover"
     assert v.certificate["k"] == 2
@@ -105,30 +123,30 @@ def test_ur_paper12_block_cover(paper12):
 
 
 def test_ur_ba_occurs_once(ba_example):
-    v = decide_uniform_recurrence(ba_example)
+    v = ur(ba_example)
     assert v.is_no and v.certificate["witness"] == "start-letter-occurs-once"
 
 
 def test_ur_thue_morse_via_primitivity(thue_morse):
-    v = decide_uniform_recurrence(thue_morse)
+    v = ur(thue_morse)
     assert v.is_yes and v.certificate["witness"] == "primitive"
 
 
 def test_ur_growing_start_free_branch():
     # start occurs twice but c-blocks are start-free and grow without bound
     m = mk(["a", "c"], ["a c a", "c c"], "a")
-    v = decide_uniform_recurrence(m)
+    v = ur(m)
     assert v.is_no and v.certificate["witness"] == "growing-start-free-branch"
 
 
 def test_ur_unknown_case():
     m = mk(["a", "b"], ["a a b", "b"], "a")
-    v = decide_uniform_recurrence(m)
+    v = ur(m)
     assert v.is_unknown and v.bound == 6
 
 
 def test_ur_block_cover_witness_scans(paper12):
-    v = decide_uniform_recurrence(paper12)
+    v = ur(paper12)
     gap = v.certificate["start_gap_bound"]
     max_block = v.certificate["max_block"]
     prefix = fixed_point_prefix(paper12, 4 * max_block * 16).word
@@ -144,24 +162,24 @@ def test_ur_block_cover_witness_scans(paper12):
 
 def test_complexity_paper12(paper12, closure):
     f = closure("paper12", 16)
-    ep = decide_eventual_periodicity(paper12, f, mh_bound=16)
-    r = classify_complexity(paper12, f, ep)
+    ep = decide_eventual_periodicity(paper12, f, prefix_of(paper12), mh_bound=16)
+    r = classify_complexity(paper12, classify_shape(paper12), f, ep)
     assert r.complexity_class is ComplexityClass.LINEAR
     assert r.gk_dimension == 2 and r.conditional and r.method == "d-uniform-aperiodic"
 
 
 def test_complexity_periodic(periodic_ab, closure):
     f = closure("periodic-ab", 8)
-    ep = decide_eventual_periodicity(periodic_ab, f)
-    r = classify_complexity(periodic_ab, f, ep)
+    ep = decide_eventual_periodicity(periodic_ab, f, prefix_of(periodic_ab))
+    r = classify_complexity(periodic_ab, classify_shape(periodic_ab), f, ep)
     assert r.complexity_class is ComplexityClass.CONSTANT
     assert r.gk_dimension == 1 and not r.conditional
 
 
 def test_complexity_fibonacci(fibonacci, closure):
     f = closure("fibonacci", 16)
-    ep = decide_eventual_periodicity(fibonacci, f, mh_bound=16)
-    r = classify_complexity(fibonacci, f, ep)
+    ep = decide_eventual_periodicity(fibonacci, f, prefix_of(fibonacci), mh_bound=16)
+    r = classify_complexity(fibonacci, classify_shape(fibonacci), f, ep)
     assert r.complexity_class is ComplexityClass.LINEAR
     assert r.gk_dimension == 2 and r.method == "primitive-aperiodic"
 
@@ -169,9 +187,9 @@ def test_complexity_fibonacci(fibonacci, closure):
 def test_complexity_heuristic_path():
     m = mk(["a", "b"], ["a a b", "b"], "a")
     f = factor_closure(m, 24)
-    ep = decide_eventual_periodicity(m, f, mh_bound=24)
+    ep = decide_eventual_periodicity(m, f, prefix_of(m), mh_bound=24)
     assert ep.is_no
-    r = classify_complexity(m, f, ep)
+    r = classify_complexity(m, classify_shape(m), f, ep)
     assert r.method == "heuristic-fit"
     assert r.conditional
     assert (r.gk_dimension == 3) == (r.complexity_class is ComplexityClass.QUADRATIC)
@@ -183,7 +201,9 @@ def test_complexity_heuristic_path():
 
 
 def test_report_paper12(paper12, closure):
-    deps = run_deciders(paper12, closure("paper12", 16), mh_bound=16)
+    deps = run_deciders(
+        paper12, classify_shape(paper12), closure("paper12", 16), prefix_of(paper12), mh_bound=16
+    )
     rep = ring_property_report(paper12, deps)
     assert rep.prime.is_yes and not rep.prime.conditional
     assert rep.semiprime.value == rep.prime.value
@@ -196,7 +216,9 @@ def test_report_paper12(paper12, closure):
 
 
 def test_report_ba(ba_example, closure):
-    deps = run_deciders(ba_example, closure("ba-example", 8))
+    deps = run_deciders(
+        ba_example, classify_shape(ba_example), closure("ba-example", 8), prefix_of(ba_example)
+    )
     rep = ring_property_report(ba_example, deps)
     assert rep.prime.is_no
     assert rep.prime.certificate["witness"] == "nilpotent-ideal"
@@ -206,7 +228,10 @@ def test_report_ba(ba_example, closure):
 
 
 def test_report_fibonacci(fibonacci, closure):
-    deps = run_deciders(fibonacci, closure("fibonacci", 16), mh_bound=16)
+    deps = run_deciders(
+        fibonacci, classify_shape(fibonacci), closure("fibonacci", 16), prefix_of(fibonacci),
+        mh_bound=16,
+    )
     rep = ring_property_report(fibonacci, deps)
     assert rep.prime.is_yes
     assert rep.just_infinite.is_yes
@@ -217,7 +242,7 @@ def test_report_fibonacci(fibonacci, closure):
 @given(small_morphisms())
 def test_dictionary_coherence(m):
     f = factor_closure(m, 8)
-    deps = run_deciders(m, f, mh_bound=8, prefix_letters=512)
+    deps = run_deciders(m, classify_shape(m), f, fixed_point_prefix(m, 512), mh_bound=8)
     rep = ring_property_report(m, deps)
     assert rep.semiprime.value == rep.prime.value
     assert rep.pi.value == rep.noetherian.value
@@ -231,12 +256,13 @@ def test_dictionary_coherence(m):
 def test_budget_monotonicity(m):
     small = factor_closure(m, 6)
     large = factor_closure(m, 12)
-    ep_small = decide_eventual_periodicity(m, small, prefix_letters=512)
-    ep_large = decide_eventual_periodicity(m, large, prefix_letters=512)
+    prefix = fixed_point_prefix(m, 512)
+    ep_small = decide_eventual_periodicity(m, small, prefix)
+    ep_large = decide_eventual_periodicity(m, large, prefix)
     # unconditional verdicts never flip; conditional ones may only resolve
     if not ep_small.conditional and not ep_small.is_unknown:
         assert ep_small.value == ep_large.value
-    ur_small = decide_uniform_recurrence(m, k_max=3)
-    ur_large = decide_uniform_recurrence(m, k_max=6)
+    ur_small = ur(m, k_max=3)
+    ur_large = ur(m, k_max=6)
     if not ur_small.is_unknown:
         assert ur_small.value == ur_large.value

@@ -1,5 +1,9 @@
-"""Smoke tests: the scripts under scripts/ run against this checkout's package."""
+"""Smoke tests: the scripts under scripts/ and the benchmark's tracer hooks
+still fit this checkout's package."""
 
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -25,3 +29,19 @@ def test_script_exits_zero(argv, fragment):
     )
     assert proc.returncode == 0, proc.stderr
     assert fragment in proc.stdout
+
+
+def test_tracer_wraps_public_functions():
+    """Every name in perfbench/tracer.py's WRAPPED is a public function of its module."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (wrapped,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]
+    ]
+    for layer, names in wrapped.items():
+        module = importlib.import_module(f"iteralg.{layer}")
+        for name in names:
+            fn = getattr(module, name, None)
+            assert inspect.isfunction(fn) and fn.__module__ == module.__name__, f"{layer}.{name}"
+            assert not name.startswith("_")

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iteralg
+from iteralg import cli, deciders, report, words
+from iteralg.config import AnalysisConfig
 from iteralg.errors import (
     ContractError,
     MorphismParseError,
@@ -21,12 +24,18 @@ from iteralg.words import (
     is_factor,
     is_prolongable,
     mortal_letters,
-    occurring_letters,
     parse_morphism,
     subword_complexity,
+    support_reach,
 )
 
-from conftest import brute_factor_set, naive_power, small_morphisms
+from conftest import (
+    brute_factor_set,
+    growing_reference,
+    naive_power,
+    occurring_reference,
+    small_morphisms,
+)
 
 
 def mk(letters, images, start, degrees=None):
@@ -184,16 +193,16 @@ def test_prefix_matches_naive_substitution(m, n):
 
 
 def test_occurring_paper12(paper12):
-    assert occurring_letters(paper12) == frozenset(range(12))
+    assert classify_shape(paper12).occurring == frozenset(range(12))
 
 
 def test_occurring_fibonacci(fibonacci):
-    assert occurring_letters(fibonacci) == {0, 1}
+    assert classify_shape(fibonacci).occurring == {0, 1}
 
 
 def test_occurring_one_round():
     m = mk(["a", "b"], ["a b", "b"], "a")
-    assert occurring_letters(m) == {0, 1}
+    assert classify_shape(m).occurring == {0, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +384,61 @@ def test_shape_bounded_chain():
     m = mk(["s", "u", "v"], ["s u", "v", "v"], "s")
     shape = classify_shape(m)
     assert shape.growing[0] and not shape.growing[1] and not shape.growing[2]
+
+
+@st.composite
+def any_morphisms(draw):
+    """Morphisms on up to 6 letters, erasing and non-prolongable ones included."""
+    n = draw(st.integers(1, 6))
+    images = tuple(
+        "".join(chr(c) for c in draw(st.lists(st.integers(0, n - 1), max_size=3)))
+        for _ in range(n)
+    )
+    return Morphism(tuple(f"a{i}" for i in range(n)), images, draw(st.integers(0, n - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_morphisms())
+def test_shape_record_matches_oracles(m):
+    shape = classify_shape(m)
+    assert shape.occurring == occurring_reference(m)
+    assert {a for a in range(m.size) if shape.growing[a]} == growing_reference(m)
+    immortal = frozenset(range(m.size)) - mortal_letters(m)
+    for letters in (shape.occurring, immortal):
+        restricted = support_reach(m, letters)
+        assert all(restricted[a] == shape.reach[a] & letters for a in letters)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "paper12",
+        "letters: a b\nstart: a\nmap a -> a b a\nmap b ->\ndegree default = 1\n",
+    ],
+)
+def test_analyze_builds_one_letter_record(monkeypatch, source):
+    """One analyze: one classify_shape, one closure, no prefix built by a decider."""
+    calls = {"classify_shape": 0, "support_reach": 0, "decider_prefix": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    shape_counter = counted("classify_shape", words.classify_shape)
+    for mod in (iteralg, cli, report, words):
+        monkeypatch.setattr(mod, "classify_shape", shape_counter)
+    monkeypatch.setattr(words, "support_reach", counted("support_reach", words.support_reach))
+    monkeypatch.setattr(
+        deciders, "fixed_point_prefix", counted("decider_prefix", words.fixed_point_prefix)
+    )
+    text = cli.gallery_text(source) if source in cli.GALLERY_NAMES else source
+    m = parse_morphism(text)
+    doc, _ = report.analyze(m, AnalysisConfig(max_len=16), source)
+    assert calls == {"classify_shape": 1, "support_reach": 1, "decider_prefix": 0}
+    assert doc["shape"]["erasing"] == (source != "paper12")
 
 
 # ---------------------------------------------------------------------------
