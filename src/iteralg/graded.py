@@ -9,7 +9,8 @@ degree d, i.e. a nonzero r-fold product in the degree-d component.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 from .errors import ContractError, InvariantError, NoSplitError
 from .words import FactorSet, Morphism, Word, WordPrefix
@@ -23,6 +24,7 @@ class PositionDegreeSet:
     sums: tuple[int, ...]
     word: Word
     gen_lengths: tuple[int, ...]
+    _bitsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.sums) != len(self.word) + 1:
@@ -30,20 +32,50 @@ class PositionDegreeSet:
         if any(b <= a for a, b in zip(self.sums, self.sums[1:])):
             raise ValueError("degree sums must be strictly increasing")
 
+    def bitset(self, table: list[str]) -> int:
+        """The int whose bit p is set when p = 0 or the word translated under
+        ``table`` has a "1" at p - 1; built once per table."""
+        key = tuple(table)
+        bits = self._bitsets.get(key)
+        if bits is None:
+            bits = int(("1" + self.word.translate(table))[::-1], 2)
+            self._bitsets[key] = bits
+        return bits
+
 
 @dataclass(frozen=True)
 class ChainWitness:
+    """The longest run of ``length`` consecutive degree-``degree`` pieces in
+    ``s.word``: the letters ``s.word[i0:ir]`` for ``span == (i0, ir)``, whose
+    partial degree sums start at ``start_value``.  ``level_lengths[j]`` is the
+    longest such run inside phi^k(start) for the j-th requested level k.
+    """
+
     degree: int
-    pieces: tuple[Word, ...]
+    length: int
     start_value: int
-    level_lengths: tuple[int, ...]  # longest chain inside each phi^k(start)
+    span: tuple[int, int]
+    level_lengths: tuple[int, ...]
+    s: PositionDegreeSet = field(repr=False, compare=False)
+
+    def first_pieces(self, count: int) -> tuple[Word, ...]:
+        """The first ``count`` pieces, cut where the degree sums step by d."""
+        sums, word = self.s.sums, self.s.word
+        i, end = self.span
+        out = []
+        for _ in range(min(count, self.length)):
+            j = bisect_left(sums, sums[i] + self.degree, i + 1, end + 1)
+            out.append(word[i:j])
+            i = j
+        return tuple(out)
 
     @property
-    def length(self) -> int:
-        return len(self.pieces)
+    def pieces(self) -> tuple[Word, ...]:
+        return self.first_pieces(self.length)
 
     def concatenation(self) -> Word:
-        return "".join(self.pieces)
+        i0, ir = self.span
+        return self.s.word[i0:ir]
 
 
 @dataclass(frozen=True)
@@ -103,59 +135,88 @@ def s_set(m: Morphism, prefix: WordPrefix | Word) -> PositionDegreeSet:
     return PositionDegreeSet(sums=tuple(sums), word=word, gen_lengths=gen_lengths)
 
 
-def _longest_runs(
-    sums: tuple[int, ...], d: int, ends: tuple[int, ...]
-) -> list[tuple[int, int]]:
-    """(max pieces, start value) of the longest run v, v+d, ..., v+rd in
-    ``sums[:e + 1]``, for each index e of the ascending ``ends``.
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
 
-    The run ending at v reads only smaller sums, so one forward pass with a
-    value->run-length map gives every prefix's best.  Of the longest runs the
-    one that ends first also starts lowest, so ties go to the smallest start.
-    """
-    run: dict[int, int] = {}
-    best = 0
-    best_end = sums[0]
-    out = []
-    lo = 0
-    for e in ends:
-        for v in sums[lo : e + 1]:
-            pieces = run.get(v - d, -1) + 1
-            run[v] = pieces
-            if pieces > best:
-                best = pieces
-                best_end = v
-        lo = e + 1
-        out.append((best, best_end - best * d))
-    return out
+
+def _longest_run(bits: int, powers: list[int], d: int, cut: int) -> tuple[int, int]:
+    """(r, A_r) for the largest r with a run of r steps of d inside the set
+    bits up to ``cut``; A_k marks the starts of the k-step runs and
+    ``powers[j]`` is A_{2^j}.  Only the lowest start matters for the cut."""
+    r, starts = 0, bits
+    for j in reversed(range(len(powers))):
+        k = 1 << j
+        nxt = starts & (powers[j] >> (r * d))
+        if nxt and _lowest(nxt) + (r + k) * d <= cut:
+            r, starts = r + k, nxt
+    return r, starts
 
 
 def max_homogeneous_chain(
-    m: Morphism, s: PositionDegreeSet, f: FactorSet | None, d: int
+    m: Morphism,
+    s: PositionDegreeSet,
+    f: FactorSet | None,
+    d: int,
+    levels: Sequence[int] = (),
 ) -> ChainWitness:
-    """Longest chain of consecutive degree-d pieces within the sampled prefix;
-    the same run pass gives the longest inside each generation of ``s``."""
+    """Longest chain of consecutive degree-d pieces within the sampled prefix,
+    and the longest inside phi^k(start) for each generation k of ``levels``.
+
+    Letters count at their degree capped at d + 1: a letter of larger degree
+    lies in no degree-d piece either way, so the runs v, v+d, ..., v+rd of the
+    capped sums cut the word at the same indices as those of ``s.sums``, and a
+    huge degree cannot blow up the bitset of capped sums.  Doubling,
+    A_{2k} = A_k & (A_k >> kd), marks the starts of 2^j-piece runs, and a
+    binary descent finds the longest; its lowest set bit is the smallest
+    start, the tie rule.  A level runs the descent again below its
+    generation's cut.
+
+    The witness is checked in one pass over its letters: translated under the
+    capped degrees, the span has r*d marks with a letter end at every d-th,
+    which holds exactly when it splits into r pieces of degree d, and the
+    sums at its ends differ by r*d.
+    """
     if d < 1:
         raise ContractError("chain degree must be positive")
-    sums = s.sums
-    ends = s.gen_lengths + (len(s.word),)
-    *per_gen, (pieces_count, start_value) = _longest_runs(sums, d, ends)
-    pieces: list[Word] = []
-    i = bisect_left(sums, start_value)
-    for _ in range(pieces_count):
-        j = bisect_left(sums, sums[i] + d, i + 1)
-        pieces.append(s.word[i:j])
-        i = j
-    witness = ChainWitness(d, tuple(pieces), start_value, tuple(r for r, _ in per_gen))
-    if m.degrees is not None:
-        for p in witness.pieces:
-            if m.degree_of(p) != d:
-                raise InvariantError("chain piece has the wrong degree")
-    if f is not None:
-        cat = witness.concatenation()
-        if len(cat) <= f.max_len and cat and cat not in f:
-            raise InvariantError("chain concatenation is not a known factor")
-    return witness
+    if m.degrees is None:
+        raise ContractError("homogeneous chains need a grading")
+    generations = len(s.gen_lengths)
+    if any(not 0 <= k < generations for k in levels):
+        raise ContractError(
+            f"scan levels must lie in 0..{generations - 1}, the prefix's generations"
+        )
+    cap = min(max(m.degrees), d + 1)
+    table = ["0" * (min(g, cap) - 1) + "1" for g in m.degrees]
+    bits = s.bitset(table)  # bit p: some prefix has capped degree p
+    powers = []
+    runs, shift = bits & (bits >> d), d
+    while runs:
+        powers.append(runs)
+        runs &= runs >> shift
+        shift *= 2
+    r, starts = _longest_run(bits, powers, d, bits.bit_length() - 1)
+    low = _lowest(starts)
+    i0 = (bits & ((1 << low) - 1)).bit_count()
+    ir = i0 + ((bits >> low) & ((2 << (r * d)) - 1)).bit_count() - 1
+    word, start_value = s.word, s.sums[i0]
+    marks = word[i0:ir].translate(table)
+    if (
+        s.sums[ir] != start_value + r * d
+        or len(marks) != r * d
+        or marks[d - 1 :: d] != "1" * r
+    ):
+        raise InvariantError("chain piece has the wrong degree")
+    if f is not None and 0 < ir - i0 <= f.max_len and word[i0:ir] not in f:
+        raise InvariantError("chain concatenation is not a known factor")
+    level_lengths = []
+    for k in levels:
+        end = s.gen_lengths[k]
+        # the capped sum at the generation's end: only capped letters lose degree
+        cut = s.sums[end] - sum(
+            (g - cap) * word.count(chr(c), 0, end) for c, g in enumerate(m.degrees) if g > cap
+        )
+        level_lengths.append(_longest_run(bits, powers, d, cut)[0])
+    return ChainWitness(d, r, start_value, (i0, ir), tuple(level_lengths), s)
 
 
 def graded_nilpotency_scan(
@@ -166,8 +227,9 @@ def graded_nilpotency_scan(
     """Max chain length per degree inside phi^k(start), for each level k.
 
     ``level_lengths[d - 1]`` is the degree-d chain witness's
-    ``level_lengths``, so the scan reads the run pass the chains already
-    made; every level must be a generation those lengths cover.
+    ``level_lengths`` for these ``levels``, so the scan reads the descents
+    the chains already made; the chain checked that each level is a
+    generation of the prefix.
 
     Equal values across the last two levels are stabilization evidence, not
     a proof.  A degenerate grading (all letters the same degree) makes S an
@@ -176,16 +238,15 @@ def graded_nilpotency_scan(
     """
     if m.degrees is None:
         raise ContractError("nilpotency scan needs a grading")
-    lv = tuple(sorted(levels))
+    order = sorted(range(len(levels)), key=lambda i: levels[i])
+    lv = tuple(levels[i] for i in order)
     degenerate = len(set(m.degrees)) == 1
     common = m.degrees[0] if degenerate else None
     rows = []
     for d, lengths in enumerate(level_lengths, start=1):
-        if any(not 0 <= k < len(lengths) for k in lv):
-            raise ContractError(
-                f"scan levels must lie in 0..{len(lengths) - 1}, the prefix's generations"
-            )
-        values = tuple(lengths[k] for k in lv)
+        if len(lengths) != len(levels):
+            raise ContractError("each degree needs one chain length per scan level")
+        values = tuple(lengths[i] for i in order)
         unbounded = common is not None and d % common == 0
         stabilized = len(values) >= 2 and values[-1] == values[-2] and not unbounded
         rows.append(
@@ -218,7 +279,8 @@ def cyclic_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
         words = f.of_length(length)
         present = frozenset(words)  # rotations keep the length
         for v in words:
-            if not any(r not in present for r in rotations(v)):
+            # stop at the first absent rotation; most words have one at once
+            if all(v[i:] + v[:i] in present for i in range(1, len(v))):
                 return RotationAudit(
                     max_len=max_len,
                     per_length=tuple(per_length),

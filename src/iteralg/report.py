@@ -147,17 +147,22 @@ def _properties_doc(report: PropertyReport) -> dict:
 
 
 def _graded_audit(
-    m: Morphism, s: graded.PositionDegreeSet, f: FactorSet, d_max: int, audit_len: int
+    m: Morphism,
+    s: graded.PositionDegreeSet,
+    f: FactorSet,
+    d_max: int,
+    audit_len: int,
+    levels: tuple[int, ...] = (),
 ) -> tuple[dict, list[str], list[tuple[int, ...]]]:
     """The s_prefix, chains, rotation_audit and lie entries, their counterexamples,
-    and each degree's chain ``level_lengths`` for the nilpotency scan.
+    and each degree's chain ``level_lengths`` at ``levels`` for the nilpotency scan.
 
     Both audits read factors of length 2..audit_len; below 2 they are skipped.
     """
     chains = []
     level_lengths = []
     for d in range(1, d_max + 1):
-        witness = graded.max_homogeneous_chain(m, s, f, d)
+        witness = graded.max_homogeneous_chain(m, s, f, d, levels=levels)
         level_lengths.append(witness.level_lengths)
         chains.append(
             {
@@ -165,7 +170,7 @@ def _graded_audit(
                 "max_r": witness.length,
                 "witness": {
                     "start": _s(witness.start_value),
-                    "pieces": [m.decode(p) for p in witness.pieces[:8]],
+                    "pieces": [m.decode(p) for p in witness.first_pieces(8)],
                 },
             }
         )
@@ -219,8 +224,8 @@ def _graded_doc(m: Morphism, prefix: WordPrefix, f: FactorSet, cfg: AnalysisConf
     audit_len = min(DEFAULT_EMBEDDED_AUDIT_LEN, f.max_len)
     s = graded.s_set(m, prefix)
     # analyze shows failures inside the entries; only audit lists counterexamples
-    doc, _, level_lengths = _graded_audit(m, s, f, cfg.d_max, audit_len)
     levels = (prefix.generation_level - 1, prefix.generation_level)
+    doc, _, level_lengths = _graded_audit(m, s, f, cfg.d_max, audit_len, levels)
     scan = graded.graded_nilpotency_scan(m, level_lengths, levels)
     scan_doc = {
         "levels": list(scan.levels),

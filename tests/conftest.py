@@ -119,10 +119,16 @@ def level_prefix(m: Morphism, k: int) -> WordPrefix:
     return fixed_point_prefix(m, len(naive_power(m, k)))
 
 
-def chain_level_lengths(m: Morphism, prefix: WordPrefix, d_max: int) -> list[tuple[int, ...]]:
-    """Each degree's chain ``level_lengths`` over ``prefix``, as analyze passes them."""
+def chain_level_lengths(
+    m: Morphism, prefix: WordPrefix, d_max: int, levels: list[int]
+) -> list[tuple[int, ...]]:
+    """Each degree's chain ``level_lengths`` at ``levels`` over ``prefix``, as
+    analyze passes them."""
     s = s_set(m, prefix)
-    return [max_homogeneous_chain(m, s, None, d).level_lengths for d in range(1, d_max + 1)]
+    return [
+        max_homogeneous_chain(m, s, None, d, levels=levels).level_lengths
+        for d in range(1, d_max + 1)
+    ]
 
 
 def lie_reference(m: Morphism, f: FactorSet, max_len: int) -> dict:

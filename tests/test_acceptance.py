@@ -143,12 +143,13 @@ def test_c07_rotation_and_lie_audit(paper12, periodic_ab):
 def test_c08_graded_nilpotency_evidence(paper12, periodic_ab):
     t0 = time.perf_counter()
     prefix = level_prefix(paper12, 8)
-    scan = graded_nilpotency_scan(paper12, chain_level_lengths(paper12, prefix, 6), [7, 8])
+    lengths = chain_level_lengths(paper12, prefix, 6, [7, 8])
+    scan = graded_nilpotency_scan(paper12, lengths, [7, 8])
     for row in scan.rows:
         assert row.values[0] == row.values[1], f"degree {row.degree} not stabilized"
         assert row.stabilized
     prefix = level_prefix(periodic_ab, 8)
-    lengths = chain_level_lengths(periodic_ab, prefix, 2)
+    lengths = chain_level_lengths(periodic_ab, prefix, 2, [4, 8])
     growth = graded_nilpotency_scan(periodic_ab, lengths, [4, 8])
     row2 = next(r for r in growth.rows if r.degree == 2)
     assert row2.values[1] > row2.values[0]

@@ -1,10 +1,13 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iteralg.errors import ContractError, NoSplitError
+from iteralg import graded, report
+from iteralg.config import AnalysisConfig
+from iteralg.errors import ContractError, InvariantError, NoSplitError
 from iteralg.graded import (
     cyclic_rotation_audit,
     every_window_contains,
@@ -110,7 +113,8 @@ def test_chain_witness_verifies(paper12, closure):
 
 def test_scan_paper12_stabilizes(paper12):
     prefix = level_prefix(paper12, 8)
-    scan = graded_nilpotency_scan(paper12, chain_level_lengths(paper12, prefix, 6), [7, 8])
+    lengths = chain_level_lengths(paper12, prefix, 6, [7, 8])
+    scan = graded_nilpotency_scan(paper12, lengths, [7, 8])
     assert scan.levels == (7, 8)
     assert not scan.degenerate_grading
     for row in scan.rows:
@@ -120,7 +124,7 @@ def test_scan_paper12_stabilizes(paper12):
 
 def test_scan_periodic_degree_one_grows(periodic_ab):
     prefix = level_prefix(periodic_ab, 6)
-    lengths = chain_level_lengths(periodic_ab, prefix, 2)
+    lengths = chain_level_lengths(periodic_ab, prefix, 2, [4, 6])
     scan = graded_nilpotency_scan(periodic_ab, lengths, [4, 6])
     assert scan.degenerate_grading
     row = next(r for r in scan.rows if r.degree == 2)
@@ -130,16 +134,15 @@ def test_scan_periodic_degree_one_grows(periodic_ab):
 
 def test_scan_empty(paper12):
     prefix = level_prefix(paper12, 4)
-    scan = graded_nilpotency_scan(paper12, chain_level_lengths(paper12, prefix, 0), [3, 4])
+    scan = graded_nilpotency_scan(paper12, chain_level_lengths(paper12, prefix, 0, [3, 4]), [3, 4])
     assert scan.rows == ()
 
 
 def test_scan_contract(paper12):
     prefix = level_prefix(paper12, 4)
-    lengths = chain_level_lengths(paper12, prefix, 6)
     assert prefix.generation_level == 4
     with pytest.raises(ContractError):
-        graded_nilpotency_scan(paper12, lengths, [4, 5])
+        graded_nilpotency_scan(paper12, chain_level_lengths(paper12, prefix, 6, [4, 5]), [4, 5])
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,14 +154,15 @@ def test_scan_contract(paper12):
 def test_forward_runs_match_backward_reference(m, top, d_max):
     prefix = level_prefix(m, top)
     s = s_set(m, prefix)
-    lengths = chain_level_lengths(m, prefix, d_max)
-    scan = graded_nilpotency_scan(m, lengths, list(range(top + 1)))
+    levels = list(range(top + 1))
+    lengths = chain_level_lengths(m, prefix, d_max, levels)
+    scan = graded_nilpotency_scan(m, lengths, levels)
     ends = [len(naive_power(m, k)) for k in scan.levels]
     for row in scan.rows:
         for end, value in zip(ends, row.values):
             assert value == max_run_start(s.sums[: end + 1], row.degree)[0]
     for d in range(1, d_max + 1):
-        w = max_homogeneous_chain(m, s, None, d)
+        w = max_homogeneous_chain(m, s, None, d, levels=range(len(prefix.gen_lengths)))
         r, start = max_run_start(s.sums, d)
         cuts = [s.sums.index(start + i * d) for i in range(r + 1)]
         pieces = tuple(prefix.word[a:b] for a, b in zip(cuts, cuts[1:]))
@@ -172,6 +176,63 @@ def test_bare_word_has_no_level_lengths(paper12):
     s = s_set(paper12, fixed_point_prefix(paper12, 64).word)
     assert s.gen_lengths == ()
     assert max_homogeneous_chain(paper12, s, None, 2).level_lengths == ()
+    with pytest.raises(ContractError):
+        max_homogeneous_chain(paper12, s, None, 2, levels=[0])
+
+
+# small degrees, and large ones that only the capped letters can hold
+DEGREES = st.integers(min_value=1, max_value=3) | st.integers(min_value=4, max_value=10**6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_morphisms(allow_erasing=True, graded=True), st.integers(0, 5), st.data())
+def test_chain_witness_matches_run_oracle(m, top, data):
+    m = replace(m, degrees=tuple(data.draw(DEGREES) for _ in m.degrees))
+    prefix = level_prefix(m, top)
+    s = s_set(m, prefix)
+    levels = list(range(len(prefix.gen_lengths)))
+    for d in range(1, 9):
+        w = max_homogeneous_chain(m, s, None, d, levels=levels[::-1])
+        r, start = max_run_start(s.sums, d)
+        cuts = [s.sums.index(start + i * d) for i in range(r + 1)]
+        assert (w.length, w.start_value, w.span) == (r, start, (cuts[0], cuts[-1]))
+        assert w.pieces == tuple(prefix.word[a:b] for a, b in zip(cuts, cuts[1:]))
+        assert w.first_pieces(2) == w.pieces[:2]
+        assert w.concatenation() == "".join(w.pieces)
+        assert w.level_lengths == tuple(
+            max_run_start(s.sums[: prefix.gen_lengths[k] + 1], d)[0] for k in levels[::-1]
+        )
+    for bad in (-1, len(levels)):
+        with pytest.raises(ContractError):
+            max_homogeneous_chain(m, s, None, 1, levels=[0, bad])
+
+
+def test_chain_check_rejects_sums_off_the_letters(paper12):
+    # the witness check reads the letters, so sums that disagree with them fail
+    s = s_set(paper12, fixed_point_prefix(paper12, 256))
+    doubled = replace(s, sums=tuple(2 * v for v in s.sums))
+    with pytest.raises(InvariantError, match="wrong degree"):
+        for d in range(1, 9):
+            max_homogeneous_chain(paper12, doubled, None, d)
+
+
+def test_chain_level_requests(paper12, monkeypatch):
+    # audit asks for no level lengths; analyze for the scan's two per degree
+    calls = []
+    chain = graded.max_homogeneous_chain
+
+    def spy(m, s, f, d, levels=()):
+        calls.append((d, tuple(levels)))
+        return chain(m, s, f, d, levels=levels)
+
+    monkeypatch.setattr(graded, "max_homogeneous_chain", spy)
+    cfg = AnalysisConfig(prefix_letters=4**5, max_len=8, d_max=4)
+    report.audit(paper12, cfg, "paper12")
+    assert calls == [(d, ()) for d in range(1, 5)]
+    calls.clear()
+    doc, _ = report.analyze(paper12, cfg, "paper12")
+    top = doc["word"]["generation_level"]
+    assert calls == [(d, (top - 1, top)) for d in range(1, 5)]
 
 
 # ---------------------------------------------------------------------------
