@@ -24,8 +24,9 @@ def main() -> None:
     m, label = _resolve_morphism(args.path)
     if m.degrees is None:
         raise SystemExit("morphism carries no grading")
-    poly = char_poly(incidence_matrix(m))
-    ws = weight_sequence(m, max(args.n_max, poly.degree))
+    M = incidence_matrix(m)
+    poly = char_poly(M)
+    ws = weight_sequence(m, M, max(args.n_max, poly.degree))
     rec = recurrence_from_charpoly(poly, ws.direct)
 
     print(f"weights for {label} (degree map: "

@@ -30,12 +30,10 @@ from .matrices import (
     CharPoly,
     IncidenceMatrix,
     LinearRecurrence,
-    OccurrenceCount,
     WeightSequences,
     char_poly,
     incidence_matrix,
     iterate_parikh,
-    occurrence_decider,
     parikh,
     recurrence_from_charpoly,
     weight_sequence,

@@ -30,7 +30,6 @@ from .deciders import (
     decide_uniform_recurrence,
 )
 from .errors import ContractError, IterAlgError, MorphismParseError
-from .matrices import occurrence_decider
 from .words import Morphism, classify_shape, factor_closure, fixed_point_prefix, parse_morphism
 
 EXIT_OK = 0
@@ -104,15 +103,13 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if prop == "primitive":
         verdict = decide_primitive(m, classify_shape(m))
     elif prop == "prime":
-        verdict = decide_prime(m, occurrence_decider(m, m.start))
+        verdict = decide_prime(m, classify_shape(m))
     elif prop in ("periodic", "pi", "noetherian"):
         f = factor_closure(m, cfg.max_len)
         prefix = fixed_point_prefix(m, cfg.prefix_letters)
         verdict = decide_eventual_periodicity(m, f, prefix, mh_bound=cfg.mh_bound)
     elif prop == "ur":
-        verdict = decide_uniform_recurrence(
-            m, classify_shape(m), occurrence_decider(m, m.start), k_max=cfg.k_max
-        )
+        verdict = decide_uniform_recurrence(m, classify_shape(m), k_max=cfg.k_max)
     else:  # pragma: no cover - argparse restricts choices
         raise ContractError(f"unknown property {prop!r}")
     suffix = " (conditional)" if v_conditional(verdict) else ""

@@ -22,7 +22,6 @@ from .words import (
     fixed_point_prefix,
     subword_complexity,
 )
-from .matrices import OccurrenceCount, occurrence_decider
 
 
 class VerdictValue(enum.Enum):
@@ -114,7 +113,7 @@ class DeciderOutputs:
     eventually_periodic: Verdict
     uniformly_recurrent: Verdict
     complexity: ComplexityResult
-    start_occurrence: OccurrenceCount
+    prime: Verdict
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +264,6 @@ def decide_eventual_periodicity(
 def decide_uniform_recurrence(
     m: Morphism,
     shape: ShapeRecord,
-    occurrence: OccurrenceCount,
     *,
     k_max: int = 6,
 ) -> Verdict:
@@ -274,8 +272,8 @@ def decide_uniform_recurrence(
     Block cover: if phi^k(a) begins with the start letter for every occurring
     a, the fixed point is a concatenation of such blocks and every factor
     recurs within a bounded window.  Refutations: the start letter occurring
-    exactly once (``occurrence`` is ``occurrence_decider(m, m.start)``), or a
-    growing occurring letter that never produces it.
+    exactly once (``shape.start_recurs`` false), or a growing occurring
+    letter that never produces it.
     """
     occ = shape.occurring
     b = m.start
@@ -299,7 +297,7 @@ def decide_uniform_recurrence(
     if decide_primitive(m, shape).is_yes:
         return Verdict.yes({"witness": "primitive"}, bound=k_max)
 
-    if occurrence is OccurrenceCount.EXACTLY_ONCE:
+    if not shape.start_recurs:
         return Verdict.no(
             {
                 "witness": "start-letter-occurs-once",
@@ -405,15 +403,13 @@ def _weakest(*verdicts: Verdict) -> bool:
     return any(v.conditional for v in verdicts)
 
 
-def decide_prime(m: Morphism, occurrence: OccurrenceCount) -> Verdict:
+def decide_prime(m: Morphism, shape: ShapeRecord) -> Verdict:
     """Prime iff the start letter occurs at least twice in the fixed point.
 
-    ``occurrence`` is ``occurrence_decider(m, m.start)``, an exact count.
+    ``shape.start_recurs`` decides that exactly.
     """
     b_name = m.letters[m.start]
-    if occurrence is OccurrenceCount.ZERO:
-        raise InvariantError("start letter reported absent from its own fixed point")
-    if occurrence is OccurrenceCount.AT_LEAST_TWICE:
+    if shape.start_recurs:
         return Verdict.yes(
             {"witness": "start-occurs-at-least-twice", "letter": b_name}
         )
@@ -434,7 +430,7 @@ def ring_property_report(m: Morphism, deps: DeciderOutputs) -> PropertyReport:
     periodic; the radical and primitivity entries use the uniformly
     recurrent + aperiodic implication and are Unknown outside it.
     """
-    prime = decide_prime(m, deps.start_occurrence)
+    prime = deps.prime
     semiprime = Verdict(
         prime.value, prime.conditional, {**prime.certificate, "via": "semiprime-iff-prime"}, prime.bound
     )
@@ -496,15 +492,14 @@ def run_deciders(
     """Run the full decider battery over one letter record, factor set and prefix."""
     prim = decide_primitive(m, shape)
     ep = decide_eventual_periodicity(m, f, prefix, mh_bound=mh_bound)
-    occ = occurrence_decider(m, m.start)
-    ur = decide_uniform_recurrence(m, shape, occ, k_max=k_max)
+    ur = decide_uniform_recurrence(m, shape, k_max=k_max)
     comp = classify_complexity(m, shape, f, ep)
     return DeciderOutputs(
         primitive=prim,
         eventually_periodic=ep,
         uniformly_recurrent=ur,
         complexity=comp,
-        start_occurrence=occ,
+        prime=decide_prime(m, shape),
     )
 
 

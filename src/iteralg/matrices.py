@@ -7,15 +7,14 @@ arithmetic is banned in this module.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .errors import ContractError, InvariantError, RecurrenceValidationError
 from .words import Morphism, Word
 
-# The occurrence decider only needs to distinguish 0, 1 and ">= 2"; raise the
-# cap to decide ">= k" instead.
-SATURATION_CAP = 2
+# weight_sequence cross-checks its weights against phi^n(start) while that
+# word has at most this many letters.
+WEIGHT_EXPANSION_BUDGET_LETTERS = 4**9
 
 ParikhVector = tuple[int, ...]
 
@@ -223,39 +222,6 @@ def recurrence_from_charpoly(
     return rec
 
 
-class OccurrenceCount(enum.Enum):
-    ZERO = "Zero"
-    EXACTLY_ONCE = "ExactlyOnce"
-    AT_LEAST_TWICE = "AtLeastTwice"
-
-
-def occurrence_decider(m: Morphism, letter: int) -> OccurrenceCount:
-    """How often a letter occurs in the fixed point: 0, 1, or >= 2.
-
-    Iterates the saturating abstraction nu_{k+1} = cap(M nu_k) from
-    nu_0 = cap(theta(start)).  Prefix counts are nondecreasing, capping
-    commutes with the step, and the capped lattice is finite, so the
-    fixpoint is exact.
-    """
-    M = incidence_matrix(m)
-    cap = SATURATION_CAP
-    nu = tuple(min(cap, 1 if i == m.start else 0) for i in range(m.size))
-    max_rounds = 2 * m.size * cap + 2
-    for _ in range(max_rounds):
-        nxt = tuple(min(cap, v) for v in M.matvec(nu))
-        if nxt == nu:
-            break
-        nu = nxt
-    else:
-        raise InvariantError("saturating occurrence iteration failed to stabilize")
-    value = nu[letter]
-    if value == 0:
-        return OccurrenceCount.ZERO
-    if value == 1:
-        return OccurrenceCount.EXACTLY_ONCE
-    return OccurrenceCount.AT_LEAST_TWICE
-
-
 @dataclass(frozen=True)
 class WeightSequences:
     """u^T M^n theta(start) under both index conventions.
@@ -276,20 +242,15 @@ class WeightSequences:
         return None
 
 
-def weight_sequence(
-    m: Morphism,
-    n_max: int,
-    *,
-    expansion_budget_letters: int = 4**9,
-) -> WeightSequences:
+def weight_sequence(m: Morphism, M: IncidenceMatrix, n_max: int) -> WeightSequences:
     """Graded weights of phi^n(start) for n = 0..n_max, both conventions.
 
-    The direct sequence must agree with the degree of the literally expanded
-    word wherever that expansion fits the budget; disagreement is fatal.
+    ``M`` is ``incidence_matrix(m)``.  The direct sequence must agree with
+    the degree of the literally expanded word wherever that expansion fits
+    the budget; disagreement is fatal.
     """
     if m.degrees is None:
         raise ContractError("weight sequence needs a grading")
-    M = incidence_matrix(m)
     MT = M.transpose()
     u = m.degrees
     theta = tuple(1 if i == m.start else 0 for i in range(m.size))
@@ -306,7 +267,7 @@ def weight_sequence(
     word: Word = chr(m.start)
     checked = 0
     for n in range(n_max + 1):
-        if len(word) > expansion_budget_letters:
+        if len(word) > WEIGHT_EXPANSION_BUDGET_LETTERS:
             break
         literal = m.degree_of(word)
         if literal != direct[n]:
@@ -324,7 +285,6 @@ def weight_sequence(
 
 
 __all__ = [
-    "SATURATION_CAP",
     "ParikhVector",
     "IncidenceMatrix",
     "identity",
@@ -335,8 +295,6 @@ __all__ = [
     "char_poly",
     "LinearRecurrence",
     "recurrence_from_charpoly",
-    "OccurrenceCount",
-    "occurrence_decider",
     "WeightSequences",
     "weight_sequence",
 ]

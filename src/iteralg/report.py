@@ -27,7 +27,6 @@ from .matrices import (
     WeightSequences,
     char_poly,
     incidence_matrix,
-    occurrence_decider,
     recurrence_from_charpoly,
     weight_sequence,
 )
@@ -300,9 +299,7 @@ def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, Proper
     f = factor_closure(m, cfg.max_len)
     deps = run_deciders(m, shape, f, prefix, mh_bound=cfg.mh_bound, k_max=cfg.k_max)
     properties = ring_property_report(m, deps)
-    weights = (
-        weight_sequence(m, WEIGHT_TERMS) if m.degrees is not None else None
-    )
+    weights = weight_sequence(m, M, WEIGHT_TERMS) if m.degrees is not None else None
 
     doc = {
         "morphism": _morphism_doc(m, source),
@@ -338,9 +335,7 @@ def audit(
         m, graded.s_set(m, prefix), f, cfg.d_max, audit_len
     )
 
-    deps_ur = decide_uniform_recurrence(
-        m, classify_shape(m), occurrence_decider(m, m.start), k_max=cfg.k_max
-    )
+    deps_ur = decide_uniform_recurrence(m, classify_shape(m), k_max=cfg.k_max)
     window_doc: dict = {"applicable": False}
     if deps_ur.is_yes and deps_ur.certificate.get("witness") == "block-cover":
         gap = deps_ur.certificate["start_gap_bound"]

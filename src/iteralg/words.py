@@ -137,6 +137,8 @@ class ShapeRecord:
     of the digraph a -> letters of phi(a).  ``occurring`` is {start} |
     reach[start], the letters of the fixed point when the start is
     prolongable.  ``growing[a]`` says whether |phi^n(a)| is unbounded.
+    ``start_recurs`` says whether the start letter occurs at least twice in
+    the fixed point.
     """
 
     d_uniform: int | None
@@ -144,6 +146,7 @@ class ShapeRecord:
     growing: tuple[bool, ...]
     occurring: frozenset[int]
     reach: tuple[frozenset[int], ...]
+    start_recurs: bool
 
     @property
     def all_growing(self) -> bool:
@@ -435,6 +438,10 @@ def classify_shape(m: Morphism) -> ShapeRecord:
     every image keeps at least one letter: a grows iff some letter with two
     or more immortal image letters is reachable from a cycle that a reaches
     (only then does it recur often enough to keep multiplying).
+
+    The fixed point is b t phi(t) phi^2(t)... for phi(b) = b t, and the
+    letters of phi^k(c) are those reachable from c in exactly k steps, so
+    the start b recurs iff it is a letter of t or reachable from one.
     """
     lens = {len(img) for img in m.images}
     d_uniform = lens.pop() if len(lens) == 1 else None
@@ -450,12 +457,14 @@ def classify_shape(m: Morphism) -> ShapeRecord:
         cycles = ({a} | reach[a]) & cyclic  # empty for a mortal letter
         fed = cycles.union(*(reach[c] for c in cycles))
         growing.append(bool(fed & multipliers))
+    tail = {ord(ch) for ch in m.images[m.start][1:]}
     return ShapeRecord(
         d_uniform=d_uniform,
         erasing=any(not img for img in m.images),
         growing=tuple(growing),
         occurring=frozenset({m.start} | reach[m.start]),
         reach=reach,
+        start_recurs=m.start in tail.union(*(reach[c] for c in tail)),
     )
 
 

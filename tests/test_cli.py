@@ -138,12 +138,17 @@ def test_decide_prime_certificate_matches_analyze(capsys, entry):
 
 @pytest.mark.parametrize("entry", GALLERY)
 def test_decide_matches_analyze(capsys, entry):
-    """decide ur/periodic/primitive print analyze's value, flag, bound and certificate."""
+    """decide prime/ur/periodic/primitive print analyze's value, flag, bound and certificate."""
     path = f"gallery/{entry}.morph"
     budget = ("--max-len", "24")
     _, doc_out, _ = run(capsys, "analyze", path, "--format", "json", *budget)
     props = json.loads(doc_out)["properties"]
-    keys = {"ur": "uniformly_recurrent", "periodic": "eventually_periodic", "primitive": "primitive_morphism"}
+    keys = {
+        "prime": "prime",
+        "ur": "uniformly_recurrent",
+        "periodic": "eventually_periodic",
+        "primitive": "primitive_morphism",
+    }
     for prop, key in keys.items():
         code, out, err = run(capsys, "decide", path, prop, *budget)
         v = props[key]

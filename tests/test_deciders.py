@@ -9,7 +9,6 @@ from iteralg.deciders import (
     ring_property_report,
     run_deciders,
 )
-from iteralg.matrices import occurrence_decider
 from iteralg.words import classify_shape, factor_closure, fixed_point_prefix
 
 from conftest import occurring_reference, small_morphisms
@@ -17,9 +16,7 @@ from test_words import mk
 
 
 def ur(m, *, k_max=6):
-    return decide_uniform_recurrence(
-        m, classify_shape(m), occurrence_decider(m, m.start), k_max=k_max
-    )
+    return decide_uniform_recurrence(m, classify_shape(m), k_max=k_max)
 
 
 def prefix_of(m):

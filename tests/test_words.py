@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iteralg
-from iteralg import cli, deciders, report, words
+from iteralg import cli, deciders, matrices, report, words
 from iteralg.config import AnalysisConfig
 from iteralg.errors import (
     ContractError,
@@ -417,8 +417,9 @@ def test_shape_record_matches_oracles(m):
     ],
 )
 def test_analyze_builds_one_letter_record(monkeypatch, source):
-    """One analyze: one classify_shape, one closure, no prefix built by a decider."""
-    calls = {"classify_shape": 0, "support_reach": 0, "decider_prefix": 0}
+    """One analyze: one classify_shape, one closure, one incidence matrix, and
+    no prefix built by a decider."""
+    calls = {"classify_shape": 0, "support_reach": 0, "decider_prefix": 0, "incidence_matrix": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -430,6 +431,9 @@ def test_analyze_builds_one_letter_record(monkeypatch, source):
     shape_counter = counted("classify_shape", words.classify_shape)
     for mod in (iteralg, cli, report, words):
         monkeypatch.setattr(mod, "classify_shape", shape_counter)
+    matrix_counter = counted("incidence_matrix", matrices.incidence_matrix)
+    for mod in (iteralg, matrices, report):
+        monkeypatch.setattr(mod, "incidence_matrix", matrix_counter)
     monkeypatch.setattr(words, "support_reach", counted("support_reach", words.support_reach))
     monkeypatch.setattr(
         deciders, "fixed_point_prefix", counted("decider_prefix", words.fixed_point_prefix)
@@ -437,7 +441,12 @@ def test_analyze_builds_one_letter_record(monkeypatch, source):
     text = cli.gallery_text(source) if source in cli.GALLERY_NAMES else source
     m = parse_morphism(text)
     doc, _ = report.analyze(m, AnalysisConfig(max_len=16), source)
-    assert calls == {"classify_shape": 1, "support_reach": 1, "decider_prefix": 0}
+    assert calls == {
+        "classify_shape": 1,
+        "support_reach": 1,
+        "decider_prefix": 0,
+        "incidence_matrix": 1,
+    }
     assert doc["shape"]["erasing"] == (source != "paper12")
 
 
