@@ -13,6 +13,7 @@ import math
 
 from iteralg.cli import _resolve_morphism
 from iteralg.matrices import char_poly, incidence_matrix, recurrence_from_charpoly, weight_sequence
+from iteralg.words import fixed_point_prefix
 
 
 def main() -> None:
@@ -26,7 +27,9 @@ def main() -> None:
         raise SystemExit("morphism carries no grading")
     M = incidence_matrix(m)
     poly = char_poly(M)
-    ws = weight_sequence(m, M, max(args.n_max, poly.degree))
+    # the gcd line reads W4 and W5, the recurrence poly.degree terms
+    n_max = max(args.n_max, poly.degree, 5)
+    ws = weight_sequence(m, M, fixed_point_prefix(m, 1), n_max)
     rec = recurrence_from_charpoly(poly, ws.direct)
 
     print(f"weights for {label} (degree map: "

@@ -277,8 +277,9 @@ def decide_uniform_recurrence(
     """
     occ = shape.occurring
     b = m.start
+    images_k = {a: chr(a) for a in sorted(occ)}
     for k in range(1, k_max + 1):
-        images_k = {a: m.apply_n(chr(a), k) for a in sorted(occ)}
+        images_k = {a: m.apply(img) for a, img in images_k.items()}
         if all(img and ord(img[0]) == b for img in images_k.values()):
             max_block = max(len(img) for img in images_k.values())
             window = (

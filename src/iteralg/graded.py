@@ -336,14 +336,12 @@ def every_window_contains(word: Word, letter: int, window: int) -> bool:
     return len(word) - last <= window
 
 
-def prefix_identity_holds(m: Morphism, n: int, prefix: Word) -> bool:
+def prefix_identity_holds(prefix: WordPrefix, n: int) -> bool:
     """Does phi^{n+1}(start) phi^n(start) begin the fixed point?"""
-    a = m.apply_n(chr(m.start), n + 1)
-    b = m.apply_n(chr(m.start), n)
-    cat = a + b
-    if len(cat) > len(prefix):
+    e = prefix.gen_lengths
+    if n + 1 >= len(e) or e[n + 1] + e[n] > len(prefix.word):
         raise ContractError("prefix too short for the identity check")
-    return prefix.startswith(cat)
+    return prefix.word[e[n + 1] : e[n + 1] + e[n]] == prefix.word[: e[n]]
 
 
 __all__ = [

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractError, InvariantError, RecurrenceValidationError
-from .words import Morphism, Word
+from .words import Morphism, Word, WordPrefix
 
 # weight_sequence cross-checks its weights against phi^n(start) while that
 # word has at most this many letters.
@@ -242,12 +242,12 @@ class WeightSequences:
         return None
 
 
-def weight_sequence(m: Morphism, M: IncidenceMatrix, n_max: int) -> WeightSequences:
+def weight_sequence(m: Morphism, M: IncidenceMatrix, prefix: WordPrefix, n_max: int) -> WeightSequences:
     """Graded weights of phi^n(start) for n = 0..n_max, both conventions.
 
-    ``M`` is ``incidence_matrix(m)``.  The direct sequence must agree with
-    the degree of the literally expanded word wherever that expansion fits
-    the budget; disagreement is fatal.
+    ``M`` is ``incidence_matrix(m)``.  The direct weight must equal the degree of
+    phi^n(start) while that word fits the budget.  As phi^n(b) = phi^{n-1}(b) phi^{n-1}(t)
+    for phi(b) = b t, one chunk per generation is read off ``prefix``, then expanded.
     """
     if m.degrees is None:
         raise ContractError("weight sequence needs a grading")
@@ -264,19 +264,19 @@ def weight_sequence(m: Morphism, M: IncidenceMatrix, n_max: int) -> WeightSequen
         vec = M.matvec(vec)
         vec_t = MT.matvec(vec_t)
 
-    word: Word = chr(m.start)
-    checked = 0
+    ends, chunk = prefix.gen_lengths, ""
+    length = degree = checked = 0
     for n in range(n_max + 1):
-        if len(word) > WEIGHT_EXPANSION_BUDGET_LETTERS:
+        chunk = prefix.word[length : ends[n]] if n < len(ends) else m.apply(chunk)
+        length += len(chunk)
+        if length > WEIGHT_EXPANSION_BUDGET_LETTERS:
             break
-        literal = m.degree_of(word)
-        if literal != direct[n]:
+        degree += m.degree_of(chunk)
+        if degree != direct[n]:
             raise InvariantError(
-                f"weight mismatch at n={n}: matrix gives {direct[n]}, "
-                f"direct expansion gives {literal}"
+                f"weight mismatch at n={n}: matrix gives {direct[n]}, direct expansion gives {degree}"
             )
         checked = n
-        word = m.apply(word)
     return WeightSequences(
         direct=tuple(direct),
         transposed=tuple(transposed),

@@ -299,7 +299,8 @@ def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, Proper
     f = factor_closure(m, cfg.max_len)
     deps = run_deciders(m, shape, f, prefix, mh_bound=cfg.mh_bound, k_max=cfg.k_max)
     properties = ring_property_report(m, deps)
-    weights = weight_sequence(m, M, WEIGHT_TERMS) if m.degrees is not None else None
+    n_weights = max(WEIGHT_TERMS, poly.degree - 1)  # the recurrence reads poly.degree terms
+    weights = weight_sequence(m, M, prefix, n_weights) if m.degrees is not None else None
 
     doc = {
         "morphism": _morphism_doc(m, source),
@@ -359,7 +360,7 @@ def audit(
     identity_results = []
     for n in range(1, 9):
         try:
-            holds = graded.prefix_identity_holds(m, n, prefix.word)
+            holds = graded.prefix_identity_holds(prefix, n)
         except ContractError:  # the prefix is too short for this n and every later one
             break
         identity_results.append({"n": n, "holds": holds})

@@ -7,8 +7,9 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from iteralg.cli import gallery_text
-from iteralg.errors import NoSplitError
+from iteralg.errors import ContractError, InvariantError, NoSplitError
 from iteralg.graded import lie_decomposition, max_homogeneous_chain, s_set
+from iteralg.matrices import WEIGHT_EXPANSION_BUDGET_LETTERS, WeightSequences
 from iteralg.words import (
     FactorSet,
     Morphism,
@@ -129,6 +130,41 @@ def chain_level_lengths(
         max_homogeneous_chain(m, s, None, d, levels=levels).level_lengths
         for d in range(1, d_max + 1)
     ]
+
+
+def weight_crosscheck_reference(m: Morphism, n_max: int) -> WeightSequences:
+    """weight_sequence by plain list arithmetic, cross-checked against each
+    phi^n(start) expanded in full from the start letter."""
+    rows = [[m.images[j].count(chr(i)) for j in range(m.size)] for i in range(m.size)]
+
+    def weights(matrix: list[list[int]]) -> tuple[int, ...]:
+        vec = [int(i == m.start) for i in range(m.size)]
+        out = []
+        for _ in range(n_max + 1):
+            out.append(sum(d * v for d, v in zip(m.degrees, vec)))
+            vec = [sum(a * v for a, v in zip(row, vec)) for row in matrix]
+        return tuple(out)
+
+    direct = weights(rows)
+    word = chr(m.start)
+    checked = 0
+    for n in range(n_max + 1):
+        if len(word) > WEIGHT_EXPANSION_BUDGET_LETTERS:
+            break
+        if m.degree_of(word) != direct[n]:
+            raise InvariantError(f"weight mismatch at n={n}")
+        checked = n
+        word = m.apply(word)
+    return WeightSequences(direct, weights([list(c) for c in zip(*rows)]), checked)
+
+
+def prefix_identity_reference(m: Morphism, n: int, prefix: str) -> bool:
+    """Does phi^{n+1}(start) phi^n(start), each expanded from the start letter,
+    begin ``prefix``?  ContractError when ``prefix`` is shorter than that word."""
+    cat = m.apply_n(chr(m.start), n + 1) + m.apply_n(chr(m.start), n)
+    if len(cat) > len(prefix):
+        raise ContractError("prefix too short for the identity check")
+    return prefix.startswith(cat)
 
 
 def lie_reference(m: Morphism, f: FactorSet, max_len: int) -> dict:

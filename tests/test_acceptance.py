@@ -70,7 +70,7 @@ def test_c02_charpoly_regression(paper12):
 
 
 def test_c03_weight_self_consistency(paper12):
-    ws = weight_sequence(paper12, incidence_matrix(paper12), 20)
+    ws = weight_sequence(paper12, incidence_matrix(paper12), fixed_point_prefix(paper12, 1), 20)
     # independent oracle: literal expansion plus literal degree sums
     for n in range(9):
         word = naive_power(paper12, n)
@@ -84,7 +84,7 @@ def test_c03_weight_self_consistency(paper12):
 
 
 def test_c04_weight_convention_diagnostic(paper12):
-    ws = weight_sequence(paper12, incidence_matrix(paper12), 20)
+    ws = weight_sequence(paper12, incidence_matrix(paper12), fixed_point_prefix(paper12, 1), 20)
     assert ws.transposed[:3] == EQ_LIST_HEAD
     assert ws.direct[:3] == DIRECT_HEAD
     doc, _ = analyze(paper12, AnalysisConfig(), "gallery/paper12.morph")

@@ -94,6 +94,23 @@ def test_analyze_strict_unknown(tmp_path, capsys):
     assert code2 == 0
 
 
+@pytest.mark.parametrize("letters, n_max", [(21, 20), (22, 21)])
+def test_analyze_weights_cover_the_recurrence(tmp_path, capsys, letters, n_max):
+    """x0 -> x0 x1, x_i -> x_{i+1} x0, x_last -> x0 has a degree-``letters``
+    characteristic polynomial, so the recurrence needs that many weights."""
+    names = [f"x{i}" for i in range(letters)]
+    maps = ["map x0 -> x0 x1"]
+    maps += [f"map x{i} -> x{i + 1} x0" for i in range(1, letters - 1)]
+    maps.append(f"map x{letters - 1} -> x0")
+    src = tmp_path / "cyclic.morph"
+    src.write_text(f"letters: {' '.join(names)}\nstart: x0\n" + "\n".join(maps) + "\n")
+    code, out, err = run(capsys, "analyze", str(src), "--format", "json")
+    assert code == 0, err
+    weights = json.loads(out)["diagnostics"]["weights"]
+    assert weights["recurrence"]["order"] == letters
+    assert weights["n_max"] == n_max
+
+
 def test_analyze_reads_local_file_over_gallery(tmp_path, capsys):
     local = tmp_path / "fibonacci.morph"
     local.write_text("letters: z\nstart: z\nmap z -> z z\n")

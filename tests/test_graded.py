@@ -27,6 +27,7 @@ from conftest import (
     lie_reference,
     max_run_start,
     naive_power,
+    prefix_identity_reference,
     small_morphisms,
 )
 from test_words import mk
@@ -351,11 +352,34 @@ def test_window_missing_letter():
 
 
 def test_prefix_identity_paper12(paper12):
-    prefix = fixed_point_prefix(paper12, 4**6 + 4**5).word
+    prefix = fixed_point_prefix(paper12, 4**6 + 4**5)
     for n in range(1, 6):
-        assert prefix_identity_holds(paper12, n, prefix)
+        assert prefix_identity_holds(prefix, n)
+
+
+@pytest.mark.parametrize(
+    "name", ["paper12", "fibonacci", "thue_morse", "ba_example", "periodic_ab"]
+)
+def test_prefix_identity_matches_expansion(request, name):
+    """For prefixes ending at each generation up to 4^8 letters, the held
+    generations give the answer of a fresh expansion, and run out at the same n."""
+    m = request.getfixturevalue(name)
+    ends = fixed_point_prefix(m, 4**8).gen_lengths
+    for k in range(1, len(ends)):
+        if ends[k] > 4**8:
+            break
+        prefix = fixed_point_prefix(m, ends[k])
+        assert prefix.generation_level == k
+        for n in range(k + 1):
+            try:
+                expected = prefix_identity_reference(m, n, prefix.word)
+            except ContractError:
+                with pytest.raises(ContractError):
+                    prefix_identity_holds(prefix, n)
+            else:
+                assert prefix_identity_holds(prefix, n) == expected
 
 
 def test_prefix_identity_fails_thue_morse(thue_morse):
-    prefix = fixed_point_prefix(thue_morse, 64).word
-    assert not prefix_identity_holds(thue_morse, 1, prefix)
+    prefix = fixed_point_prefix(thue_morse, 64)
+    assert not prefix_identity_holds(prefix, 1)

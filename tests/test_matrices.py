@@ -12,9 +12,16 @@ from iteralg.matrices import (
     recurrence_from_charpoly,
     weight_sequence,
 )
-from iteralg.words import classify_shape
+from iteralg.report import WEIGHT_TERMS
+from iteralg.words import classify_shape, fixed_point_prefix
 
-from conftest import letter_count, naive_power, small_morphisms
+from conftest import (
+    letter_count,
+    level_prefix,
+    naive_power,
+    small_morphisms,
+    weight_crosscheck_reference,
+)
 from test_words import mk
 
 # frozen regression data for the 12-letter gallery morphism
@@ -140,7 +147,7 @@ def test_recurrence_needs_enough_terms():
 def test_recurrence_paper12_shape(paper12):
     M = incidence_matrix(paper12)
     p = char_poly(M)
-    ws = weight_sequence(paper12, M, 20)
+    ws = weight_sequence(paper12, M, fixed_point_prefix(paper12, 1), 20)
     rec = recurrence_from_charpoly(p, ws.direct)
     assert rec.order == 12
     assert rec.coeffs == (1, 8, 16, 2, -5, -5, -21, -31, 10, 8, 0, 0)
@@ -174,7 +181,7 @@ def test_occurrence_agrees_with_expansion(m):
 
 
 def test_weights_paper12(paper12):
-    ws = weight_sequence(paper12, incidence_matrix(paper12), 8)
+    ws = weight_sequence(paper12, incidence_matrix(paper12), fixed_point_prefix(paper12, 1), 8)
     assert ws.direct == PAPER12_W_DIRECT
     assert ws.transposed == PAPER12_W_TRANSPOSED
     assert ws.first_divergence == 1
@@ -182,7 +189,7 @@ def test_weights_paper12(paper12):
 
 
 def test_weights_degree_one_is_length(fibonacci):
-    ws = weight_sequence(fibonacci, incidence_matrix(fibonacci), 8)
+    ws = weight_sequence(fibonacci, incidence_matrix(fibonacci), fixed_point_prefix(fibonacci, 1), 8)
     lengths = tuple(len(naive_power(fibonacci, n)) for n in range(9))
     assert ws.direct == lengths
 
@@ -190,7 +197,34 @@ def test_weights_degree_one_is_length(fibonacci):
 def test_weights_need_grading():
     m = mk(["a", "b"], ["a b", "a"], "a")
     with pytest.raises(ContractError):
-        weight_sequence(m, incidence_matrix(m), 4)
+        weight_sequence(m, incidence_matrix(m), fixed_point_prefix(m, 1), 4)
+
+
+# cross_checked_upto at n_max = WEIGHT_TERMS: the last n with |phi^n(start)| <= 4^9
+GALLERY_CROSS_CHECKED_UPTO = {
+    "paper12": 9,
+    "fibonacci": 20,
+    "thue_morse": 18,
+    "ba_example": 18,
+    "periodic_ab": 18,
+}
+
+
+@pytest.mark.parametrize("letters", [1, 4**8, 4**10])
+@pytest.mark.parametrize("name", sorted(GALLERY_CROSS_CHECKED_UPTO))
+def test_weight_crosscheck_gallery_budget(request, name, letters):
+    m = request.getfixturevalue(name)
+    ws = weight_sequence(m, incidence_matrix(m), fixed_point_prefix(m, letters), WEIGHT_TERMS)
+    assert ws.cross_checked_upto == GALLERY_CROSS_CHECKED_UPTO[name]
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_morphisms(graded=True, allow_erasing=True), st.integers(1, 6))
+def test_weight_crosscheck_matches_reference(m, k):
+    M = incidence_matrix(m)
+    expected = weight_crosscheck_reference(m, WEIGHT_TERMS)
+    for prefix in (fixed_point_prefix(m, 1), level_prefix(m, k), fixed_point_prefix(m, 4**8)):
+        assert weight_sequence(m, M, prefix, WEIGHT_TERMS) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +272,7 @@ def test_weight_sequence_satisfies_own_recurrence(m):
     M = incidence_matrix(m)
     p = char_poly(M)
     n_max = p.degree + 6
-    ws = weight_sequence(m, M, n_max)
+    ws = weight_sequence(m, M, fixed_point_prefix(m, 1), n_max)
     rec = recurrence_from_charpoly(p, ws.direct)
     for n in range(p.degree, n_max + 1):
         assert rec.holds_at(ws.direct, n)
