@@ -8,29 +8,61 @@ degree d, i.e. a nonzero r-fold product in the degree-d component.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 from .errors import ContractError, InvariantError, NoSplitError
-from .words import FactorSet, Morphism, Word, WordPrefix
+from .words import FactorSet, Morphism, Word, WordPrefix, letter_counts
 
 
 @dataclass(frozen=True)
 class PositionDegreeSet:
-    """Partial degree sums s_0=0, s_i = s_{i-1} + deg(letter_i) of a prefix, and
-    the prefix's generation ends |phi^k(start)| (``()`` for a bare word)."""
+    """The partial degree sums s_0 = 0, s_i = s_{i-1} + deg(word[i-1]) of a
+    prefix under ``degrees``, and the prefix's generation ends
+    |phi^k(start)| (``()`` for a bare word).
 
-    sums: tuple[int, ...]
+    The sums are not stored: s_i is read off the letter counts of
+    ``word[:i]``.  Positive degrees make them strictly increasing.
+    """
+
     word: Word
+    degrees: tuple[int, ...]
     gen_lengths: tuple[int, ...]
     _bitsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.sums) != len(self.word) + 1:
-            raise ValueError("sums must have one entry per letter boundary")
-        if any(b <= a for a, b in zip(self.sums, self.sums[1:])):
-            raise ValueError("degree sums must be strictly increasing")
+        if any(g < 1 for g in self.degrees):
+            raise ValueError("degrees must be positive")
+
+    def sum_at(self, i: int, cap: int | None = None) -> int:
+        """s_i, with each degree capped at ``cap`` when one is given; the
+        letter counts of ``word[:i]`` are counted once per i."""
+        counts = self._counts.get(i)
+        if counts is None:
+            counts = letter_counts(self.word, len(self.degrees), 0, i)
+            self._counts[i] = counts
+        degrees = self.degrees if cap is None else [min(g, cap) for g in self.degrees]
+        return sum(g * n for g, n in zip(degrees, counts))
+
+    def span_degree(self, i: int, j: int) -> int:
+        """The degree of ``word[i:j]``, from its letter counts."""
+        return sum(
+            g * n for g, n in zip(self.degrees, letter_counts(self.word, len(self.degrees), i, j))
+        )
+
+    def head(self, n: int) -> tuple[int, ...]:
+        """s_0, ..., s_{n-1} for n >= 1, as far as the word reaches."""
+        degrees = self.degrees
+        return (0, *accumulate(degrees[ord(ch)] for ch in self.word[: n - 1]))
+
+    @cached_property
+    def sums(self) -> tuple[int, ...]:
+        """Every sum s_0..s_{|word|} as one tuple, built on first use; the
+        pipeline reads single sums through ``sum_at`` and ``head`` instead."""
+        return self.head(len(self.word) + 1)
 
     def bitset(self, table: list[str]) -> int:
         """The int whose bit p is set when p = 0 or the word translated under
@@ -59,14 +91,19 @@ class ChainWitness:
     s: PositionDegreeSet = field(repr=False, compare=False)
 
     def first_pieces(self, count: int) -> tuple[Word, ...]:
-        """The first ``count`` pieces, cut where the degree sums step by d."""
-        sums, word = self.s.sums, self.s.word
+        """The first ``count`` pieces, cut where the degrees of the span's
+        letters add up to d."""
+        degrees, word, d = self.s.degrees, self.s.word, self.degree
         i, end = self.span
-        out = []
-        for _ in range(min(count, self.length)):
-            j = bisect_left(sums, sums[i] + self.degree, i + 1, end + 1)
-            out.append(word[i:j])
-            i = j
+        out: list[Word] = []
+        acc, cut = 0, i
+        for j in range(i, end):
+            if len(out) >= count:
+                break
+            acc += degrees[ord(word[j])]
+            if acc >= d:
+                out.append(word[cut : j + 1])
+                acc, cut = 0, j + 1
         return tuple(out)
 
     @property
@@ -126,13 +163,7 @@ def s_set(m: Morphism, prefix: WordPrefix | Word) -> PositionDegreeSet:
         raise ContractError("position-degree set needs a grading")
     word = prefix.word if isinstance(prefix, WordPrefix) else prefix
     gen_lengths = prefix.gen_lengths if isinstance(prefix, WordPrefix) else ()
-    degrees = m.degrees
-    sums = [0]
-    acc = 0
-    for ch in word:
-        acc += degrees[ord(ch)]
-        sums.append(acc)
-    return PositionDegreeSet(sums=tuple(sums), word=word, gen_lengths=gen_lengths)
+    return PositionDegreeSet(word=word, degrees=m.degrees, gen_lengths=gen_lengths)
 
 
 def _lowest(bits: int) -> int:
@@ -164,17 +195,18 @@ def max_homogeneous_chain(
 
     Letters count at their degree capped at d + 1: a letter of larger degree
     lies in no degree-d piece either way, so the runs v, v+d, ..., v+rd of the
-    capped sums cut the word at the same indices as those of ``s.sums``, and a
+    capped sums cut the word at the same indices as the sums of ``s``, and a
     huge degree cannot blow up the bitset of capped sums.  Doubling,
     A_{2k} = A_k & (A_k >> kd), marks the starts of 2^j-piece runs, and a
     binary descent finds the longest; its lowest set bit is the smallest
     start, the tie rule.  A level runs the descent again below its
     generation's cut.
 
-    The witness is checked in one pass over its letters: translated under the
-    capped degrees, the span has r*d marks with a letter end at every d-th,
-    which holds exactly when it splits into r pieces of degree d, and the
-    sums at its ends differ by r*d.
+    The witness is checked on its letters only: translated under the capped
+    degrees, the span has r*d marks with a letter end at every d-th, which
+    holds exactly when it splits into r pieces of degree d, and its letter
+    counts under the set's own degrees give degree r*d.  The sums at the
+    start and at the levels' cuts are read off letter counts.
     """
     if d < 1:
         raise ContractError("chain degree must be positive")
@@ -198,25 +230,20 @@ def max_homogeneous_chain(
     low = _lowest(starts)
     i0 = (bits & ((1 << low) - 1)).bit_count()
     ir = i0 + ((bits >> low) & ((2 << (r * d)) - 1)).bit_count() - 1
-    word, start_value = s.word, s.sums[i0]
+    word = s.word
     marks = word[i0:ir].translate(table)
     if (
-        s.sums[ir] != start_value + r * d
+        s.span_degree(i0, ir) != r * d
         or len(marks) != r * d
         or marks[d - 1 :: d] != "1" * r
     ):
         raise InvariantError("chain piece has the wrong degree")
     if f is not None and 0 < ir - i0 <= f.max_len and word[i0:ir] not in f:
         raise InvariantError("chain concatenation is not a known factor")
-    level_lengths = []
-    for k in levels:
-        end = s.gen_lengths[k]
-        # the capped sum at the generation's end: only capped letters lose degree
-        cut = s.sums[end] - sum(
-            (g - cap) * word.count(chr(c), 0, end) for c, g in enumerate(m.degrees) if g > cap
-        )
-        level_lengths.append(_longest_run(bits, powers, d, cut)[0])
-    return ChainWitness(d, r, start_value, (i0, ir), tuple(level_lengths), s)
+    level_lengths = tuple(
+        _longest_run(bits, powers, d, s.sum_at(s.gen_lengths[k], cap))[0] for k in levels
+    )
+    return ChainWitness(d, r, s.sum_at(i0), (i0, ir), level_lengths, s)
 
 
 def graded_nilpotency_scan(

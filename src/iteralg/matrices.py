@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractError, InvariantError, RecurrenceValidationError
-from .words import Morphism, Word, WordPrefix
+from .words import Morphism, Word, WordPrefix, letter_counts
 
 # weight_sequence cross-checks its weights against phi^n(start) while that
 # word has at most this many letters.
@@ -248,6 +248,9 @@ def weight_sequence(m: Morphism, M: IncidenceMatrix, prefix: WordPrefix, n_max: 
     ``M`` is ``incidence_matrix(m)``.  The direct weight must equal the degree of
     phi^n(start) while that word fits the budget.  As phi^n(b) = phi^{n-1}(b) phi^{n-1}(t)
     for phi(b) = b t, one chunk per generation is read off ``prefix``, then expanded.
+    A chunk is read through its letter counts, which give its degree and the
+    length |phi(chunk)| = sum over x of |chunk|_x |phi(x)|, so the first
+    generation past the budget is never built.
     """
     if m.degrees is None:
         raise ContractError("weight sequence needs a grading")
@@ -264,14 +267,29 @@ def weight_sequence(m: Morphism, M: IncidenceMatrix, prefix: WordPrefix, n_max: 
         vec = M.matvec(vec)
         vec_t = MT.matvec(vec_t)
 
-    ends, chunk = prefix.gen_lengths, ""
+    word, ends = prefix.word, prefix.gen_lengths
+    image_lengths = [len(img) for img in m.images]
+    chunk, counts = "", ()
     length = degree = checked = 0
     for n in range(n_max + 1):
-        chunk = prefix.word[length : ends[n]] if n < len(ends) else m.apply(chunk)
-        length += len(chunk)
-        if length > WEIGHT_EXPANSION_BUDGET_LETTERS:
-            break
-        degree += m.degree_of(chunk)
+        if n < len(ends):
+            if ends[n] > WEIGHT_EXPANSION_BUDGET_LETTERS:
+                break
+            counts = letter_counts(word, m.size, length, ends[n])
+            length = ends[n]
+        else:
+            grown = length + sum(c * k for c, k in zip(counts, image_lengths))
+            if grown > WEIGHT_EXPANSION_BUDGET_LETTERS:
+                break
+            chunk = m.apply(chunk if n > len(ends) else word[ends[n - 2] : length])
+            if length + len(chunk) != grown:
+                raise InvariantError(
+                    f"phi^{n}(start) has {length + len(chunk)} letters, "
+                    f"its letter counts give {grown}"
+                )
+            counts = letter_counts(chunk, m.size)
+            length = grown
+        degree += sum(g * c for g, c in zip(u, counts))
         if degree != direct[n]:
             raise InvariantError(
                 f"weight mismatch at n={n}: matrix gives {direct[n]}, direct expansion gives {degree}"

@@ -210,7 +210,7 @@ def _graded_audit(
         rotation_doc = {"max_len": audit_len, "pass": None, "skipped": "factor bound below 2"}
         lie_doc = {"max_len": audit_len, "pass": None, "skipped": "factor bound below 2"}
     doc = {
-        "s_prefix": [_s(v) for v in s.sums[:S_PREFIX_SHOWN]],
+        "s_prefix": [_s(v) for v in s.head(S_PREFIX_SHOWN)],
         "chains": chains,
         "rotation_audit": rotation_doc,
         "lie": lie_doc,
@@ -296,7 +296,7 @@ def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, Proper
     shape = classify_shape(m)
     poly = char_poly(M)
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
-    f = factor_closure(m, cfg.max_len)
+    f = factor_closure(m, cfg.max_len, prefix=prefix)
     deps = run_deciders(m, shape, f, prefix, mh_bound=cfg.mh_bound, k_max=cfg.k_max)
     properties = ring_property_report(m, deps)
     n_weights = max(WEIGHT_TERMS, poly.degree - 1)  # the recurrence reads poly.degree terms

@@ -97,9 +97,10 @@ class Morphism:
         return " ".join(self.letters[ord(ch)] for ch in word)
 
     def degree_of(self, word: Word) -> int:
+        """sum over letters x of deg(x) |word|_x."""
         if self.degrees is None:
             raise ContractError("morphism carries no grading")
-        return sum(self.degrees[ord(ch)] for ch in word)
+        return sum(g * n for g, n in zip(self.degrees, letter_counts(word, self.size)))
 
     @property
     def max_image_len(self) -> int:
@@ -108,6 +109,12 @@ class Morphism:
     @property
     def min_image_len(self) -> int:
         return min((len(i) for i in self.images), default=0)
+
+
+def letter_counts(word: Word, size: int, start: int = 0, end: int | None = None) -> tuple[int, ...]:
+    """|word[start:end]|_x for each letter id x < ``size``: one C-level count
+    per letter, no slice copied."""
+    return tuple(word.count(chr(x), start, end) for x in range(size))
 
 
 @dataclass(frozen=True)
@@ -545,12 +552,26 @@ def _windows(word: Word, size: int) -> set[Word]:
     return {word[i : i + size] for i in range(len(word) - size + 1)}
 
 
+def _prefix_through(
+    m: Morphism, n: int, held: WordPrefix | None, memory_budget_bytes: int
+) -> WordPrefix:
+    """``fixed_point_prefix(m, n)``: the fixed point through its first
+    generation g >= 1 with |phi^g(start)| >= n, cut from ``held`` when that
+    reaches so far."""
+    if held is not None:
+        for g, end in enumerate(held.gen_lengths[1:], start=1):
+            if end >= n:
+                return WordPrefix(held.word[:end], held.gen_lengths[: g + 1])
+    return fixed_point_prefix(m, n, memory_budget_bytes=memory_budget_bytes)
+
+
 def factor_closure(
     m: Morphism,
     max_len: int,
     *,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     erasing_prefix_letters: int = DEFAULT_ERASING_PREFIX_LETTERS,
+    prefix: WordPrefix | None = None,
 ) -> FactorSet:
     """The factors of the fixed point up to ``max_len``, stored as F_L.
 
@@ -565,7 +586,8 @@ def factor_closure(
     harvest of the length-L windows of phi(v), v in F_B, gives F_L.
     ``closure_rounds`` is g0, plus the rounds that added a word, plus one for
     the harvest.  Erasing morphisms fall back to scanning a generated prefix
-    (exact=False, lower bound).
+    (exact=False, lower bound).  Both read their prefix off ``prefix``, a
+    held prefix of this fixed point, when it reaches far enough.
     """
     reason = _prolongability_failure(m, m.start)
     if reason is not None:
@@ -576,9 +598,7 @@ def factor_closure(
         return FactorSet(max_len=0, words=("",), exact=True, closure_rounds=0)
 
     if m.min_image_len == 0:
-        word = fixed_point_prefix(
-            m, erasing_prefix_letters, memory_budget_bytes=memory_budget_bytes
-        ).word
+        word = _prefix_through(m, erasing_prefix_letters, prefix, memory_budget_bytes).word
         # windows of length max_len, then the suffixes too short for one
         found = {word[i : i + max_len] for i in range(len(word))}
         _check_budget(m, [(len(found), max_len)], memory_budget_bytes)
@@ -591,9 +611,9 @@ def factor_closure(
     else:
         expand_bound = max(1, min(max_len, (max_len - 2) // m.min_image_len + 2))
 
-    prefix = fixed_point_prefix(m, expand_bound, memory_budget_bytes=memory_budget_bytes)
-    g0 = next(g for g, n in enumerate(prefix.gen_lengths) if g >= 1 and n >= expand_bound)
-    known = _windows(prefix.word[: prefix.gen_lengths[g0]], expand_bound)
+    seed = _prefix_through(m, expand_bound, prefix, memory_budget_bytes)
+    g0 = seed.generation_level
+    known = _windows(seed.word, expand_bound)
     frontier = known
     rounds = g0
     while frontier := {u for v in frontier for u in _windows(m.apply(v), expand_bound)} - known:
@@ -644,6 +664,7 @@ __all__ = [
     "factor_closure",
     "is_factor",
     "subword_complexity",
+    "letter_counts",
     "DEFAULT_MEMORY_BUDGET_BYTES",
     "DEFAULT_ERASING_PREFIX_LETTERS",
 ]

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
+
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from iteralg.cli import gallery_text
 from iteralg.errors import ContractError, InvariantError, NoSplitError
-from iteralg.graded import lie_decomposition, max_homogeneous_chain, s_set
+from iteralg.graded import ChainWitness, lie_decomposition, max_homogeneous_chain, s_set
 from iteralg.matrices import WEIGHT_EXPANSION_BUDGET_LETTERS, WeightSequences
 from iteralg.words import (
     FactorSet,
@@ -69,6 +72,34 @@ def max_run_start(sums: tuple[int, ...], d: int) -> tuple[int, int]:
             best = pieces
             best_start = v
     return best, best_start
+
+
+def degree_reference(m: Morphism, word: str) -> int:
+    """The degree of ``word``, letter by letter."""
+    return sum(m.degrees[ord(ch)] for ch in word)
+
+
+def degree_sums_reference(
+    degrees: tuple[int, ...], word: str, cap: int | None = None
+) -> list[int]:
+    """s_0, ..., s_|word| by accumulating letter degrees, each capped at ``cap``
+    when one is given."""
+    capped = degrees if cap is None else [min(g, cap) for g in degrees]
+    return [0, *accumulate(capped[ord(ch)] for ch in word)]
+
+
+def first_pieces_reference(w: ChainWitness, count: int) -> tuple[str, ...]:
+    """The witness's first ``count`` pieces, cut by bisecting the accumulated
+    degree sums for the next multiple of d."""
+    word = w.s.word
+    sums = degree_sums_reference(w.s.degrees, word)
+    i, end = w.span
+    out = []
+    for _ in range(min(count, w.length)):
+        j = bisect_left(sums, sums[i] + w.degree, i + 1, end + 1)
+        out.append(word[i:j])
+        i = j
+    return tuple(out)
 
 
 def occurring_reference(m: Morphism) -> frozenset[int]:
@@ -151,7 +182,7 @@ def weight_crosscheck_reference(m: Morphism, n_max: int) -> WeightSequences:
     for n in range(n_max + 1):
         if len(word) > WEIGHT_EXPANSION_BUDGET_LETTERS:
             break
-        if m.degree_of(word) != direct[n]:
+        if degree_reference(m, word) != direct[n]:
             raise InvariantError(f"weight mismatch at n={n}")
         checked = n
         word = m.apply(word)

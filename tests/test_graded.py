@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iteralg import graded, report
+from iteralg import cli, graded, report, words
 from iteralg.config import AnalysisConfig
 from iteralg.errors import ContractError, InvariantError, NoSplitError
 from iteralg.graded import (
@@ -23,6 +23,8 @@ from iteralg.words import factor_closure, fixed_point_prefix
 
 from conftest import (
     chain_level_lengths,
+    degree_sums_reference,
+    first_pieces_reference,
     level_prefix,
     lie_reference,
     max_run_start,
@@ -73,6 +75,52 @@ def test_s_set_matches_accumulate(m, n):
         itertools.accumulate(m.degrees[ord(ch)] for ch in prefix)
     )
     assert list(s.sums) == oracle
+
+
+# small degrees, and large ones that only the capped letters can hold
+DEGREES = st.integers(min_value=1, max_value=3) | st.integers(min_value=4, max_value=10**6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_morphisms(allow_erasing=True, graded=True),
+    st.integers(min_value=0, max_value=200),
+    st.data(),
+)
+def test_sums_from_letter_counts_match_accumulate(m, n, data):
+    m = replace(m, degrees=tuple(data.draw(DEGREES) for _ in m.degrees))
+    word = fixed_point_prefix(m, max(n, 1)).word[:n]
+    s = s_set(m, word)
+    for cap in (None, 1, 2, 3, 5):
+        oracle = degree_sums_reference(m.degrees, word, cap)
+        assert [s.sum_at(i, cap) for i in range(len(word) + 1)] == oracle
+    oracle = degree_sums_reference(m.degrees, word)
+    assert s.head(32) == tuple(oracle[:32])
+    i = data.draw(st.integers(0, len(word)))
+    j = data.draw(st.integers(i, len(word)))
+    assert s.span_degree(i, j) == oracle[j] - oracle[i]
+    assert s.sums == tuple(oracle)
+
+
+def test_position_degree_set_needs_positive_degrees(paper12):
+    s = s_set(paper12, "")
+    with pytest.raises(ValueError):
+        replace(s, degrees=(0,) * paper12.size)
+
+
+@pytest.mark.parametrize("name", ["paper12", "fibonacci", "thue-morse", "periodic-ab", "ba-example"])
+def test_analyze_builds_no_sums_tuple(name, monkeypatch):
+    built = []
+    make = graded.s_set
+
+    def spy(m, prefix):
+        built.append(make(m, prefix))
+        return built[-1]
+
+    monkeypatch.setattr(graded, "s_set", spy)
+    m = words.parse_morphism(cli.gallery_text(name))
+    report.analyze(m, AnalysisConfig(max_len=16), name)
+    assert len(built) == 1 and "sums" not in vars(built[0])
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +229,6 @@ def test_bare_word_has_no_level_lengths(paper12):
         max_homogeneous_chain(paper12, s, None, 2, levels=[0])
 
 
-# small degrees, and large ones that only the capped letters can hold
-DEGREES = st.integers(min_value=1, max_value=3) | st.integers(min_value=4, max_value=10**6)
-
-
 @settings(max_examples=80, deadline=None)
 @given(small_morphisms(allow_erasing=True, graded=True), st.integers(0, 5), st.data())
 def test_chain_witness_matches_run_oracle(m, top, data):
@@ -199,6 +243,8 @@ def test_chain_witness_matches_run_oracle(m, top, data):
         assert (w.length, w.start_value, w.span) == (r, start, (cuts[0], cuts[-1]))
         assert w.pieces == tuple(prefix.word[a:b] for a, b in zip(cuts, cuts[1:]))
         assert w.first_pieces(2) == w.pieces[:2]
+        for count in (0, 1, 2, 8, w.length):
+            assert w.first_pieces(count) == first_pieces_reference(w, count)
         assert w.concatenation() == "".join(w.pieces)
         assert w.level_lengths == tuple(
             max_run_start(s.sums[: prefix.gen_lengths[k] + 1], d)[0] for k in levels[::-1]
@@ -209,9 +255,10 @@ def test_chain_witness_matches_run_oracle(m, top, data):
 
 
 def test_chain_check_rejects_sums_off_the_letters(paper12):
-    # the witness check reads the letters, so sums that disagree with them fail
+    # the chain is found under the morphism's grading and its span is counted
+    # under the set's own degrees, so a set whose degrees disagree fails
     s = s_set(paper12, fixed_point_prefix(paper12, 256))
-    doubled = replace(s, sums=tuple(2 * v for v in s.sums))
+    doubled = replace(s, degrees=tuple(2 * g for g in s.degrees))
     with pytest.raises(InvariantError, match="wrong degree"):
         for d in range(1, 9):
             max_homogeneous_chain(paper12, doubled, None, d)

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iteralg.errors import ContractError, RecurrenceValidationError
+from iteralg.errors import ContractError, InvariantError, RecurrenceValidationError
 from iteralg.matrices import (
+    WEIGHT_EXPANSION_BUDGET_LETTERS,
     CharPoly,
     char_poly,
     incidence_matrix,
@@ -13,7 +14,7 @@ from iteralg.matrices import (
     weight_sequence,
 )
 from iteralg.report import WEIGHT_TERMS
-from iteralg.words import classify_shape, fixed_point_prefix
+from iteralg.words import Morphism, classify_shape, fixed_point_prefix
 
 from conftest import (
     letter_count,
@@ -223,8 +224,36 @@ def test_weight_crosscheck_gallery_budget(request, name, letters):
 def test_weight_crosscheck_matches_reference(m, k):
     M = incidence_matrix(m)
     expected = weight_crosscheck_reference(m, WEIGHT_TERMS)
-    for prefix in (fixed_point_prefix(m, 1), level_prefix(m, k), fixed_point_prefix(m, 4**8)):
+    for letters in (1, 4**8, 4**9):
+        prefix = fixed_point_prefix(m, letters)
         assert weight_sequence(m, M, prefix, WEIGHT_TERMS) == expected
+    assert weight_sequence(m, M, level_prefix(m, k), WEIGHT_TERMS) == expected
+
+
+@pytest.mark.parametrize("letters", [1, 4**8])
+@pytest.mark.parametrize("name", sorted(GALLERY_CROSS_CHECKED_UPTO))
+def test_weight_crosscheck_builds_no_dropped_generation(request, monkeypatch, name, letters):
+    # past the held prefix only generations inside the budget are expanded
+    m = request.getfixturevalue(name)
+    prefix = fixed_point_prefix(m, letters)
+    built = []
+    apply = Morphism.apply
+
+    def spy(self, word):
+        built.append(apply(self, word))
+        return built[-1]
+
+    monkeypatch.setattr(Morphism, "apply", spy)
+    weight_sequence(m, incidence_matrix(m), prefix, WEIGHT_TERMS)
+    assert sum(map(len, built)) <= WEIGHT_EXPANSION_BUDGET_LETTERS - len(prefix)
+
+
+def test_weight_crosscheck_rejects_an_expansion_off_its_counts(periodic_ab, monkeypatch):
+    apply = Morphism.apply
+    monkeypatch.setattr(Morphism, "apply", lambda self, word: apply(self, word)[:-1])
+    with pytest.raises(InvariantError, match="letter counts give"):
+        m = periodic_ab
+        weight_sequence(m, incidence_matrix(m), fixed_point_prefix(m, 1), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from iteralg.words import (
 
 from conftest import (
     brute_factor_set,
+    degree_reference,
     growing_reference,
     naive_power,
     occurring_reference,
@@ -320,6 +321,29 @@ def test_closure_budget_estimate_tracks_traced_peak(paper12):
         factor_closure(paper12, 64, memory_budget_bytes=peak // 2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    small_morphisms(allow_erasing=True),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=600),
+)
+def test_closure_reads_a_held_prefix(m, max_len, erasing_letters, held_letters):
+    # the held prefix is cut when it reaches far enough, else a prefix is generated
+    held = fixed_point_prefix(m, held_letters)
+    own = factor_closure(m, max_len, erasing_prefix_letters=erasing_letters)
+    cut = factor_closure(m, max_len, erasing_prefix_letters=erasing_letters, prefix=held)
+    assert cut == own
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_morphisms(allow_erasing=True, graded=True), st.data())
+def test_degree_of_matches_letter_by_letter(m, data):
+    letters = st.sampled_from([chr(i) for i in range(m.size)])
+    for word in (data.draw(st.text(alphabet=letters, max_size=40)), m.apply_n(chr(m.start), 4)):
+        assert m.degree_of(word) == degree_reference(m, word)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_morphisms(allow_erasing=True))
 def test_factor_views_agree(m):
@@ -418,8 +442,14 @@ def test_shape_record_matches_oracles(m):
 )
 def test_analyze_builds_one_letter_record(monkeypatch, source):
     """One analyze: one classify_shape, one closure, one incidence matrix, and
-    no prefix built by a decider."""
-    calls = {"classify_shape": 0, "support_reach": 0, "decider_prefix": 0, "incidence_matrix": 0}
+    one prefix, which the factor closure and the deciders read."""
+    calls = {
+        "classify_shape": 0,
+        "support_reach": 0,
+        "fixed_point_prefix": 0,
+        "decider_prefix": 0,
+        "incidence_matrix": 0,
+    }
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -435,6 +465,9 @@ def test_analyze_builds_one_letter_record(monkeypatch, source):
     for mod in (iteralg, matrices, report):
         monkeypatch.setattr(mod, "incidence_matrix", matrix_counter)
     monkeypatch.setattr(words, "support_reach", counted("support_reach", words.support_reach))
+    prefix_counter = counted("fixed_point_prefix", words.fixed_point_prefix)
+    for mod in (report, words):
+        monkeypatch.setattr(mod, "fixed_point_prefix", prefix_counter)
     monkeypatch.setattr(
         deciders, "fixed_point_prefix", counted("decider_prefix", words.fixed_point_prefix)
     )
@@ -444,6 +477,7 @@ def test_analyze_builds_one_letter_record(monkeypatch, source):
     assert calls == {
         "classify_shape": 1,
         "support_reach": 1,
+        "fixed_point_prefix": 1,
         "decider_prefix": 0,
         "incidence_matrix": 1,
     }
