@@ -105,8 +105,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
     elif prop == "prime":
         verdict = decide_prime(m, classify_shape(m))
     elif prop in ("periodic", "pi", "noetherian"):
-        f = factor_closure(m, cfg.max_len)
         prefix = fixed_point_prefix(m, cfg.prefix_letters)
+        f = factor_closure(m, cfg.max_len, prefix=prefix)
         verdict = decide_eventual_periodicity(m, f, prefix, mh_bound=cfg.mh_bound)
     elif prop == "ur":
         verdict = decide_uniform_recurrence(m, classify_shape(m), k_max=cfg.k_max)

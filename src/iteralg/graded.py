@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 
 from .errors import ContractError, InvariantError, NoSplitError
@@ -57,12 +56,6 @@ class PositionDegreeSet:
         """s_0, ..., s_{n-1} for n >= 1, as far as the word reaches."""
         degrees = self.degrees
         return (0, *accumulate(degrees[ord(ch)] for ch in self.word[: n - 1]))
-
-    @cached_property
-    def sums(self) -> tuple[int, ...]:
-        """Every sum s_0..s_{|word|} as one tuple, built on first use; the
-        pipeline reads single sums through ``sum_at`` and ``head`` instead."""
-        return self.head(len(self.word) + 1)
 
     def bitset(self, table: list[str]) -> int:
         """The int whose bit p is set when p = 0 or the word translated under

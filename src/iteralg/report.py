@@ -330,8 +330,8 @@ def audit(
     audit_len = max_len if max_len is not None else cfg.max_len
     if audit_len < 2:
         raise ContractError("audit needs a factor bound of at least 2")
-    f = factor_closure(m, audit_len)
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
+    f = factor_closure(m, audit_len, prefix=prefix)
     graded_doc, counterexamples, _ = _graded_audit(
         m, graded.s_set(m, prefix), f, cfg.d_max, audit_len
     )

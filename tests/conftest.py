@@ -74,11 +74,6 @@ def max_run_start(sums: tuple[int, ...], d: int) -> tuple[int, int]:
     return best, best_start
 
 
-def degree_reference(m: Morphism, word: str) -> int:
-    """The degree of ``word``, letter by letter."""
-    return sum(m.degrees[ord(ch)] for ch in word)
-
-
 def degree_sums_reference(
     degrees: tuple[int, ...], word: str, cap: int | None = None
 ) -> list[int]:
@@ -100,6 +95,17 @@ def first_pieces_reference(w: ChainWitness, count: int) -> tuple[str, ...]:
         out.append(word[i:j])
         i = j
     return tuple(out)
+
+
+def wide_morphism(size: int) -> Morphism:
+    """x0 -> x0 x1 x2 and x_i -> x_{2i+1} x_{2i+2} (indices mod ``size``), with
+    degrees 1, 2, 3 in turn, for alphabets of any size >= 3: every letter
+    occurs by generation log2(size) + 1, and the fixed point roughly doubles
+    each generation."""
+    images = [chr(0) + chr(1) + chr(2)]
+    images += [chr((2 * i + 1) % size) + chr((2 * i + 2) % size) for i in range(1, size)]
+    degrees = tuple(1 + i % 3 for i in range(size))
+    return Morphism(tuple(f"x{i}" for i in range(size)), tuple(images), 0, degrees)
 
 
 def occurring_reference(m: Morphism) -> frozenset[int]:
@@ -182,7 +188,7 @@ def weight_crosscheck_reference(m: Morphism, n_max: int) -> WeightSequences:
     for n in range(n_max + 1):
         if len(word) > WEIGHT_EXPANSION_BUDGET_LETTERS:
             break
-        if degree_reference(m, word) != direct[n]:
+        if m.degree_of(word) != direct[n]:
             raise InvariantError(f"weight mismatch at n={n}")
         checked = n
         word = m.apply(word)

@@ -98,7 +98,7 @@ def test_c04_weight_convention_diagnostic(paper12):
 def test_c05_s_set_regression(paper12):
     prefix = fixed_point_prefix(paper12, 8)
     s = s_set(paper12, prefix.word[:8])
-    assert s.sums[:9] == S_SET_HEAD
+    assert s.head(9) == S_SET_HEAD
     ok(5, "position-degree set begins 0,1,3,5,7,8,10,12,14")
 
 

@@ -23,6 +23,7 @@ from iteralg.words import factor_closure, fixed_point_prefix
 
 from conftest import (
     chain_level_lengths,
+    wide_morphism,
     degree_sums_reference,
     first_pieces_reference,
     level_prefix,
@@ -45,19 +46,19 @@ PAPER12_CHAIN_TABLE = {1: 1, 2: 15, 3: 1, 4: 7, 5: 2, 6: 5}
 def test_s_set_paper12_head(paper12):
     prefix = fixed_point_prefix(paper12, 8)
     s = s_set(paper12, prefix.word[:8])
-    assert s.sums == PAPER12_S_HEAD
+    assert tuple(s.sum_at(i) for i in range(9)) == s.head(9) == PAPER12_S_HEAD
 
 
 def test_s_set_degree_one(fibonacci):
     prefix = fixed_point_prefix(fibonacci, 10)
     s = s_set(fibonacci, prefix.word[:10])
-    assert s.sums == tuple(range(11))
+    assert tuple(s.sum_at(i) for i in range(11)) == s.head(11) == tuple(range(11))
 
 
 def test_s_set_fibonacci_mixed_degrees():
     m = mk(["a", "b"], ["a b", "a"], "a", degrees=(1, 2))
     s = s_set(m, m.encode("a b a a b"))
-    assert s.sums == (0, 1, 3, 4, 5, 7)
+    assert tuple(s.sum_at(i) for i in range(6)) == s.head(6) == (0, 1, 3, 4, 5, 7)
 
 
 def test_s_set_needs_grading():
@@ -74,7 +75,7 @@ def test_s_set_matches_accumulate(m, n):
     oracle = [0] + list(
         itertools.accumulate(m.degrees[ord(ch)] for ch in prefix)
     )
-    assert list(s.sums) == oracle
+    assert s.head(len(prefix) + 1) == tuple(oracle)
 
 
 # small degrees, and large ones that only the capped letters can hold
@@ -99,7 +100,27 @@ def test_sums_from_letter_counts_match_accumulate(m, n, data):
     i = data.draw(st.integers(0, len(word)))
     j = data.draw(st.integers(i, len(word)))
     assert s.span_degree(i, j) == oracle[j] - oracle[i]
-    assert s.sums == tuple(oracle)
+
+
+@pytest.mark.parametrize("size", [20, 100])
+def test_sums_and_chains_on_large_alphabets(size):
+    # alphabets on both sides of the letter-count cutoff
+    m = wide_morphism(size)
+    prefix = fixed_point_prefix(m, 4**6)
+    s = s_set(m, prefix)
+    sums = tuple(degree_sums_reference(m.degrees, prefix.word))
+    capped = degree_sums_reference(m.degrees, prefix.word, 2)
+    for i in range(0, len(prefix.word) + 1, 97):
+        assert (s.sum_at(i), s.sum_at(i, 2)) == (sums[i], capped[i])
+    levels = [prefix.generation_level - 1, prefix.generation_level]
+    for d in range(1, 5):
+        w = max_homogeneous_chain(m, s, None, d, levels=levels)
+        r, start = max_run_start(sums, d)
+        assert (w.length, w.start_value) == (r, start)
+        assert w.span == (sums.index(start), sums.index(start + r * d))
+        assert w.level_lengths == tuple(
+            max_run_start(sums[: prefix.gen_lengths[k] + 1], d)[0] for k in levels
+        )
 
 
 def test_position_degree_set_needs_positive_degrees(paper12):
@@ -120,7 +141,10 @@ def test_analyze_builds_no_sums_tuple(name, monkeypatch):
     monkeypatch.setattr(graded, "s_set", spy)
     m = words.parse_morphism(cli.gallery_text(name))
     report.analyze(m, AnalysisConfig(max_len=16), name)
-    assert len(built) == 1 and "sums" not in vars(built[0])
+    assert len(built) == 1
+    # nothing the set holds has an entry per letter position
+    held = [v for v in vars(built[0]).values() if not isinstance(v, str)]
+    assert all(len(v) < len(built[0].word) for v in held)
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +227,22 @@ def test_scan_contract(paper12):
 def test_forward_runs_match_backward_reference(m, top, d_max):
     prefix = level_prefix(m, top)
     s = s_set(m, prefix)
+    sums = tuple(degree_sums_reference(s.degrees, s.word))
     levels = list(range(top + 1))
     lengths = chain_level_lengths(m, prefix, d_max, levels)
     scan = graded_nilpotency_scan(m, lengths, levels)
     ends = [len(naive_power(m, k)) for k in scan.levels]
     for row in scan.rows:
         for end, value in zip(ends, row.values):
-            assert value == max_run_start(s.sums[: end + 1], row.degree)[0]
+            assert value == max_run_start(sums[: end + 1], row.degree)[0]
     for d in range(1, d_max + 1):
         w = max_homogeneous_chain(m, s, None, d, levels=range(len(prefix.gen_lengths)))
-        r, start = max_run_start(s.sums, d)
-        cuts = [s.sums.index(start + i * d) for i in range(r + 1)]
+        r, start = max_run_start(sums, d)
+        cuts = [sums.index(start + i * d) for i in range(r + 1)]
         pieces = tuple(prefix.word[a:b] for a, b in zip(cuts, cuts[1:]))
         assert (w.length, w.start_value, w.pieces) == (r, start, pieces)
         assert w.level_lengths == tuple(
-            max_run_start(s.sums[: e + 1], d)[0] for e in prefix.gen_lengths
+            max_run_start(sums[: e + 1], d)[0] for e in prefix.gen_lengths
         )
 
 
@@ -235,11 +260,12 @@ def test_chain_witness_matches_run_oracle(m, top, data):
     m = replace(m, degrees=tuple(data.draw(DEGREES) for _ in m.degrees))
     prefix = level_prefix(m, top)
     s = s_set(m, prefix)
+    sums = tuple(degree_sums_reference(s.degrees, s.word))
     levels = list(range(len(prefix.gen_lengths)))
     for d in range(1, 9):
         w = max_homogeneous_chain(m, s, None, d, levels=levels[::-1])
-        r, start = max_run_start(s.sums, d)
-        cuts = [s.sums.index(start + i * d) for i in range(r + 1)]
+        r, start = max_run_start(sums, d)
+        cuts = [sums.index(start + i * d) for i in range(r + 1)]
         assert (w.length, w.start_value, w.span) == (r, start, (cuts[0], cuts[-1]))
         assert w.pieces == tuple(prefix.word[a:b] for a, b in zip(cuts, cuts[1:]))
         assert w.first_pieces(2) == w.pieces[:2]
@@ -247,7 +273,7 @@ def test_chain_witness_matches_run_oracle(m, top, data):
             assert w.first_pieces(count) == first_pieces_reference(w, count)
         assert w.concatenation() == "".join(w.pieces)
         assert w.level_lengths == tuple(
-            max_run_start(s.sums[: prefix.gen_lengths[k] + 1], d)[0] for k in levels[::-1]
+            max_run_start(sums[: prefix.gen_lengths[k] + 1], d)[0] for k in levels[::-1]
         )
     for bad in (-1, len(levels)):
         with pytest.raises(ContractError):

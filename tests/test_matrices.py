@@ -17,6 +17,7 @@ from iteralg.report import WEIGHT_TERMS
 from iteralg.words import Morphism, classify_shape, fixed_point_prefix
 
 from conftest import (
+    wide_morphism,
     letter_count,
     level_prefix,
     naive_power,
@@ -228,6 +229,16 @@ def test_weight_crosscheck_matches_reference(m, k):
         prefix = fixed_point_prefix(m, letters)
         assert weight_sequence(m, M, prefix, WEIGHT_TERMS) == expected
     assert weight_sequence(m, M, level_prefix(m, k), WEIGHT_TERMS) == expected
+
+
+@pytest.mark.parametrize("size", [20, 100])
+def test_weight_crosscheck_matches_reference_on_large_alphabets(size):
+    # alphabets on both sides of the letter-count cutoff, to the 4^9 budget
+    m = wide_morphism(size)
+    M = incidence_matrix(m)
+    expected = weight_crosscheck_reference(m, WEIGHT_TERMS)
+    for letters in (1, 4**8):
+        assert weight_sequence(m, M, fixed_point_prefix(m, letters), WEIGHT_TERMS) == expected
 
 
 @pytest.mark.parametrize("letters", [1, 4**8])

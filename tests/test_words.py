@@ -17,12 +17,14 @@ from iteralg.errors import (
     ResourceBudgetError,
 )
 from iteralg.words import (
+    COUNT_PASS_MAX_LETTERS,
     Morphism,
     classify_shape,
     factor_closure,
     fixed_point_prefix,
     is_factor,
     is_prolongable,
+    letter_counts,
     mortal_letters,
     parse_morphism,
     subword_complexity,
@@ -31,7 +33,6 @@ from iteralg.words import (
 
 from conftest import (
     brute_factor_set,
-    degree_reference,
     growing_reference,
     naive_power,
     occurring_reference,
@@ -337,11 +338,17 @@ def test_closure_reads_a_held_prefix(m, max_len, erasing_letters, held_letters):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_morphisms(allow_erasing=True, graded=True), st.data())
-def test_degree_of_matches_letter_by_letter(m, data):
-    letters = st.sampled_from([chr(i) for i in range(m.size)])
-    for word in (data.draw(st.text(alphabet=letters, max_size=40)), m.apply_n(chr(m.start), 4)):
-        assert m.degree_of(word) == degree_reference(m, word)
+@given(st.integers(1, 3 * COUNT_PASS_MAX_LETTERS), st.data())
+def test_letter_counts_match_a_tally(size, data):
+    # per-letter str.count up to the cutoff, one Counter pass above it
+    letters = [chr(x) for x in range(size)]
+    word = "".join(data.draw(st.permutations(letters))) + data.draw(st.text(letters, max_size=300))
+    i = data.draw(st.integers(0, len(word)))
+    j = data.draw(st.integers(i, len(word)))
+    tally = [0] * size
+    for ch in word[i:j]:
+        tally[ord(ch)] += 1
+    assert letter_counts(word, size, i, j) == tuple(tally)
 
 
 @settings(max_examples=40, deadline=None)
@@ -482,6 +489,28 @@ def test_analyze_builds_one_letter_record(monkeypatch, source):
         "incidence_matrix": 1,
     }
     assert doc["shape"]["erasing"] == (source != "paper12")
+
+
+def test_audit_and_decide_build_one_prefix(monkeypatch, tmp_path):
+    # the factor closure of an erasing morphism reads the prefix its caller holds
+    built = []
+    make = words.fixed_point_prefix
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return make(*args, **kwargs)
+
+    for mod in (cli, report, words):
+        monkeypatch.setattr(mod, "fixed_point_prefix", counted)
+    text = "letters: a b c\nstart: a\nmap a -> a b c\nmap b ->\nmap c -> a c\ndegree default = 1\n"
+    m = parse_morphism(text)
+    report.audit(m, AnalysisConfig(max_len=16), "erasing")
+    assert built == [AnalysisConfig().prefix_letters]
+    path = tmp_path / "erasing.morph"
+    path.write_text(text)
+    built.clear()
+    cli.main(["decide", str(path), "periodic"])
+    assert built == [AnalysisConfig().prefix_letters]
 
 
 # ---------------------------------------------------------------------------
