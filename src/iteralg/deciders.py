@@ -195,12 +195,32 @@ def _periodic_candidates(prefix: Word, max_period: int):
     """
     n = len(prefix)
     for q in range(1, max_period + 1):
-        j = n - q  # first index from which prefix[i] == prefix[i+q] holds on
-        while j > 0 and prefix[j - 1] == prefix[j - 1 + q]:
-            j -= 1
+        # first index from which prefix[i] == prefix[i+q] holds on
+        j = n - q - _common_suffix(prefix, q)
         # require the periodic tail to be observed for at least two periods
         if j + 2 * q <= n:
             yield prefix[:j], prefix[j : j + q]
+
+
+def _common_suffix(word: Word, q: int) -> int:
+    """The longest l <= n - q, n = |word|, with word[n-q-l : n-q] == word[n-l :],
+    found by galloping and then bisecting over slice comparisons."""
+    n = len(word)
+
+    def agree(l: int) -> bool:
+        return word.startswith(word[n - l :], n - q - l)
+
+    hi = 1
+    while hi <= n - q and agree(hi):
+        hi *= 2
+    lo, hi = hi // 2, min(hi, n - q + 1)  # agree(lo), and not agree(hi) when hi <= n - q
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if agree(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def decide_eventual_periodicity(

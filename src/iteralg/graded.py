@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import ContractError, InvariantError, NoSplitError
-from .words import FactorSet, Morphism, Word, WordPrefix, letter_counts
+from .words import FactorSet, Morphism, PowerTables, Word, WordPrefix, letter_counts
 
 
 @dataclass(frozen=True)
 class PositionDegreeSet:
     """The partial degree sums s_0 = 0, s_i = s_{i-1} + deg(word[i-1]) of a
-    prefix under ``degrees``, and the prefix's generation ends
-    |phi^k(start)| (``()`` for a bare word).
+    prefix under ``degrees``, the prefix's generation ends |phi^k(start)|
+    and the images of phi (both ``()`` for a bare word).
 
     The sums are not stored: s_i is read off the letter counts of
     ``word[:i]``.  Positive degrees make them strictly increasing.
@@ -29,12 +29,15 @@ class PositionDegreeSet:
     word: Word
     degrees: tuple[int, ...]
     gen_lengths: tuple[int, ...]
+    images: tuple[Word, ...] = ()
     _bitsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(g < 1 for g in self.degrees):
             raise ValueError("degrees must be positive")
+        if self.gen_lengths and (self.gen_lengths[-1] != len(self.word) or not self.images):
+            raise ValueError("a prefix must end at its last generation and come with phi's images")
 
     def sum_at(self, i: int, cap: int | None = None) -> int:
         """s_i, with each degree capped at ``cap`` when one is given; the
@@ -59,11 +62,20 @@ class PositionDegreeSet:
 
     def bitset(self, table: list[str]) -> int:
         """The int whose bit p is set when p = 0 or the word translated under
-        ``table`` has a "1" at p - 1; built once per table."""
+        ``table`` has a "1" at p - 1; built once per table.
+
+        A prefix is phi^G(start), so its translation is phi^{G-h}(start)
+        translated under table o phi^h (``PowerTables``); a bare word is
+        translated directly.
+        """
         key = tuple(table)
         bits = self._bitsets.get(key)
         if bits is None:
-            bits = int(("1" + self.word.translate(table))[::-1], 2)
+            ends = self.gen_lengths or (len(self.word),)
+            seed = (ord(self.word[0]),) if self.gen_lengths else ()
+            tables = PowerTables(self.images, seed, table)
+            i, h = tables.pick(ends, 0)
+            bits = int(("1" + tables.apply(self.word[: ends[i]], h))[::-1], 2)
             self._bitsets[key] = bits
         return bits
 
@@ -154,9 +166,9 @@ class NilpotencyScan:
 def s_set(m: Morphism, prefix: WordPrefix | Word) -> PositionDegreeSet:
     if m.degrees is None:
         raise ContractError("position-degree set needs a grading")
-    word = prefix.word if isinstance(prefix, WordPrefix) else prefix
-    gen_lengths = prefix.gen_lengths if isinstance(prefix, WordPrefix) else ()
-    return PositionDegreeSet(word=word, degrees=m.degrees, gen_lengths=gen_lengths)
+    if isinstance(prefix, WordPrefix):
+        return PositionDegreeSet(prefix.word, m.degrees, prefix.gen_lengths, m.images)
+    return PositionDegreeSet(word=prefix, degrees=m.degrees, gen_lengths=())
 
 
 def _lowest(bits: int) -> int:
@@ -344,16 +356,37 @@ def lie_decomposition(f: FactorSet, u: Word) -> LieNode:
     return split(u)
 
 
+def lie_failures(f: FactorSet, max_len: int) -> list[Word]:
+    """The factors of length 2..max_len, in ``of_length`` order, on which
+    ``lie_decomposition`` raises NoSplitError.
+
+    Length by length: a factor's decomposition takes its first cut whose
+    rotation is absent, so it fails when either part failed, or when no
+    rotation is absent.  Both parts are shorter factors, already decided.
+    """
+    failed: set[Word] = set()
+    out: list[Word] = []
+    for n in range(2, max_len + 1):
+        words = f.of_length(n)
+        present = frozenset(words)  # rotations keep the length
+        for w in words:
+            for cut in range(1, n):
+                if w[cut:] + w[:cut] not in present:
+                    fails = w[:cut] in failed or w[cut:] in failed
+                    break
+            else:
+                fails = True
+            if fails:
+                failed.add(w)
+                out.append(w)
+    return out
+
+
 def every_window_contains(word: Word, letter: int, window: int) -> bool:
-    """True when each length-``window`` block of ``word`` contains the letter."""
-    target = chr(letter)
-    last = -1
-    for i, ch in enumerate(word):
-        if ch == target:
-            if i - last > window:
-                return False
-            last = i
-    return len(word) - last <= window
+    """True when each length-``window`` block of ``word`` contains the letter:
+    every gap between occurrences, and before the first and after the last,
+    is shorter than the window."""
+    return max(map(len, word.split(chr(letter)))) < window
 
 
 def prefix_identity_holds(prefix: WordPrefix, n: int) -> bool:
@@ -377,6 +410,7 @@ __all__ = [
     "rotations",
     "cyclic_rotation_audit",
     "lie_decomposition",
+    "lie_failures",
     "every_window_contains",
     "prefix_identity_holds",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractError, InvariantError, RecurrenceValidationError
-from .words import Morphism, Word, WordPrefix, letter_counts
+from .words import Morphism, PowerTables, Word, WordPrefix, letter_counts
 
 # weight_sequence cross-checks its weights against phi^n(start) while that
 # word has at most this many letters.
@@ -247,10 +247,11 @@ def weight_sequence(m: Morphism, M: IncidenceMatrix, prefix: WordPrefix, n_max: 
 
     ``M`` is ``incidence_matrix(m)``.  The direct weight must equal the degree of
     phi^n(start) while that word fits the budget.  As phi^n(b) = phi^{n-1}(b) phi^{n-1}(t)
-    for phi(b) = b t, one chunk per generation is read off ``prefix``, then expanded.
-    A chunk is read through its letter counts, which give its degree and the
-    length |phi(chunk)| = sum over x of |chunk|_x |phi(x)|, so the first
-    generation past the budget is never built.
+    for phi(b) = b t, one chunk per generation is read off ``prefix``; past it,
+    the chunk phi^{n-1}(t) is an earlier chunk translated under phi^h
+    (``PowerTables``).  A chunk is read through its letter counts, which give its
+    degree and the length |phi(chunk)| = sum over x of |chunk|_x |phi(x)|, so the
+    first generation past the budget is never built.
     """
     if m.degrees is None:
         raise ContractError("weight sequence needs a grading")
@@ -260,16 +261,26 @@ def weight_sequence(m: Morphism, M: IncidenceMatrix, prefix: WordPrefix, n_max: 
 
     direct: list[int] = []
     transposed: list[int] = []
+    lengths: list[int] = []  # |phi^n(start)|
     vec, vec_t = theta, theta
     for _ in range(n_max + 1):
         direct.append(sum(a * b for a, b in zip(u, vec)))
         transposed.append(sum(a * b for a, b in zip(u, vec_t)))
+        lengths.append(sum(vec))
         vec = M.matvec(vec)
         vec_t = MT.matvec(vec_t)
 
     word, ends = prefix.word, prefix.gen_lengths
     image_lengths = [len(img) for img in m.images]
-    chunk, counts = "", ()
+    # the tables get only the letters the budget leaves past the last generation checked
+    spare = WEIGHT_EXPANSION_BUDGET_LETTERS - max(
+        k for k in lengths if k <= WEIGHT_EXPANSION_BUDGET_LETTERS
+    )
+    tables = PowerTables(m.images, map(ord, m.images[m.start][1:]), spare=spare)
+    # |phi^k(t)| for k = 0, 1, ...; the chunks past the prefix are kept
+    chunk_lengths = [ends[k] - ends[k - 1] for k in range(1, len(ends))]
+    grown_chunks: list[Word] = []
+    counts: tuple[int, ...] = ()
     length = degree = checked = 0
     for n in range(n_max + 1):
         if n < len(ends):
@@ -281,12 +292,19 @@ def weight_sequence(m: Morphism, M: IncidenceMatrix, prefix: WordPrefix, n_max: 
             grown = length + sum(c * k for c, k in zip(counts, image_lengths))
             if grown > WEIGHT_EXPANSION_BUDGET_LETTERS:
                 break
-            chunk = m.apply(chunk if n > len(ends) else word[ends[n - 2] : length])
+            i, h = tables.pick(chunk_lengths, 1)
+            if i + 1 < len(ends):
+                source = word[ends[i] : ends[i + 1]]
+            else:
+                source = grown_chunks[i + 1 - len(ends)]
+            chunk = tables.apply(source, h)
             if length + len(chunk) != grown:
                 raise InvariantError(
                     f"phi^{n}(start) has {length + len(chunk)} letters, "
                     f"its letter counts give {grown}"
                 )
+            grown_chunks.append(chunk)
+            chunk_lengths.append(len(chunk))
             counts = letter_counts(chunk, m.size)
             length = grown
         degree += sum(g * c for g, c in zip(u, counts))

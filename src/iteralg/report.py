@@ -20,7 +20,7 @@ from .deciders import (
     ring_property_report,
     run_deciders,
 )
-from .errors import ContractError, InvariantError, NoSplitError
+from .errors import ContractError, InvariantError
 from .matrices import (
     CharPoly,
     IncidenceMatrix,
@@ -193,12 +193,7 @@ def _graded_audit(
         # Every subword of a factor is a factor, so a passed rotation audit
         # gives an absent rotation at every step of every split: none fails.
         if not rotation.passed:
-            for n in range(2, audit_len + 1):
-                for w in short.of_length(n):
-                    try:
-                        graded.lie_decomposition(short, w)
-                    except NoSplitError:
-                        lie_failures.append(m.decode(w))
+            lie_failures = [m.decode(w) for w in graded.lie_failures(short, audit_len)]
         lie_doc = {
             "max_len": audit_len,
             "pass": not lie_failures,

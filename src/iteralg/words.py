@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     ContractError,
@@ -131,8 +131,9 @@ def letter_counts(word: Word, size: int, start: int = 0, end: int | None = None)
 class WordPrefix:
     """A generated prefix of the fixed point phi^omega(start).
 
-    ``gen_lengths[k]`` is ``|phi^k(start)|`` for every fully contained
-    generation, so ``word[:gen_lengths[k]]`` is exactly ``phi^k(start)``.
+    ``gen_lengths[k]`` is ``|phi^k(start)|`` for every generation k up to
+    ``generation_level``, so ``word[:gen_lengths[k]]`` is exactly
+    ``phi^k(start)``; the word ends at a generation, ``gen_lengths[-1]``.
     """
 
     word: Word
@@ -489,6 +490,88 @@ def classify_shape(m: Morphism) -> ShapeRecord:
 # fixed point generation
 
 
+class PowerTables:
+    """The translate tables T_h = sigma o phi^h for h = 0, 1, ..., built on demand.
+
+    T_0 is ``sigma`` (the identity when None) and T_{h+1}[c] is phi(c)
+    translated under T_h, so a word phi^k(w) translated under T_h is
+    sigma(phi^{k+h}(w)).  ``str.translate`` costs about a pass per input
+    letter while a table entry is written at copy cost, so a late generation
+    is cheapest read off an early one under a deep table; ``pick`` chooses
+    how deep.  For h >= 1 only the letters reachable from ``seed`` in zero or
+    more steps get an entry, so a letter that never occurs costs nothing
+    however fast it grows; no word with another letter may be translated
+    under such a table.  Given ``spare``, the tables past T_1 hold at most
+    that many letters in all.
+    """
+
+    def __init__(
+        self,
+        images: Sequence[Word],
+        seed: Iterable[int],
+        sigma: Sequence[str] | None = None,
+        spare: int | None = None,
+    ) -> None:
+        letters = set(seed)
+        stack = list(letters)
+        while stack:
+            for ch in images[stack.pop()]:
+                if ord(ch) not in letters:
+                    letters.add(ord(ch))
+                    stack.append(ord(ch))
+        self._images = images
+        self._letters = sorted(letters)
+        self._tables: list[list[str] | None] = [None if sigma is None else list(sigma)]
+        # |T_h[c]| for each letter c, and the letters of T_h over the reachable c
+        first = [1] * len(images) if sigma is None else [len(v) for v in sigma]
+        self._entry_lengths = [first]
+        self._sizes = [sum(map(first.__getitem__, self._letters))]
+        self._spare = spare
+
+    def size(self, h: int) -> int:
+        """The letters of T_h over the reachable letters, known without building it."""
+        while len(self._sizes) <= h:
+            prev = self._entry_lengths[-1]
+            lengths = [0] * len(prev)
+            for c in self._letters:
+                lengths[c] = sum(map(prev.__getitem__, map(ord, self._images[c])))
+            self._entry_lengths.append(lengths)
+            self._sizes.append(sum(map(lengths.__getitem__, self._letters)))
+        return self._sizes[h]
+
+    def table(self, h: int) -> list[str] | None:
+        """T_h, with the tables below it built first; None is the identity."""
+        while len(self._tables) <= h:
+            prev = self._tables[-1]
+            table = [""] * len(self._images)
+            for c in self._letters:
+                table[c] = self._images[c] if prev is None else self._images[c].translate(prev)
+            self._tables.append(table)
+        return self._tables[h]
+
+    def pick(self, lengths: Sequence[int], d: int) -> tuple[int, int]:
+        """(i, h) such that, for words w_0, w_1, ... of these ``lengths`` with
+        w_{j+1} = phi(w_j), sigma(phi^d(w_last)) is w_i translated under T_h.
+
+        From the last word and h = d, h moves up one generation at a time
+        while T_{h+1} has fewer letters than the input letters it saves (and
+        the tables fit ``spare``).
+        """
+        i, h = len(lengths) - 1, d
+        while (
+            i > 0
+            and self.size(h + 1) < lengths[i] - lengths[i - 1]
+            and (self._spare is None or sum(map(self.size, range(2, h + 2))) <= self._spare)
+        ):
+            i, h = i - 1, h + 1
+        return i, h
+
+    def apply(self, word: Word, h: int) -> Word:
+        """``word`` translated under T_h."""
+        table = self.table(h)
+        return word if table is None else word.translate(table)
+
+
 def fixed_point_prefix(
     m: Morphism,
     n: int,
@@ -497,16 +580,21 @@ def fixed_point_prefix(
 ) -> WordPrefix:
     """At least the first ``n`` letters of the fixed point.
 
-    Builds b, x, phi(x), phi^2(x), ... so already-emitted letters never
-    change when the prefix is extended.
+    Builds b, t, phi(t), phi^2(t), ... for phi(b) = b t, so already-emitted
+    letters never change when the prefix is extended.  Each generation
+    phi^k(t) is an earlier one phi^{k-h}(t) translated under phi^h
+    (``PowerTables``), whose tables cover the letters reachable from t.
     """
     reason = _prolongability_failure(m, m.start)
     if reason is not None:
         raise NotProlongableError(reason)
     if n < 0:
         raise ContractError("prefix length must be nonnegative")
-    # the generations are held as chunks and then joined: two copies
-    if 2 * _word_bytes(m, n) > memory_budget_bytes:
+    # the generations are held as chunks and then joined: two copies, which
+    # fit the budget up to this many letters
+    base = _word_bytes(m, 0)
+    limit = (memory_budget_bytes // 2 - base) // (_word_bytes(m, 1) - base)
+    if n > limit:
         raise ResourceBudgetError(
             f"prefix of {n} letters exceeds the {memory_budget_bytes}-byte budget"
         )
@@ -514,17 +602,22 @@ def fixed_point_prefix(
     start_ch = chr(m.start)
     chunk = m.images[m.start][1:]
     parts = [start_ch, chunk]
+    chunk_lengths = [len(chunk)]
     total = 1 + len(chunk)
     gen_lengths = [1, total]  # |phi^0(b)|, |phi^1(b)|
+    tables = PowerTables(m.images, map(ord, chunk))
     while total < n:
-        chunk = m.apply(chunk)
-        if 2 * _word_bytes(m, total + len(chunk)) > memory_budget_bytes:
+        i, h = tables.pick(chunk_lengths, 1)
+        chunk = tables.apply(parts[i + 1], h)
+        total += len(chunk)
+        if total > limit:
             raise ResourceBudgetError(
                 f"prefix generation exceeds the {memory_budget_bytes}-byte budget"
             )
         parts.append(chunk)
-        total += len(chunk)
+        chunk_lengths.append(len(chunk))
         gen_lengths.append(total)
+    del tables  # the two-copy estimate holds the chunks and their join only
     return WordPrefix(
         word="".join(parts),
         gen_lengths=tuple(gen_lengths),
@@ -662,6 +755,7 @@ __all__ = [
     "Letter",
     "Morphism",
     "WordPrefix",
+    "PowerTables",
     "ShapeRecord",
     "FactorSet",
     "parse_morphism",

@@ -38,6 +38,23 @@ def naive_power(m: Morphism, n: int, seed: int | None = None) -> list[int]:
     return word
 
 
+def naive_image(m: Morphism, word: str, n: int) -> str:
+    """phi^n(word), letter by letter by literal list substitution."""
+    return "".join(chr(x) for ch in word for x in naive_power(m, n, ord(ch)))
+
+
+def prefix_reference(m: Morphism, n: int) -> WordPrefix:
+    """fixed_point_prefix(m, n) by translating each generation of the tail
+    t of phi(start) = start t under phi's images, one after another."""
+    chunk = m.images[m.start][1:]
+    parts, ends = [chr(m.start), chunk], [1, 1 + len(chunk)]
+    while ends[-1] < n:
+        chunk = chunk.translate(list(m.images))
+        parts.append(chunk)
+        ends.append(ends[-1] + len(chunk))
+    return WordPrefix("".join(parts), tuple(ends))
+
+
 def brute_factor_set(word: str, max_len: int) -> set[str]:
     out = {""}
     for i in range(len(word)):
@@ -202,6 +219,23 @@ def prefix_identity_reference(m: Morphism, n: int, prefix: str) -> bool:
     if len(cat) > len(prefix):
         raise ContractError("prefix too short for the identity check")
     return prefix.startswith(cat)
+
+
+def periodic_candidates_reference(prefix: str, max_period: int):
+    """(preperiod, period) pairs, smallest q first, by walking each q's
+    periodic tail back from the end one letter at a time."""
+    n = len(prefix)
+    for q in range(1, max_period + 1):
+        j = n - q
+        while j > 0 and prefix[j - 1] == prefix[j - 1 + q]:
+            j -= 1
+        if j + 2 * q <= n:
+            yield prefix[:j], prefix[j : j + q]
+
+
+def window_reference(word: str, letter: int, window: int) -> bool:
+    """Does every length-``window`` slice of ``word`` hold the letter?"""
+    return all(chr(letter) in word[i : i + window] for i in range(len(word) - window + 1))
 
 
 def lie_reference(m: Morphism, f: FactorSet, max_len: int) -> dict:

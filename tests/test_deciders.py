@@ -1,7 +1,9 @@
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iteralg.deciders import (
     ComplexityClass,
+    _periodic_candidates,
     classify_complexity,
     decide_eventual_periodicity,
     decide_primitive,
@@ -11,7 +13,7 @@ from iteralg.deciders import (
 )
 from iteralg.words import classify_shape, factor_closure, fixed_point_prefix
 
-from conftest import occurring_reference, small_morphisms
+from conftest import occurring_reference, periodic_candidates_reference, small_morphisms
 from test_words import mk
 
 
@@ -64,6 +66,30 @@ def test_primitive_agrees_with_brute_force(m):
 
 # ---------------------------------------------------------------------------
 # eventual periodicity
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(alphabet="abc", max_size=12),
+    st.text(alphabet="abc", min_size=1, max_size=6),
+    st.integers(0, 40),
+    st.text(alphabet="abc", max_size=3),
+    st.integers(1, 12),
+)
+def test_periodic_candidates_match_the_walk(pre, period, reps, tail, max_period):
+    # periodic words, with a preperiod and a ragged end, and random ones
+    for word in (pre + period * reps + tail, pre + tail, period * reps):
+        assert list(_periodic_candidates(word, max_period)) == list(
+            periodic_candidates_reference(word, max_period)
+        )
+
+
+def test_periodic_candidates_match_the_walk_on_fixed_points(periodic_ab, ba_example, fibonacci):
+    for m in (periodic_ab, ba_example, fibonacci):
+        word = prefix_of(m).word
+        assert list(_periodic_candidates(word, 16)) == list(
+            periodic_candidates_reference(word, 16)
+        )
 
 
 def test_periodic_ab(periodic_ab, closure):

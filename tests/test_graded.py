@@ -13,6 +13,7 @@ from iteralg.graded import (
     every_window_contains,
     graded_nilpotency_scan,
     lie_decomposition,
+    lie_failures,
     max_homogeneous_chain,
     prefix_identity_holds,
     rotations,
@@ -32,8 +33,9 @@ from conftest import (
     naive_power,
     prefix_identity_reference,
     small_morphisms,
+    window_reference,
 )
-from test_words import mk
+from test_words import EXPANSION_CASES, mk
 
 PAPER12_S_HEAD = (0, 1, 3, 5, 7, 8, 10, 12, 14)
 PAPER12_CHAIN_TABLE = {1: 1, 2: 15, 3: 1, 4: 7, 5: 2, 6: 5}
@@ -127,6 +129,38 @@ def test_position_degree_set_needs_positive_degrees(paper12):
     s = s_set(paper12, "")
     with pytest.raises(ValueError):
         replace(s, degrees=(0,) * paper12.size)
+
+
+def test_position_degree_set_needs_a_whole_last_generation(paper12):
+    s = s_set(paper12, fixed_point_prefix(paper12, 16))
+    with pytest.raises(ValueError):
+        replace(s, word=s.word[:-1])
+    with pytest.raises(ValueError):
+        replace(s, images=())
+
+
+def _mark_table(degrees, cap):
+    return ["0" * (min(g, cap) - 1) + "1" for g in degrees]
+
+
+def _assert_bitsets_match_direct_translation(s, degrees):
+    for cap in range(1, 5):
+        table = _mark_table(degrees, cap)
+        assert s.bitset(table) == int(("1" + s.word.translate(table))[::-1], 2)
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSION_CASES))
+def test_bitset_matches_direct_translation(name):
+    m = EXPANSION_CASES[name]
+    prefix = fixed_point_prefix(m, 4**6 + 3)
+    _assert_bitsets_match_direct_translation(s_set(m, prefix), m.degrees)
+    _assert_bitsets_match_direct_translation(s_set(m, prefix.word[:1000]), m.degrees)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_morphisms(allow_erasing=True, graded=True), st.integers(1, 3000))
+def test_bitset_matches_direct_translation_on_random_morphisms(m, n):
+    _assert_bitsets_match_direct_translation(s_set(m, fixed_point_prefix(m, n)), m.degrees)
 
 
 @pytest.mark.parametrize("name", ["paper12", "fibonacci", "thue-morse", "periodic-ab", "ba-example"])
@@ -392,6 +426,14 @@ def test_lie_entry_inferred_from_passed_rotation_audit(paper12, closure):
         assert _lie_entry(paper12, f, max_len) == lie_reference(paper12, f, max_len)
 
 
+@pytest.mark.parametrize("name", ["paper12", "fibonacci", "thue-morse", "ba-example", "periodic-ab"])
+def test_lie_failures_match_decomposition(closure, name):
+    # the full scan, passed rotation audits included, against every decomposition
+    f = closure(name, 12)
+    m = words.parse_morphism(cli.gallery_text(name))
+    assert [m.decode(w) for w in lie_failures(f, 12)] == lie_reference(m, f, 12)["failures"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_morphisms(allow_erasing=True, graded=True), st.integers(min_value=2, max_value=8))
 def test_lie_entry_matches_full_loop(m, max_len):
@@ -422,6 +464,23 @@ def test_every_window_contains(paper12):
 def test_window_missing_letter():
     assert not every_window_contains("aaaa", 1, 2)
     assert every_window_contains("", 0, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="\x00\x01\x02", max_size=30), st.integers(0, 2), st.integers(0, 8))
+def test_every_window_contains_matches_the_windows(word, letter, window):
+    # letter 2 is often absent; the empty word and windows 0 and past the word come up
+    assert every_window_contains(word, letter, window) == window_reference(word, letter, window)
+
+
+@pytest.mark.parametrize(
+    "word, gap",
+    [("", 0), ("\x01\x01\x01", 3), ("\x00", 0), ("\x01\x00\x01\x01\x00\x01\x01\x01", 3)],
+)
+def test_every_window_contains_at_the_largest_gap(word, gap):
+    # a window of the largest gap misses the letter; one letter longer does not
+    assert not every_window_contains(word, 0, gap)
+    assert every_window_contains(word, 0, gap + 1)
 
 
 def test_prefix_identity_paper12(paper12):

@@ -14,7 +14,7 @@ from iteralg.matrices import (
     weight_sequence,
 )
 from iteralg.report import WEIGHT_TERMS
-from iteralg.words import Morphism, classify_shape, fixed_point_prefix
+from iteralg.words import PowerTables, classify_shape, fixed_point_prefix
 
 from conftest import (
     wide_morphism,
@@ -244,27 +244,40 @@ def test_weight_crosscheck_matches_reference_on_large_alphabets(size):
 @pytest.mark.parametrize("letters", [1, 4**8])
 @pytest.mark.parametrize("name", sorted(GALLERY_CROSS_CHECKED_UPTO))
 def test_weight_crosscheck_builds_no_dropped_generation(request, monkeypatch, name, letters):
-    # past the held prefix only generations inside the budget are expanded
+    # past the held prefix only generations inside the budget are expanded,
+    # and their power tables count against it too
     m = request.getfixturevalue(name)
     prefix = fixed_point_prefix(m, letters)
     built = []
-    apply = Morphism.apply
+    tables_built = set()
+    table, apply = PowerTables.table, PowerTables.apply
 
-    def spy(self, word):
-        built.append(apply(self, word))
-        return built[-1]
+    def table_spy(self, h):
+        # T_1 holds phi's own images; each deeper table is written once
+        for k in range(2, h + 1):
+            if (id(self), k) not in tables_built:
+                tables_built.add((id(self), k))
+                built.append(self.size(k))
+        return table(self, h)
 
-    monkeypatch.setattr(Morphism, "apply", spy)
+    def apply_spy(self, word, h):
+        built.append(len(out := apply(self, word, h)))
+        return out
+
+    monkeypatch.setattr(PowerTables, "table", table_spy)
+    monkeypatch.setattr(PowerTables, "apply", apply_spy)
     weight_sequence(m, incidence_matrix(m), prefix, WEIGHT_TERMS)
-    assert sum(map(len, built)) <= WEIGHT_EXPANSION_BUDGET_LETTERS - len(prefix)
+    assert built or letters > 1
+    assert sum(built) <= WEIGHT_EXPANSION_BUDGET_LETTERS - len(prefix)
 
 
 def test_weight_crosscheck_rejects_an_expansion_off_its_counts(periodic_ab, monkeypatch):
-    apply = Morphism.apply
-    monkeypatch.setattr(Morphism, "apply", lambda self, word: apply(self, word)[:-1])
+    m = periodic_ab
+    prefix = fixed_point_prefix(m, 1)
+    apply = PowerTables.apply
+    monkeypatch.setattr(PowerTables, "apply", lambda self, word, h: apply(self, word, h)[:-1])
     with pytest.raises(InvariantError, match="letter counts give"):
-        m = periodic_ab
-        weight_sequence(m, incidence_matrix(m), fixed_point_prefix(m, 1), 4)
+        weight_sequence(m, incidence_matrix(m), prefix, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from iteralg.errors import (
 from iteralg.words import (
     COUNT_PASS_MAX_LETTERS,
     Morphism,
+    PowerTables,
     classify_shape,
     factor_closure,
     fixed_point_prefix,
@@ -34,9 +36,12 @@ from iteralg.words import (
 from conftest import (
     brute_factor_set,
     growing_reference,
+    naive_image,
     naive_power,
     occurring_reference,
+    prefix_reference,
     small_morphisms,
+    wide_morphism,
 )
 
 
@@ -176,6 +181,24 @@ def test_prefix_budget_error(paper12):
         fixed_point_prefix(paper12, 10_000, memory_budget_bytes=100)
 
 
+@pytest.mark.parametrize("n", [256, 300])
+@pytest.mark.parametrize("size", [12, 300])
+def test_prefix_budget_boundary(paper12, size, n):
+    # both copies of the final prefix must fit: a request ending at a generation
+    # (256) fails on its own letters, one inside a generation (300) on the generation
+    m = paper12 if size == 12 else wide_morphism(size)
+    final = len(fixed_point_prefix(m, n))
+    boundary = 2 * sys.getsizeof(chr(size - 1) * final)
+    for budget in (boundary, boundary + 1):
+        assert fixed_point_prefix(m, n, memory_budget_bytes=budget).gen_lengths[-1] == final
+    message = (
+        f"prefix of {n} letters exceeds" if n == final else "prefix generation exceeds"
+    )
+    with pytest.raises(ResourceBudgetError) as raised:
+        fixed_point_prefix(m, n, memory_budget_bytes=boundary - 1)
+    assert str(raised.value) == f"{message} the {boundary - 1}-byte budget"
+
+
 def test_prefix_requires_prolongable():
     m = mk(["a", "b"], ["b a", "b"], "a")
     with pytest.raises(NotProlongableError):
@@ -188,6 +211,82 @@ def test_prefix_matches_naive_substitution(m, n):
     oracle = naive_power(m, n)
     got = fixed_point_prefix(m, len(oracle))
     assert [ord(c) for c in got.word[: len(oracle)]] == oracle
+
+
+# ---------------------------------------------------------------------------
+# power tables
+
+
+# erasing, bounded growth (every chunk is "c"), linear growth, a 100-letter
+# alphabet, and a letter z that never occurs but grows eight times faster
+EXPANSION_CASES = {
+    "erasing": mk(["a", "b", "c"], ["a b c", "", "c a"], "a", degrees=(1, 2, 3)),
+    "bounded": mk(["a", "c"], ["a c", "c"], "a", degrees=(2, 1)),
+    "linear": mk(["a", "b", "c"], ["a b", "b c", "c"], "a", degrees=(1, 2, 3)),
+    "wide": wide_morphism(100),
+    "unused": mk(["a", "b", "z"], ["a b", "b a", " ".join("z" * 8)], "a", degrees=(1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 100, 4**6 + 3])
+@pytest.mark.parametrize("name", sorted(EXPANSION_CASES))
+def test_prefix_matches_direct_translation(name, n):
+    m = EXPANSION_CASES[name]
+    assert fixed_point_prefix(m, n) == prefix_reference(m, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.integers(1, 3000))
+def test_prefix_matches_direct_translation_on_random_morphisms(m, n):
+    assert fixed_point_prefix(m, n) == prefix_reference(m, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.data())
+def test_power_tables_match_substitution(m, data):
+    letters = st.sampled_from([chr(i) for i in range(m.size)])
+    word = data.draw(st.text(alphabet=letters, max_size=6))
+    sigma = data.draw(
+        st.none() | st.lists(st.text(alphabet="01", max_size=3), min_size=m.size, max_size=m.size)
+    )
+    tables = PowerTables(m.images, map(ord, word), sigma)
+    for h in range(6):
+        expected = naive_image(m, word, h)
+        assert tables.apply(word, h) == (expected if sigma is None else expected.translate(sigma))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.integers(1, 9), st.integers(0, 2))
+def test_power_tables_pick_a_generation_that_expands_to_the_target(m, count, d):
+    # w_0 = t, w_{j+1} = phi(w_j); sigma(phi^d(w_last)) read off w_i under T_h
+    gens = [m.images[m.start][1:]]
+    for _ in range(count - 1):
+        gens.append(naive_image(m, gens[-1], 1))
+    sigma = [str(len(img) % 2) for img in m.images]
+    tables = PowerTables(m.images, map(ord, gens[0]), sigma)
+    i, h = tables.pick([len(w) for w in gens], d)
+    assert 0 <= i < count and h - d == count - 1 - i
+    assert tables.apply(gens[i], h) == naive_image(m, gens[-1], d).translate(sigma)
+
+
+def test_power_tables_skip_a_letter_that_never_occurs():
+    m = EXPANSION_CASES["unused"]
+    bare = mk(["a", "b"], ["a b", "b a"], "a")
+    with_z, without_z = PowerTables(m.images, [1]), PowerTables(bare.images, [1])
+    lengths = [2**k for k in range(12)]
+    assert with_z.pick(lengths, 1) == without_z.pick(lengths, 1)
+    i, h = with_z.pick(lengths, 1)
+    assert h > 1
+    assert with_z.size(h) == without_z.size(h) == 2 * 2**h
+    assert with_z.table(h)[2] == ""
+
+
+@pytest.mark.parametrize("spare, depth", [(None, 5), (0, 1), (7, 1), (8, 2), (23, 2), (24, 3)])
+def test_power_tables_keep_within_spare_letters(spare, depth):
+    # T_2 of a -> ab, b -> ba over {a, b} has 8 letters, T_3 16 more
+    m = mk(["a", "b"], ["a b", "b a"], "a")
+    tables = PowerTables(m.images, [0], spare=spare)
+    assert tables.pick([2**k for k in range(12)], 1)[1] == depth
 
 
 # ---------------------------------------------------------------------------
