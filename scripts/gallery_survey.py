@@ -31,8 +31,8 @@ def main() -> None:
         m = parse_morphism(gallery_text(name))
         t0 = time.perf_counter()
         shape = classify_shape(m)
-        f = factor_closure(m, args.max_len)
         prefix = fixed_point_prefix(m, DEFAULT_PREFIX_LETTERS)
+        f = factor_closure(m, args.max_len, prefix=prefix)
         deps = run_deciders(m, shape, f, prefix, mh_bound=args.mh_bound)
         rep = ring_property_report(m, deps)
         elapsed = time.perf_counter() - t0

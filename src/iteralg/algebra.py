@@ -52,9 +52,6 @@ class MonomialElement:
         k = Fraction(k)
         return MonomialElement({w: c * k for w, c in self.terms.items()})
 
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
 
 def multiply(f: FactorSet, x: MonomialElement, y: MonomialElement) -> MonomialElement:
     """Bilinear product; a concatenation outside the factor set is zero.

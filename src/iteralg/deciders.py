@@ -236,8 +236,7 @@ def decide_eventual_periodicity(
     to reproduce a fixed point of the morphism starting with the start
     letter.  Periods are read off ``prefix`` first, then off prefixes 4 and
     16 times as long; a verified pair is the minimal one whatever the length.
-    No is conditional on the exhausted complexity bound; factor counts are
-    lower bounds even for inexact sets, so No stays sound there.
+    No is conditional on the exhausted complexity bound.
     """
     bound = min(f.max_len, mh_bound if mh_bound is not None else f.max_len)
     fired_at = None
@@ -262,12 +261,10 @@ def decide_eventual_periodicity(
                         },
                         bound=bound,
                     )
-        if f.exact:
-            raise InvariantError(
-                "complexity bound says eventually periodic but no verified "
-                "period was found; this contradicts Morse-Hedlund"
-            )
-        return Verdict.unknown(bound=bound, note="inexact factor set fired MH without a verifiable period")
+        raise InvariantError(
+            "complexity bound says eventually periodic but no verified "
+            "period was found; this contradicts Morse-Hedlund"
+        )
     if bound >= 1:  # MH did not fire, so p(n) >= n + 1 for every n <= bound
         return Verdict.no(
             {"witness": "complexity-exceeds-n", "checked_up_to": bound},

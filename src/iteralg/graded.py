@@ -143,9 +143,10 @@ class LieNode:
 @dataclass(frozen=True)
 class RotationAudit:
     max_len: int
-    per_length: tuple[tuple[int, int], ...]  # (length, words audited)
+    per_length: tuple[tuple[int, int], ...]  # (length, words) before the counterexample's length
     passed: bool
     counterexample: Word | None = None
+    lie_failures: tuple[Word, ...] = ()  # where lie_decomposition raises NoSplitError
 
 
 @dataclass(frozen=True)
@@ -297,31 +298,45 @@ def rotations(word: Word) -> list[Word]:
 
 
 def cyclic_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
-    """Check every factor of length 2..max_len has an absent rotation.
+    """Check every factor of length 2..max_len has an absent rotation, and
+    find the factors on which ``lie_decomposition`` raises NoSplitError.
 
-    Failure is a result (the violating word), not an error.
+    Failure is a result (the first violating word), not an error.  One pass,
+    length by length: a decomposition takes the first cut whose rotation is
+    absent, so a factor fails when it has no absent rotation, or when either
+    part at that cut failed.  Both parts are shorter factors, already decided.
     """
     if max_len < 2:
         raise ContractError("rotation audit needs max_len >= 2")
     if max_len > f.max_len:
         raise ContractError("audit length exceeds the factor bound")
     per_length: list[tuple[int, int]] = []
-    for length in range(2, max_len + 1):
-        audited = 0
-        words = f.of_length(length)
+    counterexample: Word | None = None
+    failed: dict[Word, None] = {}  # in scan order
+    for n in range(2, max_len + 1):
+        words = f.of_length(n)
         present = frozenset(words)  # rotations keep the length
-        for v in words:
+        for w in words:
             # stop at the first absent rotation; most words have one at once
-            if all(v[i:] + v[:i] in present for i in range(1, len(v))):
-                return RotationAudit(
-                    max_len=max_len,
-                    per_length=tuple(per_length),
-                    passed=False,
-                    counterexample=v,
-                )
-            audited += 1
-        per_length.append((length, audited))
-    return RotationAudit(max_len=max_len, per_length=tuple(per_length), passed=True)
+            for cut in range(1, n):
+                if w[cut:] + w[:cut] not in present:
+                    fails = w[:cut] in failed or w[cut:] in failed
+                    break
+            else:
+                fails = True
+                if counterexample is None:
+                    counterexample = w
+            if fails:
+                failed[w] = None
+        if counterexample is None:
+            per_length.append((n, len(words)))
+    return RotationAudit(
+        max_len=max_len,
+        per_length=tuple(per_length),
+        passed=counterexample is None,
+        counterexample=counterexample,
+        lie_failures=tuple(failed),
+    )
 
 
 def lie_decomposition(f: FactorSet, u: Word) -> LieNode:
@@ -356,32 +371,6 @@ def lie_decomposition(f: FactorSet, u: Word) -> LieNode:
     return split(u)
 
 
-def lie_failures(f: FactorSet, max_len: int) -> list[Word]:
-    """The factors of length 2..max_len, in ``of_length`` order, on which
-    ``lie_decomposition`` raises NoSplitError.
-
-    Length by length: a factor's decomposition takes its first cut whose
-    rotation is absent, so it fails when either part failed, or when no
-    rotation is absent.  Both parts are shorter factors, already decided.
-    """
-    failed: set[Word] = set()
-    out: list[Word] = []
-    for n in range(2, max_len + 1):
-        words = f.of_length(n)
-        present = frozenset(words)  # rotations keep the length
-        for w in words:
-            for cut in range(1, n):
-                if w[cut:] + w[:cut] not in present:
-                    fails = w[:cut] in failed or w[cut:] in failed
-                    break
-            else:
-                fails = True
-            if fails:
-                failed.add(w)
-                out.append(w)
-    return out
-
-
 def every_window_contains(word: Word, letter: int, window: int) -> bool:
     """True when each length-``window`` block of ``word`` contains the letter:
     every gap between occurrences, and before the first and after the last,
@@ -410,7 +399,6 @@ __all__ = [
     "rotations",
     "cyclic_rotation_audit",
     "lie_decomposition",
-    "lie_failures",
     "every_window_contains",
     "prefix_identity_holds",
 ]

@@ -185,15 +185,11 @@ def _graded_audit(
             else None,
             "per_length": {str(l): n for l, n in rotation.per_length},
         }
-        if not rotation.passed and rotation.counterexample is not None:
+        if rotation.counterexample is not None:
             counterexamples.append(
                 f"rotation audit: every rotation of '{m.decode(rotation.counterexample)}' is a factor"
             )
-        lie_failures: list[str] = []
-        # Every subword of a factor is a factor, so a passed rotation audit
-        # gives an absent rotation at every step of every split: none fails.
-        if not rotation.passed:
-            lie_failures = [m.decode(w) for w in graded.lie_failures(short, audit_len)]
+        lie_failures = [m.decode(w) for w in rotation.lie_failures]
         lie_doc = {
             "max_len": audit_len,
             "pass": not lie_failures,
@@ -241,7 +237,7 @@ def _graded_doc(m: Morphism, prefix: WordPrefix, f: FactorSet, cfg: AnalysisConf
     return {**doc, "graded_dims": dims, "nilpotency_scan": scan_doc}
 
 
-def _diagnostics_doc(poly: CharPoly, weights: WeightSequences | None, f: FactorSet) -> dict:
+def _diagnostics_doc(poly: CharPoly, weights: WeightSequences | None) -> dict:
     doc: dict = {}
     warnings: list[str] = []
     if weights is not None:
@@ -277,10 +273,6 @@ def _diagnostics_doc(poly: CharPoly, weights: WeightSequences | None, f: FactorS
                 f"{weights.first_divergence}: direct u^T M^n theta vs transposed "
                 "u^T (M^T)^n theta; both sequences reported, neither preferred"
             )
-    if not f.exact:
-        warnings.append(
-            "factor set is a lower bound (erasing morphism); complexity values are flagged"
-        )
     doc["warnings"] = warnings
     return doc
 
@@ -312,7 +304,7 @@ def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, Proper
     }
     if m.degrees is not None:
         doc["graded"] = _graded_doc(m, prefix, f, cfg)
-    doc["diagnostics"] = _diagnostics_doc(poly, weights, f)
+    doc["diagnostics"] = _diagnostics_doc(poly, weights)
     return doc, properties
 
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 from .errors import (
     ContractError,
@@ -26,9 +26,6 @@ from .errors import (
 Word = str  # code point == letter id
 
 DEFAULT_MEMORY_BUDGET_BYTES = 512 * 2**20
-# Erasing morphisms get factor sets from a generated prefix (lower bound only);
-# this is how far that prefix reaches by default.
-DEFAULT_ERASING_PREFIX_LETTERS = 4**8
 # Counting a span letter by letter with str.count (one pass per letter) beats
 # one Counter pass up to about this many letters, on 4^6- and 4^9-letter spans.
 COUNT_PASS_MAX_LETTERS = 64
@@ -175,18 +172,17 @@ class ShapeRecord:
 class FactorSet:
     """The factors of the fixed point up to ``max_len``, held as F_L.
 
-    ``words`` is the sorted tuple of factors of length exactly L = ``max_len``
-    (exact for non-erasing morphisms).  Every factor of an infinite word is a
-    prefix of a length-L factor, so membership, the counts p(n) and the
-    shorter factors are all read off ``words`` by prefixes.  When ``exact``
-    is false the set is the factor set of a finite generated prefix, a sound
-    lower bound: ``words`` then also holds the prefix's suffixes shorter
-    than L, so every factor of the prefix is still a prefix of a stored word.
+    ``words`` is the sorted tuple of factors of length exactly L = ``max_len``.
+    Every factor of an infinite word is a prefix of a length-L factor, so
+    membership, the counts p(n) and the shorter factors are all read off
+    ``words`` by prefixes.
     """
+
+    # every closure is exact; reports still print the flag
+    exact: ClassVar[bool] = True
 
     max_len: int
     words: tuple[Word, ...]
-    exact: bool
     closure_rounds: int
     counts: tuple[int, ...] = field(init=False)
     _by_length: dict[int, tuple[Word, ...]] = field(
@@ -194,13 +190,12 @@ class FactorSet:
     )
 
     def __post_init__(self) -> None:
-        # p(n) = #{i : |s_i| >= n and lcp(s_{i-1}, s_i) < n}: word i adds one
-        # new n-prefix for each n in (lcp, |s_i|], tallied as a difference array
+        # p(n) = #{i : lcp(s_{i-1}, s_i) < n}: word i adds one new n-prefix
+        # for each n in (lcp, L], tallied as a difference array
         diff = [0] * (self.max_len + 2)
         prev = ""
         for s in self.words:
             diff[_lcp(prev, s) + 1] += 1
-            diff[len(s) + 1] -= 1
             prev = s
         object.__setattr__(self, "counts", (1, *accumulate(diff[1 : self.max_len + 1])))
 
@@ -217,7 +212,7 @@ class FactorSet:
         found = self._by_length.get(n)
         if found is None:
             # prefixes of a sorted tuple come out sorted, equal ones adjacent
-            found = tuple(dict.fromkeys(s[:n] for s in self.words if len(s) >= n))
+            found = tuple(dict.fromkeys(s[:n] for s in self.words))
             self._by_length[n] = found
         return found
 
@@ -230,7 +225,6 @@ class FactorSet:
         return FactorSet(
             max_len=n,
             words=tuple(dict.fromkeys(s[:n] for s in self.words)),
-            exact=self.exact,
             closure_rounds=self.closure_rounds,
         )
 
@@ -656,16 +650,43 @@ def _windows(word: Word, size: int) -> set[Word]:
 
 
 def _prefix_through(
-    m: Morphism, n: int, held: WordPrefix | None, memory_budget_bytes: int
+    m: Morphism,
+    n: int,
+    held: WordPrefix | None,
+    memory_budget_bytes: int,
+    delete: list[str] | None = None,
 ) -> WordPrefix:
     """``fixed_point_prefix(m, n)``: the fixed point through its first
-    generation g >= 1 with |phi^g(start)| >= n, cut from ``held`` when that
-    reaches so far."""
+    generation g >= 1 with |m^g(start)| >= n, read off ``held`` when that
+    reaches so far.  ``held`` is a prefix of the fixed point of m or, given
+    the table ``delete`` of a map delta, of phi with m = delta o phi; then
+    delta(phi^g(start)) = m^g(start), so it is translated one generation at
+    a time."""
     if held is not None:
-        for g, end in enumerate(held.gen_lengths[1:], start=1):
-            if end >= n:
-                return WordPrefix(held.word[:end], held.gen_lengths[: g + 1])
+        parts, ends = [], [0]
+        for a, b in zip((0, *held.gen_lengths), held.gen_lengths):
+            parts.append(held.word[a:b] if delete is None else held.word[a:b].translate(delete))
+            ends.append(ends[-1] + len(parts[-1]))
+            if len(ends) > 2 and ends[-1] >= n:
+                return WordPrefix("".join(parts), tuple(ends[1:]))
     return fixed_point_prefix(m, n, memory_budget_bytes=memory_budget_bytes)
+
+
+def _delete_mortal(m: Morphism) -> tuple[Morphism, list[str] | None, int]:
+    """(psi, delta, k) for the mortal letters D of m: psi = delta o phi with
+    the letters of D mapped to themselves, the translate table of the map
+    delta deleting D (None when D is empty and psi = phi), and the least k
+    with phi^k(D) empty."""
+    mortal = mortal_letters(m)
+    if not mortal:
+        return m, None, 0
+    delete = ["" if c in mortal else chr(c) for c in range(m.size)]
+    images = tuple(chr(c) if c in mortal else v.translate(delete) for c, v in enumerate(m.images))
+    layers, dying = 0, "".join(map(chr, mortal))
+    while dying:
+        dying = m.apply(dying)
+        layers += 1
+    return Morphism(m.letters, images, m.start), delete, layers
 
 
 def factor_closure(
@@ -673,24 +694,29 @@ def factor_closure(
     max_len: int,
     *,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-    erasing_prefix_letters: int = DEFAULT_ERASING_PREFIX_LETTERS,
     prefix: WordPrefix | None = None,
 ) -> FactorSet:
-    """The factors of the fixed point up to ``max_len``, stored as F_L.
+    """The factors of the fixed point x up to ``max_len``, stored as F_L.
 
-    Non-erasing morphisms get the exact set.  With k the least image length,
-    let B = L when k = 1 and B = (L-2)//k + 2 (within 1..L) otherwise.  F_B
-    is the least fixpoint of "add the length-B windows of phi(v) for v
-    already present", seeded with the length-B windows of the first
-    generation phi^g0(start) of at least B letters.  Descent argument: a
-    factor at position p > 0 lies in phi(v) for the length-B factor v at the
-    position p' < p whose image covers p, and that image reaches
-    (B-1)k >= L-1 letters further.  So the fixpoint reaches all of F_B, and one
-    harvest of the length-L windows of phi(v), v in F_B, gives F_L.
-    ``closure_rounds`` is g0, plus the rounds that added a word, plus one for
-    the harvest.  Erasing morphisms fall back to scanning a generated prefix
-    (exact=False, lower bound).  Both read their prefix off ``prefix``, a
-    held prefix of this fixed point, when it reaches far enough.
+    An erasing phi is first reduced to a non-erasing psi (Honkala, TCS 2009;
+    Cassaigne & Nicolas, "Factor complexity", 2010; ``_delete_mortal``).
+    phi maps the mortal letters D into D*, so y = delta(x) is psi's fixed
+    point, and x = phi^k(x) = phi^k(y) with each letter of y expanding to at
+    least one letter.  So every length-L factor of x lies in phi^k(u) for a
+    u in F_L(y): F_L(x) is the set of length-L windows of those phi^k(u).
+
+    F_L(y) (y = x when phi erases nothing) comes from a fixpoint.  With j
+    the least image length of psi, let B = L when j = 1 and B = (L-2)//j + 2
+    (within 1..L) otherwise.  F_B is the least fixpoint of "add the length-B
+    windows of psi(v) for v already present", seeded with the length-B
+    windows of the first generation psi^g0(start) of at least B letters,
+    read off ``prefix`` (a held prefix of x) when it reaches far enough.
+    Descent argument: a factor at position p > 0 lies in psi(v) for the
+    length-B factor v at the position p' < p whose image covers p, and that
+    image reaches (B-1)j >= L-1 letters further.  So the fixpoint reaches
+    all of F_B, and one harvest of the length-L windows of psi(v), v in F_B,
+    gives F_L.  ``closure_rounds`` is g0, plus the rounds that added a word,
+    plus one for the harvest.
     """
     reason = _prolongability_failure(m, m.start)
     if reason is not None:
@@ -698,41 +724,35 @@ def factor_closure(
     if max_len < 0:
         raise ContractError("max_len must be nonnegative")
     if max_len == 0:
-        return FactorSet(max_len=0, words=("",), exact=True, closure_rounds=0)
+        return FactorSet(max_len=0, words=("",), closure_rounds=0)
 
-    if m.min_image_len == 0:
-        word = _prefix_through(m, erasing_prefix_letters, prefix, memory_budget_bytes).word
-        # windows of length max_len, then the suffixes too short for one
-        found = {word[i : i + max_len] for i in range(len(word))}
-        _check_budget(m, [(len(found), max_len)], memory_budget_bytes)
-        return FactorSet(
-            max_len=max_len, words=tuple(sorted(found)), exact=False, closure_rounds=0
-        )
-
-    if m.min_image_len == 1:
+    psi, delete, layers = _delete_mortal(m)
+    if psi.min_image_len == 1:
         expand_bound = max_len
     else:
-        expand_bound = max(1, min(max_len, (max_len - 2) // m.min_image_len + 2))
+        expand_bound = max(1, min(max_len, (max_len - 2) // psi.min_image_len + 2))
 
-    seed = _prefix_through(m, expand_bound, prefix, memory_budget_bytes)
-    g0 = seed.generation_level
+    seed = _prefix_through(psi, expand_bound, prefix, memory_budget_bytes, delete)
     known = _windows(seed.word, expand_bound)
     frontier = known
-    rounds = g0
-    while frontier := {u for v in frontier for u in _windows(m.apply(v), expand_bound)} - known:
+    rounds = seed.generation_level
+    while frontier := {u for v in frontier for u in _windows(psi.apply(v), expand_bound)} - known:
         rounds += 1
         known |= frontier
         _check_budget(m, [(len(known), expand_bound)], memory_budget_bytes)
     if max_len > expand_bound:
         rounds += 1
-        harvest = {u for v in known for u in _windows(m.apply(v), max_len)}
+        harvest = {u for v in known for u in _windows(psi.apply(v), max_len)}
         _check_budget(
             m, [(len(known), expand_bound), (len(harvest), max_len)], memory_budget_bytes
         )
         known = harvest
-    return FactorSet(
-        max_len=max_len, words=tuple(sorted(known)), exact=True, closure_rounds=rounds
-    )
+    if layers:
+        expand = PowerTables(m.images, (m.start,)).table(layers)
+        found = {w for u in known for w in _windows(u.translate(expand), max_len)}
+        _check_budget(m, [(len(known), max_len), (len(found), max_len)], memory_budget_bytes)
+        known = found
+    return FactorSet(max_len=max_len, words=tuple(sorted(known)), closure_rounds=rounds)
 
 
 def is_factor(f: FactorSet, u: Word) -> bool:
@@ -744,7 +764,7 @@ def is_factor(f: FactorSet, u: Word) -> bool:
 
 
 def subword_complexity(f: FactorSet, n: int) -> int:
-    """p(n); a flagged lower bound when the set is not exact."""
+    """p(n), the number of factors of length n."""
     if n < 0 or n > f.max_len:
         raise ContractError(f"length {n} outside the computed range 0..{f.max_len}")
     return f.counts[n]
@@ -769,5 +789,4 @@ __all__ = [
     "is_factor",
     "subword_complexity",
     "DEFAULT_MEMORY_BUDGET_BYTES",
-    "DEFAULT_ERASING_PREFIX_LETTERS",
 ]

@@ -13,7 +13,6 @@ from iteralg.graded import (
     every_window_contains,
     graded_nilpotency_scan,
     lie_decomposition,
-    lie_failures,
     max_homogeneous_chain,
     prefix_identity_holds,
     rotations,
@@ -362,6 +361,8 @@ def test_rotation_audit_periodic_fails(periodic_ab, closure):
     audit = cyclic_rotation_audit(f, 4)
     assert not audit.passed
     assert periodic_ab.decode(audit.counterexample) == "a b"
+    # per_length stops before the counterexample's length
+    assert audit.per_length == ()
 
 
 def test_rotation_audit_contract(closure):
@@ -419,7 +420,7 @@ def _lie_entry(m, f, max_len):
 
 
 def test_lie_entry_inferred_from_passed_rotation_audit(paper12, closure):
-    # the passing side: paper12's entry is inferred, not computed
+    # the passing side: paper12 has no counterexample and no failure
     for max_len in range(2, 13):
         f = closure("paper12", max_len)
         assert cyclic_rotation_audit(f, max_len).passed
@@ -431,7 +432,8 @@ def test_lie_failures_match_decomposition(closure, name):
     # the full scan, passed rotation audits included, against every decomposition
     f = closure(name, 12)
     m = words.parse_morphism(cli.gallery_text(name))
-    assert [m.decode(w) for w in lie_failures(f, 12)] == lie_reference(m, f, 12)["failures"]
+    failures = cyclic_rotation_audit(f, 12).lie_failures
+    assert [m.decode(w) for w in failures] == lie_reference(m, f, 12)["failures"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -344,14 +344,67 @@ def test_is_factor_examples(paper12, closure):
         is_factor(f, chr(0) * 13)
 
 
-def test_erasing_morphism_flagged_inexact():
+def test_erasing_morphism_closure_is_exact():
+    # the fixed point is a b (c b)^omega, so a 500-letter prefix shows every factor
     m = parse_morphism(
         "letters: a b c\nstart: a\nmap a -> a b\nmap b -> c b\nmap c ->\n"
     )
-    f = factor_closure(m, 4, erasing_prefix_letters=500)
-    assert not f.exact
+    f = factor_closure(m, 4)
+    assert f.exact
     prefix = fixed_point_prefix(m, 500).word
     assert f.factors == frozenset(brute_factor_set(prefix, 4))
+
+
+ERASING_RUNS = "letters: a b c\nstart: a\nmap a -> a a a b\nmap b -> c b\nmap c ->\n"
+
+
+def test_erasing_closure_reaches_deep_factors():
+    # aaab (cb)^n first occurs roughly 4^n letters into the fixed point, past
+    # any generated prefix for large n; it is a factor for every n
+    m = parse_morphism(ERASING_RUNS)
+    for max_len in (8, 17, 32):
+        f = factor_closure(m, max_len)
+        for n in range(max_len):
+            word = m.encode("a a a b" + " c b" * n)
+            assert (word in f) == (2 * n + 4 <= max_len), (max_len, n)
+
+
+def test_erasing_closure_budget_error():
+    m = parse_morphism(ERASING_RUNS)
+    with pytest.raises(ResourceBudgetError):
+        factor_closure(m, 32, memory_budget_bytes=2_000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.integers(min_value=0, max_value=6))
+def test_reduced_generations_expand_to_fixed_point_prefixes(m, j):
+    # phi^k(psi^j(b)) is a prefix of phi^(j+k)(b): the reduction loses no letter
+    mortal = mortal_letters(m)
+    psi, delete, layers = words._delete_mortal(m)
+    b = chr(m.start)
+    assert not mortal_letters(psi)
+    if not mortal:
+        assert psi is m and delete is None and layers == 0
+        return
+    assert psi.apply_n(b, j) == m.apply_n(b, j).translate(delete)
+    assert m.apply_n(b, j + layers).startswith(m.apply_n(psi.apply_n(b, j), layers))
+    assert all(not m.apply_n(chr(c), layers) for c in mortal)
+    assert any(m.apply_n(chr(c), layers - 1) for c in mortal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.integers(min_value=1, max_value=8))
+def test_every_window_of_a_generated_prefix_is_a_factor(m, max_len):
+    f = factor_closure(m, max_len)
+    prefix = fixed_point_prefix(m, 2000).word
+    oracle = brute_factor_set(prefix, max_len)
+    assert oracle <= f.factors
+    # soundness: a factor beyond the window still occurs, possibly much later
+    for w in f.factors - oracle:
+        n = 2**12
+        while w not in fixed_point_prefix(m, n).word:
+            n *= 4
+            assert n <= 2**18, f"factor never surfaced: {[ord(c) for c in w]}"
 
 
 # closure_rounds as printed by analyze (word.factors.closure_rounds)
@@ -425,14 +478,13 @@ def test_closure_budget_estimate_tracks_traced_peak(paper12):
 @given(
     small_morphisms(allow_erasing=True),
     st.integers(min_value=0, max_value=12),
-    st.integers(min_value=1, max_value=300),
     st.integers(min_value=1, max_value=600),
 )
-def test_closure_reads_a_held_prefix(m, max_len, erasing_letters, held_letters):
+def test_closure_reads_a_held_prefix(m, max_len, held_letters):
     # the held prefix is cut when it reaches far enough, else a prefix is generated
     held = fixed_point_prefix(m, held_letters)
-    own = factor_closure(m, max_len, erasing_prefix_letters=erasing_letters)
-    cut = factor_closure(m, max_len, erasing_prefix_letters=erasing_letters, prefix=held)
+    own = factor_closure(m, max_len)
+    cut = factor_closure(m, max_len, prefix=held)
     assert cut == own
 
 
@@ -454,13 +506,9 @@ def test_letter_counts_match_a_tally(size, data):
 @given(small_morphisms(allow_erasing=True))
 def test_factor_views_agree(m):
     max_len = 5
-    f = factor_closure(m, max_len, erasing_prefix_letters=400)
+    f = factor_closure(m, max_len)
     prefix = fixed_point_prefix(m, 400).word
-    oracle = brute_factor_set(prefix, max_len)
-    if f.exact:
-        assert oracle <= f.factors
-    else:
-        assert f.factors == oracle
+    assert brute_factor_set(prefix, max_len) <= f.factors
     for n in range(max_len + 1):
         of_n = f.of_length(n)
         assert of_n == tuple(sorted(w for w in f.factors if len(w) == n))
