@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import ClassVar, Iterable, NamedTuple, Sequence
+from typing import ClassVar, Collection, Iterable, NamedTuple, Sequence
 
 from .errors import (
     ContractError,
@@ -222,11 +222,7 @@ class FactorSet:
             raise ContractError(f"length {n} outside the computed range 0..{self.max_len}")
         if n == self.max_len:
             return self
-        return FactorSet(
-            max_len=n,
-            words=tuple(dict.fromkeys(s[:n] for s in self.words)),
-            closure_rounds=self.closure_rounds,
-        )
+        return FactorSet(max_len=n, words=self.of_length(n), closure_rounds=self.closure_rounds)
 
     @cached_property
     def factors(self) -> frozenset[Word]:
@@ -484,6 +480,18 @@ def classify_shape(m: Morphism) -> ShapeRecord:
 # fixed point generation
 
 
+def _reachable(images: Sequence[Word], seed: Iterable[int]) -> list[int]:
+    """The letters reachable from ``seed`` in zero or more steps, sorted."""
+    letters = set(seed)
+    stack = list(letters)
+    while stack:
+        for ch in images[stack.pop()]:
+            if ord(ch) not in letters:
+                letters.add(ord(ch))
+                stack.append(ord(ch))
+    return sorted(letters)
+
+
 class PowerTables:
     """The translate tables T_h = sigma o phi^h for h = 0, 1, ..., built on demand.
 
@@ -506,15 +514,8 @@ class PowerTables:
         sigma: Sequence[str] | None = None,
         spare: int | None = None,
     ) -> None:
-        letters = set(seed)
-        stack = list(letters)
-        while stack:
-            for ch in images[stack.pop()]:
-                if ord(ch) not in letters:
-                    letters.add(ord(ch))
-                    stack.append(ord(ch))
         self._images = images
-        self._letters = sorted(letters)
+        self._letters = _reachable(images, seed)
         self._tables: list[list[str] | None] = [None if sigma is None else list(sigma)]
         # |T_h[c]| for each letter c, and the letters of T_h over the reachable c
         first = [1] * len(images) if sigma is None else [len(v) for v in sigma]
@@ -682,11 +683,44 @@ def _delete_mortal(m: Morphism) -> tuple[Morphism, list[str] | None, int]:
         return m, None, 0
     delete = ["" if c in mortal else chr(c) for c in range(m.size)]
     images = tuple(chr(c) if c in mortal else v.translate(delete) for c, v in enumerate(m.images))
-    layers, dying = 0, "".join(map(chr, mortal))
-    while dying:
-        dying = m.apply(dying)
+    # phi^r kills the letters whose image letters phi^(r-1) kills
+    layers, dead = 0, set()
+    while len(dead) < len(mortal):
+        dead |= {c for c in mortal if all(ord(ch) in dead for ch in m.images[c])}
         layers += 1
     return Morphism(m.letters, images, m.start), delete, layers
+
+
+def _expanded_windows(
+    m: Morphism, words: Collection[Word], k: int, size: int, budget: int
+) -> set[Word]:
+    """The length-``size`` windows of phi^k(u) over ``words``, phi^k unbuilt.
+
+    Level h holds phi^h(c) for each letter c of x: whole while it has at
+    most 2*size - 1 letters, else cut to its first and last size - 1 letters
+    around a separator outside the alphabet once its windows are collected.
+    A window of a concatenation that lies inside none of the long words meets
+    at most size - 1 letters at an end of each, so the separator-free windows
+    of the cut concatenation are the rest.  phi^h(c) is a factor of
+    x = phi^h(x), so every window collected is a factor of x.
+    """
+    sep, edge = chr(m.size), size - 1
+    letters = _reachable(m.images, (m.start,))
+    table = [chr(c) for c in range(m.size)]
+    found: set[Word] = set()
+    for _ in range(k):
+        level = [""] * m.size
+        for c in letters:
+            w = m.images[c].translate(table)
+            if len(w) > 2 * edge + 1:
+                found.update(u for u in _windows(w, size) if sep not in u)
+                w = w[:edge] + sep + w[len(w) - edge :]
+            level[c] = w
+        table = level
+        _check_budget(m, [(len(words), size), (len(found), size)], budget)
+    found.update(u for v in words for u in _windows(v.translate(table), size) if sep not in u)
+    _check_budget(m, [(len(words), size), (len(found), size)], budget)
+    return found
 
 
 def factor_closure(
@@ -703,7 +737,8 @@ def factor_closure(
     phi maps the mortal letters D into D*, so y = delta(x) is psi's fixed
     point, and x = phi^k(x) = phi^k(y) with each letter of y expanding to at
     least one letter.  So every length-L factor of x lies in phi^k(u) for a
-    u in F_L(y): F_L(x) is the set of length-L windows of those phi^k(u).
+    u in F_L(y): F_L(x) is the set of length-L windows of those phi^k(u),
+    read without building phi^k (``_expanded_windows``).
 
     F_L(y) (y = x when phi erases nothing) comes from a fixpoint.  With j
     the least image length of psi, let B = L when j = 1 and B = (L-2)//j + 2
@@ -748,10 +783,7 @@ def factor_closure(
         )
         known = harvest
     if layers:
-        expand = PowerTables(m.images, (m.start,)).table(layers)
-        found = {w for u in known for w in _windows(u.translate(expand), max_len)}
-        _check_budget(m, [(len(known), max_len), (len(found), max_len)], memory_budget_bytes)
-        known = found
+        known = _expanded_windows(m, known, layers, max_len, memory_budget_bytes)
     return FactorSet(max_len=max_len, words=tuple(sorted(known)), closure_rounds=rounds)
 
 

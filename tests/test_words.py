@@ -394,6 +394,43 @@ def test_reduced_generations_expand_to_fixed_point_prefixes(m, j):
 
 @settings(max_examples=60, deadline=None)
 @given(small_morphisms(allow_erasing=True), st.integers(min_value=1, max_value=8))
+def test_erasing_closure_is_the_windows_of_expanded_reduced_factors(m, max_len):
+    # F_L(x) is the set of length-L windows of phi^k(u) over u in F_L(y)
+    psi, _, layers = words._delete_mortal(m)
+    reduced = factor_closure(psi, max_len)
+    expected = {
+        w for u in reduced.of_length(max_len) for w in words._windows(m.apply_n(u, layers), max_len)
+    }
+    assert set(factor_closure(m, max_len).of_length(max_len)) == expected
+
+
+def test_mortal_layers_counted_without_expanding_the_dying_letters():
+    # d1 -> d2 d2 -> ... doubles 39 times before d40 -> empty kills it
+    names = [f"d{i}" for i in range(1, 41)]
+    images = ["a b d1", "b"] + [f"{d} {d}" for d in names[1:]] + [""]
+    m = mk(["a", "b", *names], images, "a")
+    _, _, layers = words._delete_mortal(m)
+    assert layers == 40
+    f = factor_closure(m, 8)
+    assert m.encode("d40 " * 8) in f
+    assert m.encode("b d1 b d2 d2 b d3 d3") in f
+
+
+def test_erasing_closure_expands_growing_letters_within_bounds():
+    # x = a (b^(2^(i-1)) d_i) for i = 1..30, then b forever: the runs of b
+    # pass 2^30 letters, but only their first and last L - 1 letters matter
+    names = [f"d{i}" for i in range(1, 31)]
+    images = ["a b d1", "b b"] + names[1:] + [""]
+    m = mk(["a", "b", *names], images, "a")
+    max_len = 6
+    runs = "".join("b " * min(2 ** (i - 1), max_len) + f"{d} " for i, d in enumerate(names, 1))
+    reference = m.encode("a " + runs + "b " * max_len)
+    f = factor_closure(m, max_len, memory_budget_bytes=1 << 20)
+    assert set(f.of_length(max_len)) == words._windows(reference, max_len)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.integers(min_value=1, max_value=8))
 def test_every_window_of_a_generated_prefix_is_a_factor(m, max_len):
     f = factor_closure(m, max_len)
     prefix = fixed_point_prefix(m, 2000).word
