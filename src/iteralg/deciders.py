@@ -121,30 +121,16 @@ class DeciderOutputs:
 
 
 def decide_primitive(m: Morphism, shape: ShapeRecord) -> Verdict:
-    """Irreducibility of the incidence structure over the occurring letters.
-
-    The occurring letters are closed under images, so ``shape.reach`` of an
-    occurring letter stays inside them.
-    """
-    occ = shape.occurring
-    reach = shape.reach
-    missing = [
-        (a, b) for a in sorted(occ) for b in sorted(occ) if b not in reach[a]
-    ]
-    full = not missing
-    # Under the occurring-letter normalization, "every letter reaches the
-    # start" must agree with full irreducibility.
-    reduced = all(m.start in reach[a] for a in occ)
-    if full != reduced:
-        raise InvariantError("reduced start-reachability test disagrees with closure")
-    if full:
+    """Irreducibility of the incidence structure over the occurring letters,
+    as ``classify_shape`` decided and cross-checked it."""
+    if shape.primitive:
         return Verdict.yes(
             {
                 "witness": "support-closure",
-                "letters": [m.letters[a] for a in sorted(occ)],
+                "letters": [m.letters[a] for a in sorted(shape.occurring)],
             }
         )
-    a, b = missing[0]
+    a, b = shape.unreachable
     return Verdict.no(
         {
             "witness": "unreachable-pair",
@@ -312,7 +298,7 @@ def decide_uniform_recurrence(
                 bound=k_max,
             )
 
-    if decide_primitive(m, shape).is_yes:
+    if shape.primitive:
         return Verdict.yes({"witness": "primitive"}, bound=k_max)
 
     if not shape.start_recurs:
@@ -390,7 +376,7 @@ def classify_complexity(
         return ComplexityResult(
             ComplexityClass.LINEAR, 2, ep.conditional, "d-uniform-aperiodic"
         )
-    if decide_primitive(m, shape).is_yes:
+    if shape.primitive:
         return ComplexityResult(
             ComplexityClass.LINEAR, 2, ep.conditional, "primitive-aperiodic"
         )

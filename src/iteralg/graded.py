@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import add, mul, sub
 
 from .errors import ContractError, InvariantError, NoSplitError
 from .words import FactorSet, Morphism, PowerTables, Word, WordPrefix, letter_counts
@@ -23,7 +24,10 @@ class PositionDegreeSet:
     and the images of phi (both ``()`` for a bare word).
 
     The sums are not stored: s_i is read off the letter counts of
-    ``word[:i]``.  Positive degrees make them strictly increasing.
+    ``word[:i]``.  Positive degrees make them strictly increasing.  The chain
+    stage reads letters only through ``span_counts`` and ``marks``, which
+    keep, per span start, what the longest span read from it holds, so the
+    spans that several degrees share are read once.
     """
 
     word: Word
@@ -31,7 +35,12 @@ class PositionDegreeSet:
     gen_lengths: tuple[int, ...]
     images: tuple[Word, ...] = ()
     _bitsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # start -> (end, letter counts of word[start:end]) for the longest span read
+    _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (start, end) -> letter counts of a span shorter than the longest read
+    _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (table, start) -> (end, word[start:end] translated under table), the longest read
+    _marks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(g < 1 for g in self.degrees):
@@ -39,21 +48,48 @@ class PositionDegreeSet:
         if self.gen_lengths and (self.gen_lengths[-1] != len(self.word) or not self.images):
             raise ValueError("a prefix must end at its last generation and come with phi's images")
 
+    def span_counts(self, i: int, j: int) -> tuple[int, ...]:
+        """|word[i:j]|_x for each letter x.
+
+        A span longer than the longest read from i extends its counts by the
+        new letters; a shorter one is cut back, by counting its own letters
+        or the tail past j, whichever is fewer, and kept.
+        """
+        size = len(self.degrees)
+        end, counts = self._spans.get(i, (i, (0,) * size))
+        if j >= end:
+            if j > end:
+                counts = tuple(map(add, counts, letter_counts(self.word, size, end, j)))
+                self._spans[i] = (j, counts)
+            return counts
+        cut = self._cuts.get((i, j))
+        if cut is None:
+            if end - j < j - i:
+                cut = tuple(map(sub, counts, letter_counts(self.word, size, j, end)))
+            else:
+                cut = letter_counts(self.word, size, i, j)
+            self._cuts[i, j] = cut
+        return cut
+
+    def marks(self, table: list[str], i: int, j: int) -> str:
+        """``word[i:j]`` translated under ``table``, followed by the marks of
+        any further letters already translated from i: one translation per
+        table and start, extended when a longer span asks for it."""
+        key = (tuple(table), i)
+        end, marks = self._marks.get(key, (i, ""))
+        if j > end:
+            marks += self.word[end:j].translate(table)
+            self._marks[key] = (j, marks)
+        return marks
+
     def sum_at(self, i: int, cap: int | None = None) -> int:
-        """s_i, with each degree capped at ``cap`` when one is given; the
-        letter counts of ``word[:i]`` are counted once per i."""
-        counts = self._counts.get(i)
-        if counts is None:
-            counts = letter_counts(self.word, len(self.degrees), 0, i)
-            self._counts[i] = counts
+        """s_i, with each degree capped at ``cap`` when one is given."""
         degrees = self.degrees if cap is None else [min(g, cap) for g in self.degrees]
-        return sum(g * n for g, n in zip(degrees, counts))
+        return sum(map(mul, degrees, self.span_counts(0, i)))
 
     def span_degree(self, i: int, j: int) -> int:
         """The degree of ``word[i:j]``, from its letter counts."""
-        return sum(
-            g * n for g, n in zip(self.degrees, letter_counts(self.word, len(self.degrees), i, j))
-        )
+        return sum(map(mul, self.degrees, self.span_counts(i, j)))
 
     def head(self, n: int) -> tuple[int, ...]:
         """s_0, ..., s_{n-1} for n >= 1, as far as the word reaches."""
@@ -172,7 +208,15 @@ def s_set(m: Morphism, prefix: WordPrefix | Word) -> PositionDegreeSet:
     return PositionDegreeSet(word=prefix, degrees=m.degrees, gen_lengths=())
 
 
+_LOW_WORD = (1 << 64) - 1
+
+
 def _lowest(bits: int) -> int:
+    """The index of the lowest set bit, -1 for none; a bit in the low 64
+    is found without negating the whole int."""
+    low = bits & _LOW_WORD
+    if low:
+        bits = low
     return (bits & -bits).bit_length() - 1
 
 
@@ -206,13 +250,17 @@ def max_homogeneous_chain(
     A_{2k} = A_k & (A_k >> kd), marks the starts of 2^j-piece runs, and a
     binary descent finds the longest; its lowest set bit is the smallest
     start, the tie rule.  A level runs the descent again below its
-    generation's cut.
+    generation's cut, except the last generation: the prefix ends there, so
+    its cut is the whole descent's and its chain is the witness's.
 
-    The witness is checked on its letters only: translated under the capped
-    degrees, the span has r*d marks with a letter end at every d-th, which
-    holds exactly when it splits into r pieces of degree d, and its letter
-    counts under the set's own degrees give degree r*d.  The sums at the
-    start and at the levels' cuts are read off letter counts.
+    The witness is checked on its letters only: its letter counts give
+    degree r*d under the set's own degrees and r*d marks under the capped
+    ones, and a letter ends at every d-th mark, which holds exactly when the
+    span splits into r pieces of degree d.  The counts and marks are the
+    set's (``span_counts``, ``marks``), so a span that several degrees share
+    is read once; the marks of a longer span from the same start, cut to
+    r*d, are this span's.  The sums at the start and at the levels' cuts are
+    read off letter counts too.
     """
     if d < 1:
         raise ContractError("chain degree must be positive")
@@ -236,20 +284,23 @@ def max_homogeneous_chain(
     low = _lowest(starts)
     i0 = (bits & ((1 << low) - 1)).bit_count()
     ir = i0 + ((bits >> low) & ((2 << (r * d)) - 1)).bit_count() - 1
-    word = s.word
-    marks = word[i0:ir].translate(table)
+    counts = s.span_counts(i0, ir)
     if (
         s.span_degree(i0, ir) != r * d
-        or len(marks) != r * d
-        or marks[d - 1 :: d] != "1" * r
+        or sum(len(v) * n for v, n in zip(table, counts)) != r * d
+        or s.marks(table, i0, ir)[d - 1 : r * d : d] != "1" * r
     ):
         raise InvariantError("chain piece has the wrong degree")
-    if f is not None and 0 < ir - i0 <= f.max_len and word[i0:ir] not in f:
+    if f is not None and 0 < ir - i0 <= f.max_len and s.word[i0:ir] not in f:
         raise InvariantError("chain concatenation is not a known factor")
+    start_value = s.sum_at(i0)
     level_lengths = tuple(
-        _longest_run(bits, powers, d, s.sum_at(s.gen_lengths[k], cap))[0] for k in levels
+        r
+        if k == generations - 1
+        else _longest_run(bits, powers, d, s.sum_at(s.gen_lengths[k], cap))[0]
+        for k in levels
     )
-    return ChainWitness(d, r, s.sum_at(i0), (i0, ir), level_lengths, s)
+    return ChainWitness(d, r, start_value, (i0, ir), level_lengths, s)
 
 
 def graded_nilpotency_scan(

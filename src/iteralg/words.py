@@ -13,11 +13,12 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, cycle, islice
 from typing import ClassVar, Collection, Iterable, NamedTuple, Sequence
 
 from .errors import (
     ContractError,
+    InvariantError,
     MorphismParseError,
     NotProlongableError,
     ResourceBudgetError,
@@ -153,7 +154,9 @@ class ShapeRecord:
     reach[start], the letters of the fixed point when the start is
     prolongable.  ``growing[a]`` says whether |phi^n(a)| is unbounded.
     ``start_recurs`` says whether the start letter occurs at least twice in
-    the fixed point.
+    the fixed point.  ``unreachable`` is the first pair (a, b) of occurring
+    letters, in sorted order, with b not reachable from a, and None when
+    every occurring letter reaches every other: phi is primitive on them.
     """
 
     d_uniform: int | None
@@ -162,10 +165,15 @@ class ShapeRecord:
     occurring: frozenset[int]
     reach: tuple[frozenset[int], ...]
     start_recurs: bool
+    unreachable: tuple[int, int] | None
 
     @property
     def all_growing(self) -> bool:
         return all(self.growing)
+
+    @property
+    def primitive(self) -> bool:
+        return self.unreachable is None
 
 
 @dataclass(frozen=True)
@@ -466,14 +474,27 @@ def classify_shape(m: Morphism) -> ShapeRecord:
         fed = cycles.union(*(reach[c] for c in cycles))
         growing.append(bool(fed & multipliers))
     tail = {ord(ch) for ch in m.images[m.start][1:]}
+    occurring = frozenset({m.start} | reach[m.start])
+    unreachable = _unreachable_pair(occurring, reach)
+    if (unreachable is None) != all(m.start in reach[a] for a in occurring):
+        raise InvariantError("reduced start-reachability test disagrees with closure")
     return ShapeRecord(
         d_uniform=d_uniform,
         erasing=any(not img for img in m.images),
         growing=tuple(growing),
-        occurring=frozenset({m.start} | reach[m.start]),
+        occurring=occurring,
         reach=reach,
         start_recurs=m.start in tail.union(*(reach[c] for c in tail)),
+        unreachable=unreachable,
     )
+
+
+def _unreachable_pair(
+    letters: frozenset[int], reach: Sequence[frozenset[int]]
+) -> tuple[int, int] | None:
+    """The first (a, b) of ``letters``, in sorted order, with b not in reach[a]."""
+    order = sorted(letters)
+    return next(((a, b) for a in order for b in order if b not in reach[a]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +588,12 @@ class PowerTables:
         return word if table is None else word.translate(table)
 
 
+# Besides two copies of its letters, a prefix holds per generation three list
+# slots (its chunk, the chunk's length and the generation's end, 8 bytes
+# each), the end's int object (32 bytes) and its slot in the returned tuple.
+_GENERATION_BYTES = 3 * 8 + 32 + 8
+
+
 def fixed_point_prefix(
     m: Morphism,
     n: int,
@@ -579,20 +606,30 @@ def fixed_point_prefix(
     letters never change when the prefix is extended.  Each generation
     phi^k(t) is an earlier one phi^{k-h}(t) translated under phi^h
     (``PowerTables``), whose tables cover the letters reachable from t.
+    phi^{k+1}(t) depends only on phi^k(t), so once a chunk equals an earlier
+    one the chunks cycle and the rest of the prefix repeats that cycle,
+    laid out with no loop step per generation.  A chunk is compared only
+    with earlier chunks of its length, so growing chunks cost no comparison.
+    The budget counts two copies of the letters (the chunks and their join)
+    and ``_GENERATION_BYTES`` per generation.
     """
     reason = _prolongability_failure(m, m.start)
     if reason is not None:
         raise NotProlongableError(reason)
     if n < 0:
         raise ContractError("prefix length must be nonnegative")
-    # the generations are held as chunks and then joined: two copies, which
-    # fit the budget up to this many letters
     base = _word_bytes(m, 0)
-    limit = (memory_budget_bytes // 2 - base) // (_word_bytes(m, 1) - base)
-    if n > limit:
+    width = _word_bytes(m, 1) - base
+
+    def over_budget(letters: int, generations: int) -> bool:
+        held = 2 * (base + letters * width) + generations * _GENERATION_BYTES
+        return held > memory_budget_bytes
+
+    if over_budget(n, 0):
         raise ResourceBudgetError(
             f"prefix of {n} letters exceeds the {memory_budget_bytes}-byte budget"
         )
+    exceeded = f"prefix generation exceeds the {memory_budget_bytes}-byte budget"
 
     start_ch = chr(m.start)
     chunk = m.images[m.start][1:]
@@ -600,15 +637,31 @@ def fixed_point_prefix(
     chunk_lengths = [len(chunk)]
     total = 1 + len(chunk)
     gen_lengths = [1, total]  # |phi^0(b)|, |phi^1(b)|
+    by_length = {len(chunk): [0]}  # chunk length -> indices of the chunks that long
     tables = PowerTables(m.images, map(ord, chunk))
     while total < n:
         i, h = tables.pick(chunk_lengths, 1)
         chunk = tables.apply(parts[i + 1], h)
+        same = by_length.setdefault(len(chunk), [])
+        first = next((j for j in same if parts[j + 1] == chunk), None)
+        if first is not None:
+            # chunks first, first + 1, ... repeat: take the fewest that reach n
+            lengths = chunk_lengths[first:]
+            within = list(accumulate(lengths))  # chunk ends within one cycle
+            rounds, rest = divmod(n - total, within[-1])
+            tail = bisect_left(within, rest) + 1 if rest else 0
+            count = rounds * len(lengths) + tail
+            final = total + rounds * within[-1] + (within[tail - 1] if tail else 0)
+            if over_budget(final, len(gen_lengths) + count):
+                raise ResourceBudgetError(exceeded)
+            parts += islice(cycle(parts[first + 1 :]), count)
+            steps = islice(cycle(lengths), count)
+            gen_lengths += islice(accumulate(steps, initial=total), 1, None)
+            break
+        same.append(len(chunk_lengths))
         total += len(chunk)
-        if total > limit:
-            raise ResourceBudgetError(
-                f"prefix generation exceeds the {memory_budget_bytes}-byte budget"
-            )
+        if over_budget(total, len(gen_lengths) + 1):
+            raise ResourceBudgetError(exceeded)
         parts.append(chunk)
         chunk_lengths.append(len(chunk))
         gen_lengths.append(total)

@@ -1,6 +1,10 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iteralg import cli, deciders, report, words
+from iteralg.config import AnalysisConfig
+from iteralg.errors import InvariantError
 from iteralg.deciders import (
     ComplexityClass,
     _periodic_candidates,
@@ -62,6 +66,38 @@ def test_primitive_agrees_with_brute_force(m):
         produced[a] = seen
     brute = all(set(occ) <= produced[a] for a in occ)
     assert verdict.is_yes == brute
+
+
+def test_analyze_decides_primitivity_once(monkeypatch, paper12):
+    calls = {"closure test": 0, "decide_primitive": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    closure_test = counted("closure test", words._unreachable_pair)
+    monkeypatch.setattr(words, "_unreachable_pair", closure_test)
+    monkeypatch.setattr(
+        deciders, "decide_primitive", counted("decide_primitive", deciders.decide_primitive)
+    )
+    report.analyze(paper12, AnalysisConfig(max_len=8), "paper12")
+    assert calls == {"closure test": 1, "decide_primitive": 1}
+
+
+def test_every_primitivity_reader_runs_the_cross_check(monkeypatch, paper12, tmp_path):
+    # a closure test that calls primitive paper12 reducible disagrees with
+    # the start-reachability test on analyze, audit and decide ur
+    monkeypatch.setattr(words, "_unreachable_pair", lambda letters, reach: (0, 1))
+    cfg = AnalysisConfig(max_len=8)
+    for run in (report.analyze, report.audit):
+        with pytest.raises(InvariantError, match="start-reachability"):
+            run(paper12, cfg, "paper12")
+    path = tmp_path / "paper12.morph"
+    path.write_text(cli.gallery_text("paper12"))
+    assert cli.main(["decide", str(path), "ur"]) == cli.EXIT_PARSE
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,72 @@ def test_sums_from_letter_counts_match_accumulate(m, n, data):
     assert s.span_degree(i, j) == oracle[j] - oracle[i]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    small_morphisms(allow_erasing=True, graded=True),
+    st.integers(min_value=0, max_value=300),
+    st.data(),
+)
+def test_shared_span_reads_match_accumulate(m, n, data):
+    # queries in any order extend a start's span, cut it back or open a new start
+    word = fixed_point_prefix(m, max(n, 1)).word[:n]
+    s = s_set(m, word)
+    sums = {cap: degree_sums_reference(m.degrees, word, cap) for cap in (None, 1, 2, 3)}
+    position = st.integers(0, len(word))
+    for _ in range(data.draw(st.integers(1, 12))):
+        i = data.draw(st.sampled_from([0, 1, len(word) // 2]) | position)
+        i = min(i, len(word))
+        j = data.draw(st.integers(i, len(word)))
+        cap = data.draw(st.sampled_from(sorted(sums, key=str)))
+        assert s.span_degree(i, j) == sums[None][j] - sums[None][i]
+        assert s.sum_at(j, cap) == sums[cap][j]
+        table = _mark_table(m.degrees, 3 if cap is None else cap)
+        assert s.marks(table, i, j).startswith(word[i:j].translate(table))
+
+
+def test_chains_count_each_gallery_prefix_at_most_twice(monkeypatch):
+    counted = []
+    count = graded.letter_counts
+
+    def spy(word, size, start=0, end=None):
+        counted.append((len(word) if end is None else end) - start)
+        return count(word, size, start, end)
+
+    monkeypatch.setattr(graded, "letter_counts", spy)
+    for name in cli.GALLERY_NAMES:
+        m = words.parse_morphism(cli.gallery_text(name))
+        prefix = fixed_point_prefix(m, AnalysisConfig().prefix_letters)
+        s = s_set(m, prefix)
+        levels = (prefix.generation_level - 1, prefix.generation_level)
+        counted.clear()
+        for d in range(1, 9):
+            max_homogeneous_chain(m, s, None, d, levels=levels)
+        assert sum(counted) <= 2 * len(prefix.word), name
+
+
+@pytest.mark.parametrize("name", ["paper12", "fibonacci"])
+def test_chain_check_rejects_one_piece_too_many(name, monkeypatch):
+    # a descent that reports one piece more than it found fails every degree,
+    # on a fresh set and on one whose spans the true chains already read
+    m = words.parse_morphism(cli.gallery_text(name))
+    prefix = fixed_point_prefix(m, 4**6)
+    levels = (prefix.generation_level - 1, prefix.generation_level)
+    filled = s_set(m, prefix)
+    for d in range(1, 9):
+        max_homogeneous_chain(m, filled, None, d, levels=levels)
+    longest = graded._longest_run
+
+    def one_more(*args):
+        r, starts = longest(*args)
+        return r + 1, starts
+
+    monkeypatch.setattr(graded, "_longest_run", one_more)
+    for s in (filled, s_set(m, prefix)):
+        for d in range(1, 9):
+            with pytest.raises(InvariantError, match="wrong degree"):
+                max_homogeneous_chain(m, s, None, d, levels=levels)
+
+
 @pytest.mark.parametrize("size", [20, 100])
 def test_sums_and_chains_on_large_alphabets(size):
     # alphabets on both sides of the letter-count cutoff

@@ -5,7 +5,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import iteralg
@@ -184,19 +184,30 @@ def test_prefix_budget_error(paper12):
 @pytest.mark.parametrize("n", [256, 300])
 @pytest.mark.parametrize("size", [12, 300])
 def test_prefix_budget_boundary(paper12, size, n):
-    # both copies of the final prefix must fit: a request ending at a generation
-    # (256) fails on its own letters, one inside a generation (300) on the generation
+    # both copies of the final prefix and each generation's bookkeeping must
+    # fit: a request ending at a generation (256) fails on its own letters
+    # below the letters' share, one inside a generation (300) on the generation
     m = paper12 if size == 12 else wide_morphism(size)
-    final = len(fixed_point_prefix(m, n))
-    boundary = 2 * sys.getsizeof(chr(size - 1) * final)
+    prefix = fixed_point_prefix(m, n)
+    final = len(prefix)
+    letters = 2 * sys.getsizeof(chr(size - 1) * final)
+    boundary = letters + len(prefix.gen_lengths) * words._GENERATION_BYTES
     for budget in (boundary, boundary + 1):
         assert fixed_point_prefix(m, n, memory_budget_bytes=budget).gen_lengths[-1] == final
     message = (
         f"prefix of {n} letters exceeds" if n == final else "prefix generation exceeds"
     )
-    with pytest.raises(ResourceBudgetError) as raised:
-        fixed_point_prefix(m, n, memory_budget_bytes=boundary - 1)
-    assert str(raised.value) == f"{message} the {boundary - 1}-byte budget"
+    for budget, expected in ((boundary - 1, "prefix generation exceeds"), (letters - 1, message)):
+        with pytest.raises(ResourceBudgetError) as raised:
+            fixed_point_prefix(m, n, memory_budget_bytes=budget)
+        assert str(raised.value) == f"{expected} the {budget}-byte budget"
+
+
+def test_prefix_budget_counts_each_generation():
+    # one letter per generation: the bookkeeping, not the letters, fills 2 MiB
+    m = mk(["a", "c"], ["a c", "c"], "a")
+    with pytest.raises(ResourceBudgetError, match="prefix generation exceeds"):
+        fixed_point_prefix(m, 4**9, memory_budget_bytes=2 * 2**20)
 
 
 def test_prefix_requires_prolongable():
@@ -239,6 +250,37 @@ def test_prefix_matches_direct_translation(name, n):
 @given(small_morphisms(allow_erasing=True), st.integers(1, 3000))
 def test_prefix_matches_direct_translation_on_random_morphisms(m, n):
     assert fixed_point_prefix(m, n) == prefix_reference(m, n)
+
+
+@st.composite
+def bounded_chunk_morphisms(draw):
+    """Morphisms on a0..a{n-1} with start a0 whose tail letters never grow,
+    erasing letters allowed, so the chunks phi^k(t) cycle."""
+    n = draw(st.integers(2, 5))
+    others = st.integers(1, n - 1)
+    tail = "".join(chr(draw(others)) for _ in range(draw(st.integers(1, 3))))
+    images = [chr(0) + tail]
+    for _ in range(1, n):
+        images.append("".join(chr(draw(others)) for _ in range(draw(st.integers(0, 2)))))
+    m = Morphism(tuple(f"a{i}" for i in range(n)), tuple(images), 0)
+    assume(is_prolongable(m, 0))
+    assume(not any(classify_shape(m).growing[ord(c)] for c in tail))
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_chunk_morphisms(), st.integers(1, 400))
+def test_cycling_chunks_match_the_literal_loop(m, n):
+    # n lands anywhere in a cycle of chunks; the budget fails at the same
+    # held size as the chunk-by-chunk loop's
+    want = prefix_reference(m, n)
+    assert fixed_point_prefix(m, n) == want
+    held = 2 * words._word_bytes(m, len(want.word))
+    held += len(want.gen_lengths) * words._GENERATION_BYTES
+    assert fixed_point_prefix(m, n, memory_budget_bytes=held) == want
+    if len(want.gen_lengths) > 2:  # the first generation is not a loop step
+        with pytest.raises(ResourceBudgetError, match="prefix generation exceeds"):
+            fixed_point_prefix(m, n, memory_budget_bytes=held - 1)
 
 
 @settings(max_examples=80, deadline=None)
