@@ -12,6 +12,7 @@ import argparse
 import math
 
 from iteralg.cli import _resolve_morphism
+from iteralg.errors import MorphismParseError
 from iteralg.matrices import char_poly, incidence_matrix, recurrence_from_charpoly, weight_sequence
 from iteralg.words import fixed_point_prefix
 
@@ -22,7 +23,10 @@ def main() -> None:
     ap.add_argument("--n-max", type=int, default=16)
     args = ap.parse_args()
 
-    m, label = _resolve_morphism(args.path)
+    try:
+        m, label = _resolve_morphism(args.path)
+    except MorphismParseError as exc:
+        ap.error(str(exc))
     if m.degrees is None:
         raise SystemExit("morphism carries no grading")
     M = incidence_matrix(m)

@@ -30,7 +30,9 @@ from .deciders import (
     decide_uniform_recurrence,
 )
 from .errors import ContractError, IterAlgError, MorphismParseError
-from .words import Morphism, classify_shape, factor_closure, fixed_point_prefix, parse_morphism
+from .words import (
+    Morphism, classify_shape, factor_closure, fixed_point_prefix, load_morphism, parse_morphism
+)
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -51,8 +53,7 @@ def gallery_text(name: str) -> str:
 def _resolve_morphism(path: str) -> tuple[Morphism, str]:
     """Load from disk, falling back to the built-in gallery for gallery paths."""
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_morphism(fh.read(), filename=path), path
+        return load_morphism(path), path
     base = os.path.basename(path)
     name = base[:-6] if base.endswith(".morph") else base
     if name in GALLERY_NAMES:

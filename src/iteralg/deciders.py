@@ -220,8 +220,9 @@ def decide_eventual_periodicity(
 
     Yes is unconditional: the extracted (preperiod, period) pair is checked
     to reproduce a fixed point of the morphism starting with the start
-    letter.  Periods are read off ``prefix`` first, then off prefixes 4 and
-    16 times as long; a verified pair is the minimal one whatever the length.
+    letter.  Periods are read off ``prefix`` first, then off ``prefix``
+    extended to 4 and then 16 times its length; a verified pair is the
+    minimal one whatever the length.
     No is conditional on the exhausted complexity bound.
     """
     bound = min(f.max_len, mh_bound if mh_bound is not None else f.max_len)
@@ -231,11 +232,10 @@ def decide_eventual_periodicity(
             fired_at = n
             break
     if fired_at is not None:
+        held = prefix
         for scale in (1, 4, 16):
-            word = (
-                prefix.word if scale == 1 else fixed_point_prefix(m, scale * len(prefix)).word
-            )
-            for pre, per in _periodic_candidates(word, fired_at):
+            held = fixed_point_prefix(m, scale * len(prefix), prefix=held)
+            for pre, per in _periodic_candidates(held.word, fired_at):
                 verified = _verify_periodic_fixed_point(m, pre, per)
                 if verified is not None:
                     return Verdict.yes(

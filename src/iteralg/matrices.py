@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractError, InvariantError, RecurrenceValidationError
-from .words import Morphism, PowerTables, Word, WordPrefix, letter_counts
+from .words import Morphism, Word, WordPrefix, fixed_point_prefix, letter_counts
 
 # weight_sequence cross-checks its weights against phi^n(start) while that
 # word has at most this many letters.
@@ -67,19 +67,6 @@ class IncidenceMatrix:
             raise ContractError("vector length differs from matrix size")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
-    def power(self, n: int) -> "IncidenceMatrix":
-        """Exact square-and-multiply."""
-        if n < 0:
-            raise ContractError("exponent must be nonnegative")
-        result = identity(self.size)
-        base = self
-        while n:
-            if n & 1:
-                result = result.matmul(base)
-            base = base.matmul(base)
-            n >>= 1
-        return result
-
     def is_zero(self) -> bool:
         return all(all(e == 0 for e in row) for row in self.rows)
 
@@ -102,14 +89,6 @@ def parikh(m: Morphism, u: Word) -> ParikhVector:
         if ord(ch) >= m.size:
             raise ContractError(f"letter id {ord(ch)} outside the alphabet")
     return tuple(u.count(chr(i)) for i in range(m.size))
-
-
-def iterate_parikh(M: IncidenceMatrix, u: Word, n: int) -> ParikhVector:
-    """M^n . theta(u), exactly."""
-    if n < 0:
-        raise ContractError("exponent must be nonnegative")
-    theta = tuple(u.count(chr(i)) for i in range(M.size))
-    return M.power(n).matvec(theta)
 
 
 @dataclass(frozen=True)
@@ -246,12 +225,10 @@ def weight_sequence(m: Morphism, M: IncidenceMatrix, prefix: WordPrefix, n_max: 
     """Graded weights of phi^n(start) for n = 0..n_max, both conventions.
 
     ``M`` is ``incidence_matrix(m)``.  The direct weight must equal the degree of
-    phi^n(start) while that word fits the budget.  As phi^n(b) = phi^{n-1}(b) phi^{n-1}(t)
-    for phi(b) = b t, one chunk per generation is read off ``prefix``; past it,
-    the chunk phi^{n-1}(t) is an earlier chunk translated under phi^h
-    (``PowerTables``).  A chunk is read through its letter counts, which give its
-    degree and the length |phi(chunk)| = sum over x of |chunk|_x |phi(x)|, so the
-    first generation past the budget is never built.
+    phi^n(start) while that word fits the budget: with c the last such n, the
+    generations 0..c are read off ``prefix`` extended by ``fixed_point_prefix``,
+    each chunk through its letter counts, after its length is checked against
+    M's.
     """
     if m.degrees is None:
         raise ContractError("weight sequence needs a grading")
@@ -270,49 +247,20 @@ def weight_sequence(m: Morphism, M: IncidenceMatrix, prefix: WordPrefix, n_max: 
         vec = M.matvec(vec)
         vec_t = MT.matvec(vec_t)
 
-    word, ends = prefix.word, prefix.gen_lengths
-    image_lengths = [len(img) for img in m.images]
-    # the tables get only the letters the budget leaves past the last generation checked
-    spare = WEIGHT_EXPANSION_BUDGET_LETTERS - max(
-        k for k in lengths if k <= WEIGHT_EXPANSION_BUDGET_LETTERS
-    )
-    tables = PowerTables(m.images, map(ord, m.images[m.start][1:]), spare=spare)
-    # |phi^k(t)| for k = 0, 1, ...; the chunks past the prefix are kept
-    chunk_lengths = [ends[k] - ends[k - 1] for k in range(1, len(ends))]
-    grown_chunks: list[Word] = []
-    counts: tuple[int, ...] = ()
-    length = degree = checked = 0
-    for n in range(n_max + 1):
-        if n < len(ends):
-            if ends[n] > WEIGHT_EXPANSION_BUDGET_LETTERS:
-                break
-            counts = letter_counts(word, m.size, length, ends[n])
-            length = ends[n]
-        else:
-            grown = length + sum(c * k for c, k in zip(counts, image_lengths))
-            if grown > WEIGHT_EXPANSION_BUDGET_LETTERS:
-                break
-            i, h = tables.pick(chunk_lengths, 1)
-            if i + 1 < len(ends):
-                source = word[ends[i] : ends[i + 1]]
-            else:
-                source = grown_chunks[i + 1 - len(ends)]
-            chunk = tables.apply(source, h)
-            if length + len(chunk) != grown:
-                raise InvariantError(
-                    f"phi^{n}(start) has {length + len(chunk)} letters, "
-                    f"its letter counts give {grown}"
-                )
-            grown_chunks.append(chunk)
-            chunk_lengths.append(len(chunk))
-            counts = letter_counts(chunk, m.size)
-            length = grown
+    checked = max(n for n, k in enumerate(lengths) if k <= WEIGHT_EXPANSION_BUDGET_LETTERS)
+    expanded = fixed_point_prefix(m, lengths[checked], prefix=prefix)
+    word, ends = expanded.word, expanded.gen_lengths
+    degree = 0
+    for n in range(checked + 1):
+        if n == len(ends) or ends[n] != lengths[n]:
+            grown = f"{ends[n]}" if n < len(ends) else f"more than {ends[-1]}"
+            raise InvariantError(f"phi^{n}(start) has {grown} letters, M gives {lengths[n]}")
+        counts = letter_counts(word, m.size, ends[n - 1] if n else 0, ends[n])
         degree += sum(g * c for g, c in zip(u, counts))
         if degree != direct[n]:
             raise InvariantError(
                 f"weight mismatch at n={n}: matrix gives {direct[n]}, direct expansion gives {degree}"
             )
-        checked = n
     return WeightSequences(
         direct=tuple(direct),
         transposed=tuple(transposed),
@@ -326,7 +274,6 @@ __all__ = [
     "identity",
     "incidence_matrix",
     "parikh",
-    "iterate_parikh",
     "CharPoly",
     "char_poly",
     "LinearRecurrence",

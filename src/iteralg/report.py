@@ -329,9 +329,7 @@ def audit(
         gap = deps_ur.certificate["start_gap_bound"]
         max_block = deps_ur.certificate["max_block"]
         needed = max(4 * max_block * 16, min(cfg.prefix_letters, len(prefix.word)))
-        scan_prefix = (
-            prefix.word if len(prefix.word) >= needed else fixed_point_prefix(m, needed).word
-        )
+        scan_prefix = fixed_point_prefix(m, needed, prefix=prefix).word
         ok = graded.every_window_contains(scan_prefix[:needed], m.start, gap)
         if not ok:
             raise InvariantError(

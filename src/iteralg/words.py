@@ -388,8 +388,14 @@ def parse_morphism(source: str, *, filename: str | None = None) -> Morphism:
 
 
 def load_morphism(path: str) -> Morphism:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_morphism(fh.read(), filename=path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            source = fh.read()
+    except OSError as exc:
+        raise MorphismParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise MorphismParseError(f"cannot read {path}: not UTF-8 text") from None
+    return parse_morphism(source, filename=path)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +530,7 @@ class PowerTables:
     how deep.  For h >= 1 only the letters reachable from ``seed`` in zero or
     more steps get an entry, so a letter that never occurs costs nothing
     however fast it grows; no word with another letter may be translated
-    under such a table.  Given ``spare``, the tables past T_1 hold at most
-    that many letters in all.
+    under such a table.
     """
 
     def __init__(
@@ -533,7 +538,6 @@ class PowerTables:
         images: Sequence[Word],
         seed: Iterable[int],
         sigma: Sequence[str] | None = None,
-        spare: int | None = None,
     ) -> None:
         self._images = images
         self._letters = _reachable(images, seed)
@@ -542,7 +546,6 @@ class PowerTables:
         first = [1] * len(images) if sigma is None else [len(v) for v in sigma]
         self._entry_lengths = [first]
         self._sizes = [sum(map(first.__getitem__, self._letters))]
-        self._spare = spare
 
     def size(self, h: int) -> int:
         """The letters of T_h over the reachable letters, known without building it."""
@@ -570,15 +573,10 @@ class PowerTables:
         w_{j+1} = phi(w_j), sigma(phi^d(w_last)) is w_i translated under T_h.
 
         From the last word and h = d, h moves up one generation at a time
-        while T_{h+1} has fewer letters than the input letters it saves (and
-        the tables fit ``spare``).
+        while T_{h+1} has fewer letters than the input letters it saves.
         """
         i, h = len(lengths) - 1, d
-        while (
-            i > 0
-            and self.size(h + 1) < lengths[i] - lengths[i - 1]
-            and (self._spare is None or sum(map(self.size, range(2, h + 2))) <= self._spare)
-        ):
+        while i > 0 and self.size(h + 1) < lengths[i] - lengths[i - 1]:
             i, h = i - 1, h + 1
         return i, h
 
@@ -599,19 +597,24 @@ def fixed_point_prefix(
     n: int,
     *,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
+    prefix: WordPrefix | None = None,
 ) -> WordPrefix:
-    """At least the first ``n`` letters of the fixed point.
+    """At least the first ``n`` letters of the fixed point: its generations
+    0, 1, ..., g for the first g >= 1 with |phi^g(start)| >= n.
 
     Builds b, t, phi(t), phi^2(t), ... for phi(b) = b t, so already-emitted
-    letters never change when the prefix is extended.  Each generation
-    phi^k(t) is an earlier one phi^{k-h}(t) translated under phi^h
-    (``PowerTables``), whose tables cover the letters reachable from t.
-    phi^{k+1}(t) depends only on phi^k(t), so once a chunk equals an earlier
-    one the chunks cycle and the rest of the prefix repeats that cycle,
-    laid out with no loop step per generation.  A chunk is compared only
-    with earlier chunks of its length, so growing chunks cost no comparison.
-    The budget counts two copies of the letters (the chunks and their join)
-    and ``_GENERATION_BYTES`` per generation.
+    letters never change when the prefix is extended.  Given ``prefix``, a
+    held prefix of the fixed point, the result is cut from it when it
+    reaches n and otherwise extended from its last generation; either way
+    it is the word, generations and budget error of the call without it.
+    Each generation phi^k(t) is an earlier one phi^{k-h}(t) translated
+    under phi^h (``PowerTables``), whose tables cover the letters reachable
+    from t.  phi^{k+1}(t) depends only on phi^k(t), so once a chunk equals
+    an earlier one the chunks cycle and the rest of the prefix repeats that
+    cycle, laid out with no loop step per generation.  A chunk is compared
+    only with earlier chunks of its length, so growing chunks cost no
+    comparison.  The budget counts two copies of the letters (the chunks
+    and their join) and ``_GENERATION_BYTES`` per generation.
     """
     reason = _prolongability_failure(m, m.start)
     if reason is not None:
@@ -631,14 +634,24 @@ def fixed_point_prefix(
         )
     exceeded = f"prefix generation exceeds the {memory_budget_bytes}-byte budget"
 
-    start_ch = chr(m.start)
-    chunk = m.images[m.start][1:]
-    parts = [start_ch, chunk]
-    chunk_lengths = [len(chunk)]
-    total = 1 + len(chunk)
-    gen_lengths = [1, total]  # |phi^0(b)|, |phi^1(b)|
-    by_length = {len(chunk): [0]}  # chunk length -> indices of the chunks that long
-    tables = PowerTables(m.images, map(ord, chunk))
+    if prefix is None:
+        prefix = WordPrefix(m.images[m.start], (1, len(m.images[m.start])))
+    ends = prefix.gen_lengths
+    g = max(1, bisect_left(ends, n))
+    if g < len(ends):
+        # the first generation is not a loop step; every later one is checked
+        if g > 1 and over_budget(ends[g], g + 1):
+            raise ResourceBudgetError(exceeded)
+        return WordPrefix(prefix.word[: ends[g]], ends[: g + 1])
+
+    parts = [prefix.word[a:b] for a, b in zip((0, *ends), ends)]  # b, then the chunks
+    chunk_lengths = list(map(len, parts[1:]))
+    total = ends[-1]
+    gen_lengths = list(ends)
+    by_length: dict[int, list[int]] = {}  # chunk length -> indices of the chunks that long
+    for j, length in enumerate(chunk_lengths):
+        by_length.setdefault(length, []).append(j)
+    tables = PowerTables(m.images, map(ord, m.images[m.start][1:]))
     while total < n:
         i, h = tables.pick(chunk_lengths, 1)
         chunk = tables.apply(parts[i + 1], h)
@@ -666,10 +679,7 @@ def fixed_point_prefix(
         chunk_lengths.append(len(chunk))
         gen_lengths.append(total)
     del tables  # the two-copy estimate holds the chunks and their join only
-    return WordPrefix(
-        word="".join(parts),
-        gen_lengths=tuple(gen_lengths),
-    )
+    return WordPrefix("".join(parts), tuple(gen_lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -710,20 +720,20 @@ def _prefix_through(
     memory_budget_bytes: int,
     delete: list[str] | None = None,
 ) -> WordPrefix:
-    """``fixed_point_prefix(m, n)``: the fixed point through its first
-    generation g >= 1 with |m^g(start)| >= n, read off ``held`` when that
-    reaches so far.  ``held`` is a prefix of the fixed point of m or, given
-    the table ``delete`` of a map delta, of phi with m = delta o phi; then
+    """``fixed_point_prefix(m, n)``, read off ``held`` as far as it reaches.
+    ``held`` is a prefix of the fixed point of m or, given the table
+    ``delete`` of a map delta, of phi with m = delta o phi; then
     delta(phi^g(start)) = m^g(start), so it is translated one generation at
-    a time."""
-    if held is not None:
+    a time, up to the first generation g >= 1 that reaches n."""
+    if held is not None and delete is not None:
         parts, ends = [], [0]
         for a, b in zip((0, *held.gen_lengths), held.gen_lengths):
-            parts.append(held.word[a:b] if delete is None else held.word[a:b].translate(delete))
+            parts.append(held.word[a:b].translate(delete))
             ends.append(ends[-1] + len(parts[-1]))
             if len(ends) > 2 and ends[-1] >= n:
-                return WordPrefix("".join(parts), tuple(ends[1:]))
-    return fixed_point_prefix(m, n, memory_budget_bytes=memory_budget_bytes)
+                break
+        held = WordPrefix("".join(parts), tuple(ends[1:]))
+    return fixed_point_prefix(m, n, memory_budget_bytes=memory_budget_bytes, prefix=held)
 
 
 def _delete_mortal(m: Morphism) -> tuple[Morphism, list[str] | None, int]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,6 +85,25 @@ def test_analyze_malformed_file(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", str(bad))
     assert code == 2
     assert "line 3" in err and "undeclared" in err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["decide", "periodic"], ["audit"]])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_path_is_a_parse_error(tmp_path, command, kind):
+    path = tmp_path / "in.morph"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    search = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": search}
+    argv = [sys.executable, "-m", "iteralg", command[0], str(path), *command[1:]]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"error: cannot read {path}: ")
 
 
 def test_analyze_strict_unknown(tmp_path, capsys):

@@ -8,7 +8,6 @@ from iteralg.matrices import (
     CharPoly,
     char_poly,
     incidence_matrix,
-    iterate_parikh,
     parikh,
     recurrence_from_charpoly,
     weight_sequence,
@@ -71,23 +70,6 @@ def test_parikh_count(fibonacci):
 def test_parikh_unknown_letter(fibonacci):
     with pytest.raises(ContractError):
         parikh(fibonacci, chr(7))
-
-
-def test_iterate_parikh_fibonacci(fibonacci):
-    M = incidence_matrix(fibonacci)
-    assert iterate_parikh(M, chr(0), 2) == (2, 1)  # theta(aba)
-
-
-def test_iterate_parikh_identity_power(fibonacci):
-    M = incidence_matrix(fibonacci)
-    u = fibonacci.encode("a b b")
-    assert iterate_parikh(M, u, 0) == parikh(fibonacci, u)
-
-
-def test_iterate_parikh_paper12(paper12):
-    M = incidence_matrix(paper12)
-    v = iterate_parikh(M, chr(0), 2)
-    assert sum(v) == 16 and v[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -244,27 +226,16 @@ def test_weight_crosscheck_matches_reference_on_large_alphabets(size):
 @pytest.mark.parametrize("letters", [1, 4**8])
 @pytest.mark.parametrize("name", sorted(GALLERY_CROSS_CHECKED_UPTO))
 def test_weight_crosscheck_builds_no_dropped_generation(request, monkeypatch, name, letters):
-    # past the held prefix only generations inside the budget are expanded,
-    # and their power tables count against it too
+    # past the held prefix only generations inside the budget are expanded
     m = request.getfixturevalue(name)
     prefix = fixed_point_prefix(m, letters)
     built = []
-    tables_built = set()
-    table, apply = PowerTables.table, PowerTables.apply
-
-    def table_spy(self, h):
-        # T_1 holds phi's own images; each deeper table is written once
-        for k in range(2, h + 1):
-            if (id(self), k) not in tables_built:
-                tables_built.add((id(self), k))
-                built.append(self.size(k))
-        return table(self, h)
+    apply = PowerTables.apply
 
     def apply_spy(self, word, h):
         built.append(len(out := apply(self, word, h)))
         return out
 
-    monkeypatch.setattr(PowerTables, "table", table_spy)
     monkeypatch.setattr(PowerTables, "apply", apply_spy)
     weight_sequence(m, incidence_matrix(m), prefix, WEIGHT_TERMS)
     assert built or letters > 1
@@ -276,7 +247,7 @@ def test_weight_crosscheck_rejects_an_expansion_off_its_counts(periodic_ab, monk
     prefix = fixed_point_prefix(m, 1)
     apply = PowerTables.apply
     monkeypatch.setattr(PowerTables, "apply", lambda self, word, h: apply(self, word, h)[:-1])
-    with pytest.raises(InvariantError, match="letter counts give"):
+    with pytest.raises(InvariantError, match=r"phi\^2\(start\) has \d+ letters, M gives"):
         weight_sequence(m, incidence_matrix(m), prefix, 4)
 
 
@@ -296,8 +267,10 @@ def test_parikh_homomorphism(m, data):
     assert tuple(a + b for a, b in zip(tu, tv)) == tuv
     M = incidence_matrix(m)
     assert M.matvec(tu) == parikh(m, m.apply(u))
+    theta = parikh(m, u)
     for n in range(4):
-        assert iterate_parikh(M, u, n) == parikh(m, m.apply_n(u, n))
+        assert theta == parikh(m, m.apply_n(u, n))
+        theta = M.matvec(theta)
 
 
 @settings(max_examples=40, deadline=None)

@@ -283,6 +283,32 @@ def test_cycling_chunks_match_the_literal_loop(m, n):
             fixed_point_prefix(m, n, memory_budget_bytes=held - 1)
 
 
+def prefix_or_budget_error(m, n, **kwargs):
+    try:
+        return fixed_point_prefix(m, n, **kwargs)
+    except ResourceBudgetError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    small_morphisms(allow_erasing=True) | bounded_chunk_morphisms(),
+    st.integers(0, 3000),
+    st.integers(0, 3000),
+)
+def test_prefix_extends_a_held_prefix(m, k, n):
+    # cut from the held prefix when it reaches n, extended past it otherwise;
+    # either way the call without it, budget error included
+    want = fixed_point_prefix(m, n)
+    held = fixed_point_prefix(m, k)
+    assert fixed_point_prefix(m, n, prefix=held) == want
+    size = 2 * words._word_bytes(m, len(want.word))
+    size += len(want.gen_lengths) * words._GENERATION_BYTES
+    under = prefix_or_budget_error(m, n, memory_budget_bytes=size - 1)
+    assert isinstance(under, str) or len(want.gen_lengths) == 2
+    assert prefix_or_budget_error(m, n, memory_budget_bytes=size - 1, prefix=held) == under
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_morphisms(allow_erasing=True), st.data())
 def test_power_tables_match_substitution(m, data):
@@ -321,14 +347,6 @@ def test_power_tables_skip_a_letter_that_never_occurs():
     assert h > 1
     assert with_z.size(h) == without_z.size(h) == 2 * 2**h
     assert with_z.table(h)[2] == ""
-
-
-@pytest.mark.parametrize("spare, depth", [(None, 5), (0, 1), (7, 1), (8, 2), (23, 2), (24, 3)])
-def test_power_tables_keep_within_spare_letters(spare, depth):
-    # T_2 of a -> ab, b -> ba over {a, b} has 8 letters, T_3 16 more
-    m = mk(["a", "b"], ["a b", "b a"], "a")
-    tables = PowerTables(m.images, [0], spare=spare)
-    assert tables.pick([2**k for k in range(12)], 1)[1] == depth
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +684,27 @@ def test_shape_record_matches_oracles(m):
         assert all(restricted[a] == shape.reach[a] & letters for a in letters)
 
 
+def spy_prefixes(monkeypatch, modules):
+    """Patch fixed_point_prefix in ``modules``; the returned list records, per
+    call, its length n and whether it was given a held prefix."""
+    calls = []
+    make = words.fixed_point_prefix
+
+    def counted(m, n, **kwargs):
+        calls.append((n, kwargs.get("prefix") is not None))
+        return make(m, n, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "fixed_point_prefix", counted)
+    return calls
+
+
+def assert_one_prefix_built(calls, n):
+    """The first call builds the prefix of n letters; every later one passes it."""
+    assert calls[0] == (n, False)
+    assert all(given for _, given in calls[1:])
+
+
 @pytest.mark.parametrize(
     "source",
     [
@@ -675,14 +714,8 @@ def test_shape_record_matches_oracles(m):
 )
 def test_analyze_builds_one_letter_record(monkeypatch, source):
     """One analyze: one classify_shape, one closure, one incidence matrix, and
-    one prefix, which the factor closure and the deciders read."""
-    calls = {
-        "classify_shape": 0,
-        "support_reach": 0,
-        "fixed_point_prefix": 0,
-        "decider_prefix": 0,
-        "incidence_matrix": 0,
-    }
+    one prefix, which every later expansion extends or cuts."""
+    calls = {"classify_shape": 0, "support_reach": 0, "incidence_matrix": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -698,45 +731,27 @@ def test_analyze_builds_one_letter_record(monkeypatch, source):
     for mod in (iteralg, matrices, report):
         monkeypatch.setattr(mod, "incidence_matrix", matrix_counter)
     monkeypatch.setattr(words, "support_reach", counted("support_reach", words.support_reach))
-    prefix_counter = counted("fixed_point_prefix", words.fixed_point_prefix)
-    for mod in (report, words):
-        monkeypatch.setattr(mod, "fixed_point_prefix", prefix_counter)
-    monkeypatch.setattr(
-        deciders, "fixed_point_prefix", counted("decider_prefix", words.fixed_point_prefix)
-    )
+    prefix_calls = spy_prefixes(monkeypatch, (report, words, matrices, deciders))
     text = cli.gallery_text(source) if source in cli.GALLERY_NAMES else source
     m = parse_morphism(text)
     doc, _ = report.analyze(m, AnalysisConfig(max_len=16), source)
-    assert calls == {
-        "classify_shape": 1,
-        "support_reach": 1,
-        "fixed_point_prefix": 1,
-        "decider_prefix": 0,
-        "incidence_matrix": 1,
-    }
+    assert calls == {"classify_shape": 1, "support_reach": 1, "incidence_matrix": 1}
+    assert_one_prefix_built(prefix_calls, AnalysisConfig().prefix_letters)
     assert doc["shape"]["erasing"] == (source != "paper12")
 
 
 def test_audit_and_decide_build_one_prefix(monkeypatch, tmp_path):
     # the factor closure of an erasing morphism reads the prefix its caller holds
-    built = []
-    make = words.fixed_point_prefix
-
-    def counted(*args, **kwargs):
-        built.append(args[1])
-        return make(*args, **kwargs)
-
-    for mod in (cli, report, words):
-        monkeypatch.setattr(mod, "fixed_point_prefix", counted)
+    calls = spy_prefixes(monkeypatch, (cli, report, words, matrices, deciders))
     text = "letters: a b c\nstart: a\nmap a -> a b c\nmap b ->\nmap c -> a c\ndegree default = 1\n"
     m = parse_morphism(text)
     report.audit(m, AnalysisConfig(max_len=16), "erasing")
-    assert built == [AnalysisConfig().prefix_letters]
+    assert_one_prefix_built(calls, AnalysisConfig().prefix_letters)
     path = tmp_path / "erasing.morph"
     path.write_text(text)
-    built.clear()
+    calls.clear()
     cli.main(["decide", str(path), "periodic"])
-    assert built == [AnalysisConfig().prefix_letters]
+    assert_one_prefix_built(calls, AnalysisConfig().prefix_letters)
 
 
 # ---------------------------------------------------------------------------
