@@ -13,8 +13,9 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, cycle, islice
-from typing import ClassVar, Collection, Iterable, NamedTuple, Sequence
+from itertools import accumulate, cycle, islice, pairwise, starmap
+from operator import xor
+from typing import ClassVar, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ContractError,
@@ -96,7 +97,7 @@ class Morphism:
         return "".join(chr(self.letter(t).id) for t in toks)
 
     def decode(self, word: Word) -> str:
-        return " ".join(self.letters[ord(ch)] for ch in word)
+        return " ".join(map(self.letters.__getitem__, map(ord, word)))
 
     def degree_of(self, word: Word) -> int:
         if self.degrees is None:
@@ -199,13 +200,20 @@ class FactorSet:
 
     def __post_init__(self) -> None:
         # p(n) = #{i : lcp(s_{i-1}, s_i) < n}: word i adds one new n-prefix
-        # for each n in (lcp, L], tallied as a difference array
-        diff = [0] * (self.max_len + 2)
-        prev = ""
-        for s in self.words:
-            diff[_lcp(prev, s) + 1] += 1
-            prev = s
-        object.__setattr__(self, "counts", (1, *accumulate(diff[1 : self.max_len + 1])))
+        # for each n in (lcp, L], tallied as a difference array.  Read as
+        # integers at ``bits`` bits a letter, two length-L words differ in
+        # the last ceil(bit_length(xor) / bits) = L - lcp letters.
+        n = self.max_len
+        diff = [0] * (n + 2)
+        if self.words:
+            diff[1] = 1
+            try:
+                bits, lengths = 8, _xor_lengths(self.words, "latin-1")
+            except UnicodeEncodeError:  # a letter id past 255
+                bits, lengths = 32, _xor_lengths(self.words, "utf-32-be")
+            for length, count in lengths.items():
+                diff[n + 1 - (length + bits - 1) // bits] += count
+        object.__setattr__(self, "counts", (1, *accumulate(diff[1 : n + 1])))
 
     def __contains__(self, word: Word) -> bool:
         if len(word) > self.max_len:
@@ -242,16 +250,11 @@ class FactorSet:
         return [w for n in range(self.max_len + 1) for w in self.of_length(n)]
 
 
-def _lcp(a: Word, b: Word) -> int:
-    """Length of the longest common prefix, by binary search over slices."""
-    lo, hi = 0, min(len(a), len(b))
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if b.startswith(a[:mid]):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+def _xor_lengths(words: Iterable[Word], codec: str) -> Counter[int]:
+    """How often each bit length occurs among the XORs of neighbouring
+    words, each read as one integer in ``codec``, with no list of them built."""
+    keys = (int.from_bytes(s.encode(codec), "big") for s in words)
+    return Counter(map(int.bit_length, starmap(xor, pairwise(keys))))
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +716,30 @@ def _windows(word: Word, size: int) -> set[Word]:
     return {word[i : i + size] for i in range(len(word) - size + 1)}
 
 
+def _lead_windows(
+    words: Iterable[Word],
+    table: Sequence[str],
+    size: int,
+    full: Collection[Word] = (),
+    last: set[Word] | None = None,
+) -> Iterator[Word]:
+    """The length-``size`` windows of v translated under ``table``, v in
+    ``words``, that start in table[v[0]], the image of v's first letter, or
+    anywhere for v in ``full``.  Any other window of v lies in the image of
+    v[1:].  Given ``last``, the last window of each image goes there instead,
+    so that a next window of its image follows every window yielded.
+    """
+    for v in words:
+        w = v.translate(table)
+        end = len(w) - size + 1
+        if v not in full and len(table[ord(v[0])]) < end:
+            end = len(table[ord(v[0])])
+        elif last is not None:
+            end -= 1
+            last.add(w[end:])
+        yield from [w[i : i + size] for i in range(end)]
+
+
 def _prefix_through(
     m: Morphism,
     n: int,
@@ -781,7 +808,9 @@ def _expanded_windows(
             level[c] = w
         table = level
         _check_budget(m, [(len(words), size), (len(found), size)], budget)
-    found.update(u for v in words for u in _windows(v.translate(table), size) if sep not in u)
+    # a later window of v lies in the cut image of v[1:], a prefix of the cut
+    # image of another word of F_L(y)
+    found.update(u for u in _lead_windows(words, table, size) if sep not in u)
     _check_budget(m, [(len(words), size), (len(found), size)], budget)
     return found
 
@@ -815,6 +844,19 @@ def factor_closure(
     all of F_B, and one harvest of the length-L windows of psi(v), v in F_B,
     gives F_L.  ``closure_rounds`` is g0, plus the rounds that added a word,
     plus one for the harvest.
+
+    The argument uses only the windows that start in psi(v[0]), the image of
+    v's first letter (``_lead_windows``): a later window lies in psi(v[1:]),
+    and v[1:] begins another factor.  The harvest and the erasing expansion
+    read a whole F_B or F_L(y), so they take only these windows.  In the
+    fixpoint, a word u met as a window of psi(v) other than the last has its
+    tail u[1:] begin the next window of psi(v), known by the next round;
+    such a u gives only its first windows, and a word met only as the last
+    window of an image or of the seed (``ends``) gives all of its windows.
+    A window that u skips lies in the image of the known word that u[1:]
+    begins, which gave it this round or before, by the same rule.  So every
+    round adds the words that all windows would add, and ``closure_rounds``
+    is the same.
     """
     reason = _prolongability_failure(m, m.start)
     if reason is not None:
@@ -832,15 +874,20 @@ def factor_closure(
 
     seed = _prefix_through(psi, expand_bound, prefix, memory_budget_bytes, delete)
     known = _windows(seed.word, expand_bound)
-    frontier = known
+    frontier, ends = known, {seed.word[-expand_bound:]}
     rounds = seed.generation_level
-    while frontier := {u for v in frontier for u in _windows(psi.apply(v), expand_bound)} - known:
+    while True:
+        last: set[Word] = set()
+        inner = set(_lead_windows(frontier, psi._table, expand_bound, ends, last)) - known
+        ends = last - inner - known
+        if not (frontier := inner | ends):
+            break
         rounds += 1
         known |= frontier
         _check_budget(m, [(len(known), expand_bound)], memory_budget_bytes)
     if max_len > expand_bound:
         rounds += 1
-        harvest = {u for v in known for u in _windows(psi.apply(v), max_len)}
+        harvest = set(_lead_windows(known, psi._table, max_len))
         _check_budget(
             m, [(len(known), expand_bound), (len(harvest), max_len)], memory_budget_bytes
         )

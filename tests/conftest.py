@@ -17,6 +17,7 @@ from iteralg.words import (
     FactorSet,
     Morphism,
     WordPrefix,
+    _delete_mortal,
     factor_closure,
     fixed_point_prefix,
     is_prolongable,
@@ -61,6 +62,69 @@ def brute_factor_set(word: str, max_len: int) -> set[str]:
         for j in range(i + 1, min(i + max_len, len(word)) + 1):
             out.add(word[i:j])
     return out
+
+
+def reference_closure(m: Morphism, max_len: int) -> tuple[tuple[str, ...], tuple[int, ...], int]:
+    """(words, counts, closure_rounds) of factor_closure(m, max_len), by the
+    closure that takes every window: the fixpoint and the harvest slice all
+    length-B and length-L windows of psi(v), the erasing expansion all
+    windows of each cut phi^k(u), and p(n) is tallied from the longest
+    common prefix of neighbouring words, found by binary search over slices."""
+
+    def windows(word: str, size: int) -> set[str]:
+        return {word[i : i + size] for i in range(len(word) - size + 1)}
+
+    def lcp(a: str, b: str) -> int:
+        lo, hi = 0, min(len(a), len(b))
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if b.startswith(a[:mid]):
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
+    if max_len == 0:
+        return ("",), (1,), 0
+    psi, delete, layers = _delete_mortal(m)
+    j = psi.min_image_len
+    size = max_len if j == 1 else max(1, min(max_len, (max_len - 2) // j + 2))
+    seed = fixed_point_prefix(psi, size)
+    known = windows(seed.word, size)
+    frontier = known
+    rounds = seed.generation_level
+    while frontier := {u for v in frontier for u in windows(psi.apply(v), size)} - known:
+        rounds += 1
+        known |= frontier
+    if max_len > size:
+        rounds += 1
+        known = {u for v in known for u in windows(psi.apply(v), max_len)}
+    if layers:
+        # phi^h(c) cut to its first and last L - 1 letters around a separator
+        # once its windows are taken
+        sep, edge = chr(m.size), max_len - 1
+        table = [chr(c) for c in range(m.size)]
+        found: set[str] = set()
+        for _ in range(layers):
+            level = [""] * m.size
+            for c in occurring_reference(m):
+                w = m.images[c].translate(table)
+                if len(w) > 2 * edge + 1:
+                    found |= {u for u in windows(w, max_len) if sep not in u}
+                    w = w[:edge] + sep + w[len(w) - edge :]
+                level[c] = w
+            table = level
+        found |= {
+            u for v in known for u in windows(v.translate(table), max_len) if sep not in u
+        }
+        known = found
+    words = tuple(sorted(known))
+    diff = [0] * (max_len + 2)
+    prev = ""
+    for s in words:
+        diff[lcp(prev, s) + 1] += 1
+        prev = s
+    return words, (1, *accumulate(diff[1 : max_len + 1])), rounds
 
 
 def brute_factor_count(word: str, n: int) -> int:

@@ -2,9 +2,14 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iteralg.algebra import MonomialElement, graded_dimension, hilbert_function, multiply
 from iteralg.errors import ContractError
+from iteralg.words import factor_closure
+
+from conftest import small_morphisms
 
 
 def test_multiply_image_prefix(paper12, closure):
@@ -82,6 +87,18 @@ def test_graded_dimension_counts_by_degree(paper12, closure):
         if w and paper12.degree_of(w) <= 8
     )
     assert total == by_enum
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_morphisms(allow_erasing=True, graded=True), st.integers(1, 8))
+def test_graded_dimension_matches_a_degree_sum(m, max_len):
+    # degrees 1..3 per letter: each factor's degree summed letter by letter
+    f = factor_closure(m, max_len)
+    for d in range(max_len + 1):
+        expected = sum(
+            1 for w in f.factors if sum(m.degrees[ord(ch)] for ch in w) == d
+        )
+        assert graded_dimension(f, m.degrees, d) == expected, d
 
 
 def test_associativity_random_triples(paper12, closure):

@@ -40,6 +40,7 @@ from conftest import (
     naive_power,
     occurring_reference,
     prefix_reference,
+    reference_closure,
     small_morphisms,
     wide_morphism,
 )
@@ -62,6 +63,13 @@ def test_parse_fibonacci(fibonacci):
     assert fibonacci.start == 0
     assert fibonacci.degrees == (1, 1)
     assert not fibonacci.explicit_grading
+
+
+def test_decode_joins_multi_character_names():
+    m = mk(["x10", "y", "zz"], ["x10 y", "zz", "x10"], "x10")
+    assert m.decode(m.encode("x10 zz y zz x10")) == "x10 zz y zz x10"
+    assert m.decode(chr(2)) == "zz"
+    assert m.decode("") == ""
 
 
 def test_parse_identity_start_rejected():
@@ -583,6 +591,25 @@ def test_closure_reads_a_held_prefix(m, max_len, held_letters):
     own = factor_closure(m, max_len)
     cut = factor_closure(m, max_len, prefix=held)
     assert cut == own
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.integers(min_value=1, max_value=40))
+def test_closure_matches_the_all_windows_reference(m, max_len):
+    # windows from the first letter's image, and all windows of a word whose
+    # tail heads no known word, give every round the same frontier as all
+    # windows; B = L, B < L and the erasing expansion all run here
+    f = factor_closure(m, max_len)
+    assert (f.words, f.counts, f.closure_rounds) == reference_closure(m, max_len)
+
+
+@pytest.mark.parametrize("max_len", [4, 16])
+def test_closure_matches_the_reference_on_a_wide_alphabet(max_len):
+    # letter ids past 255 are read at 4 bytes a letter for the counts
+    m = wide_morphism(300)
+    f = factor_closure(m, max_len)
+    assert max(map(max, f.words)) > "\xff"
+    assert (f.words, f.counts, f.closure_rounds) == reference_closure(m, max_len)
 
 
 @settings(max_examples=60, deadline=None)
