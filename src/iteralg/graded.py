@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import add, mul, sub
+from itertools import accumulate, compress, count
+from operator import add, itemgetter, mul, sub
 
 from .errors import ContractError, InvariantError, NoSplitError
 from .words import FactorSet, Morphism, PowerTables, Word, WordPrefix, letter_counts
@@ -356,6 +356,9 @@ def cyclic_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
     length by length: a decomposition takes the first cut whose rotation is
     absent, so a factor fails when it has no absent rotation, or when either
     part at that cut failed.  Both parts are shorter factors, already decided.
+    Cut 1 is tested for a whole length at once; its left part is one letter,
+    never failed, so there the word fails when its tail failed.  Only the
+    words whose first rotation is present try the later cuts one by one.
     """
     if max_len < 2:
         raise ContractError("rotation audit needs max_len >= 2")
@@ -364,21 +367,24 @@ def cyclic_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
     per_length: list[tuple[int, int]] = []
     counterexample: Word | None = None
     failed: dict[Word, None] = {}  # in scan order
-    for n in range(2, max_len + 1):
-        words = f.of_length(n)
+    # each layer is cut from the one above it, so ask from the top down
+    layers = [f.of_length(n) for n in range(max_len, 1, -1)]
+    for n, words in zip(range(2, max_len + 1), reversed(layers)):
         present = frozenset(words)  # rotations keep the length
-        for w in words:
-            # stop at the first absent rotation; most words have one at once
-            for cut in range(1, n):
+        tails = list(map(itemgetter(slice(1, None)), words))
+        fails = list(map(failed.__contains__, tails))
+        first_rotations = map(add, tails, map(itemgetter(0), words))
+        for i in compress(count(), map(present.__contains__, first_rotations)):
+            w = words[i]
+            for cut in range(2, n):
                 if w[cut:] + w[:cut] not in present:
-                    fails = w[:cut] in failed or w[cut:] in failed
+                    fails[i] = w[:cut] in failed or w[cut:] in failed
                     break
             else:
-                fails = True
+                fails[i] = True
                 if counterexample is None:
                     counterexample = w
-            if fails:
-                failed[w] = None
+        failed.update(dict.fromkeys(compress(words, fails)))
         if counterexample is None:
             per_length.append((n, len(words)))
     return RotationAudit(

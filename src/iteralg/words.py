@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, cycle, islice, pairwise, starmap
-from operator import xor
+from operator import itemgetter, xor
 from typing import ClassVar, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -222,32 +222,45 @@ class FactorSet:
         return i < len(self.words) and self.words[i].startswith(word)
 
     def of_length(self, n: int) -> tuple[Word, ...]:
-        """The factors of length ``n``, sorted: the distinct n-prefixes of ``words``."""
+        """The factors of length ``n``, sorted: the distinct n-prefixes of the
+        shortest layer held above n, or of ``words`` when none is held.
+
+        Only the layer asked for is kept, so a caller that reads many layers
+        asks for them from the longest down and each is cut from the last.
+        """
         if n < 0 or n > self.max_len:
             raise ContractError(f"length {n} outside the computed range 0..{self.max_len}")
+        if n == self.max_len:
+            return self.words
         found = self._by_length.get(n)
         if found is None:
+            above = min((k for k in self._by_length if k > n), default=None)
+            source = self.words if above is None else self._by_length[above]
             # prefixes of a sorted tuple come out sorted, equal ones adjacent
-            found = tuple(dict.fromkeys(s[:n] for s in self.words))
+            found = tuple(dict.fromkeys(map(itemgetter(slice(0, n)), source)))
             self._by_length[n] = found
         return found
 
     def restricted(self, n: int) -> "FactorSet":
-        """The same factor set cut down to ``max_len`` = n."""
+        """The same factor set cut down to ``max_len`` = n, holding the
+        layers below n that this one holds."""
         if n < 0 or n > self.max_len:
             raise ContractError(f"length {n} outside the computed range 0..{self.max_len}")
         if n == self.max_len:
             return self
-        return FactorSet(max_len=n, words=self.of_length(n), closure_rounds=self.closure_rounds)
+        cut = FactorSet(max_len=n, words=self.of_length(n), closure_rounds=self.closure_rounds)
+        cut._by_length.update((k, layer) for k, layer in self._by_length.items() if k < n)
+        return cut
 
     @cached_property
     def factors(self) -> frozenset[Word]:
         """Every factor of length <= ``max_len`` as one set, built on first use."""
-        return frozenset().union(*(self.of_length(n) for n in range(self.max_len + 1)))
+        return frozenset().union(*map(self.of_length, range(self.max_len, -1, -1)))
 
     def sorted_factors(self) -> list[Word]:
         """Deterministic length-then-canonical order."""
-        return [w for n in range(self.max_len + 1) for w in self.of_length(n)]
+        layers = [self.of_length(n) for n in range(self.max_len, -1, -1)]
+        return [w for layer in reversed(layers) for w in layer]
 
 
 def _xor_lengths(words: Iterable[Word], codec: str) -> Counter[int]:
@@ -884,7 +897,9 @@ def factor_closure(
             break
         rounds += 1
         known |= frontier
-        _check_budget(m, [(len(known), expand_bound)], memory_budget_bytes)
+        # a round's window set holds fresh copies of known words until
+        # ``- known`` drops them, so two copies of the known words are charged
+        _check_budget(m, [(2 * len(known), expand_bound)], memory_budget_bytes)
     if max_len > expand_bound:
         rounds += 1
         harvest = set(_lead_windows(known, psi._table, max_len))

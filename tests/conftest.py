@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from iteralg.cli import gallery_text
 from iteralg.errors import ContractError, InvariantError, NoSplitError
-from iteralg.graded import ChainWitness, lie_decomposition, max_homogeneous_chain, s_set
+from iteralg.graded import (
+    ChainWitness,
+    RotationAudit,
+    lie_decomposition,
+    max_homogeneous_chain,
+    s_set,
+)
 from iteralg.matrices import WEIGHT_EXPANSION_BUDGET_LETTERS, WeightSequences
 from iteralg.words import (
     FactorSet,
@@ -300,6 +306,38 @@ def periodic_candidates_reference(prefix: str, max_period: int):
 def window_reference(word: str, letter: int, window: int) -> bool:
     """Does every length-``window`` slice of ``word`` hold the letter?"""
     return all(chr(letter) in word[i : i + window] for i in range(len(word) - window + 1))
+
+
+def reference_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
+    """cyclic_rotation_audit word by word: each factor of length 2..max_len
+    tries its cuts in order up to the first absent rotation, and fails when
+    it has none or when a part at that cut failed."""
+    per_length = []
+    counterexample = None
+    failed: dict[str, None] = {}
+    for n in range(2, max_len + 1):
+        words = f.of_length(n)
+        present = frozenset(words)
+        for w in words:
+            for cut in range(1, n):
+                if w[cut:] + w[:cut] not in present:
+                    fails = w[:cut] in failed or w[cut:] in failed
+                    break
+            else:
+                fails = True
+                if counterexample is None:
+                    counterexample = w
+            if fails:
+                failed[w] = None
+        if counterexample is None:
+            per_length.append((n, len(words)))
+    return RotationAudit(
+        max_len=max_len,
+        per_length=tuple(per_length),
+        passed=counterexample is None,
+        counterexample=counterexample,
+        lie_failures=tuple(failed),
+    )
 
 
 def lie_reference(m: Morphism, f: FactorSet, max_len: int) -> dict:

@@ -31,6 +31,7 @@ from conftest import (
     max_run_start,
     naive_power,
     prefix_identity_reference,
+    reference_rotation_audit,
     small_morphisms,
     window_reference,
 )
@@ -431,6 +432,43 @@ def test_rotation_audit_periodic_fails(periodic_ab, closure):
     assert audit.per_length == ()
 
 
+GALLERY = ["paper12", "fibonacci", "thue-morse", "ba-example", "periodic-ab"]
+
+
+@pytest.mark.parametrize("max_len", [2, 3, 5, 12, 20, 32])
+@pytest.mark.parametrize("name", GALLERY)
+def test_rotation_audit_matches_the_reference_on_the_gallery(closure, name, max_len):
+    # paper12 passes at every length; the others fail at 2 and cascade
+    f = closure(name, max_len)
+    assert cyclic_rotation_audit(f, max_len) == reference_rotation_audit(replace(f), max_len)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.integers(min_value=2, max_value=24))
+def test_rotation_audit_matches_the_reference(m, max_len):
+    # per_length, the counterexample and the Lie failures in scan order
+    f = factor_closure(m, max_len)
+    assert cyclic_rotation_audit(f, max_len) == reference_rotation_audit(replace(f), max_len)
+
+
+@st.composite
+def word_sets(draw):
+    """A factor set read off any set of equal-length words: their prefixes
+    need not be closed under suffixes, and sparse sets pass the audit."""
+    letters = "abcdefgh"[: draw(st.integers(2, 8))]
+    n = draw(st.integers(2, 16))
+    found = draw(st.sets(st.text(letters, min_size=n, max_size=n), min_size=1, max_size=20))
+    return words.FactorSet(max_len=n, words=tuple(sorted(found)), closure_rounds=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_sets(), st.data())
+def test_rotation_audit_matches_the_reference_on_any_word_set(f, data):
+    # the drawn morphisms above all fail at length 2; sparse word sets also pass
+    max_len = data.draw(st.integers(2, f.max_len))
+    assert cyclic_rotation_audit(f, max_len) == reference_rotation_audit(replace(f), max_len)
+
+
 def test_rotation_audit_contract(closure):
     with pytest.raises(ContractError):
         cyclic_rotation_audit(closure("paper12", 4), 1)
@@ -493,7 +531,7 @@ def test_lie_entry_inferred_from_passed_rotation_audit(paper12, closure):
         assert _lie_entry(paper12, f, max_len) == lie_reference(paper12, f, max_len)
 
 
-@pytest.mark.parametrize("name", ["paper12", "fibonacci", "thue-morse", "ba-example", "periodic-ab"])
+@pytest.mark.parametrize("name", GALLERY)
 def test_lie_failures_match_decomposition(closure, name):
     # the full scan, passed rotation audits included, against every decomposition
     f = closure(name, 12)

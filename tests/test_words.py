@@ -2,6 +2,7 @@ import itertools
 import json
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -579,6 +580,28 @@ def test_closure_budget_estimate_tracks_traced_peak(paper12):
         factor_closure(paper12, 64, memory_budget_bytes=peak // 2)
 
 
+@pytest.mark.parametrize(
+    ("m", "max_len"),
+    [
+        # B = L: fibonacci's b has a one-letter image, so its fixpoint keeps L
+        pytest.param(parse_morphism(cli.gallery_text("fibonacci")), 128, id="fibonacci"),
+        pytest.param(EXPANSION_CASES["erasing"], 64, id="erasing"),
+        # letter ids past 255: CPython stores 4 bytes a letter
+        pytest.param(wide_morphism(300), 16, id="wide"),
+    ],
+)
+def test_closure_budget_estimate_tracks_traced_peak_on_other_paths(m, max_len):
+    tracemalloc.start()
+    try:
+        factor_closure(m, max_len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    factor_closure(m, max_len, memory_budget_bytes=2 * peak)
+    with pytest.raises(ResourceBudgetError):
+        factor_closure(m, max_len, memory_budget_bytes=peak // 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     small_morphisms(allow_erasing=True),
@@ -643,6 +666,39 @@ def test_factor_views_agree(m):
             u = "".join(letters)
             assert (u in f) == is_factor(f, u) == (u in f.factors)
     assert chr(0) * (max_len + 1) not in f
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.integers(min_value=0, max_value=12), st.data())
+def test_layers_do_not_depend_on_the_order_they_are_asked_in(m, max_len, data):
+    f = factor_closure(m, max_len)
+    expected = [tuple(sorted({w[:n] for w in f.words})) for n in range(max_len + 1)]
+    ascending = list(range(max_len + 1))
+    for order in (ascending, ascending[::-1], data.draw(st.permutations(ascending))):
+        fresh = replace(f)
+        assert [fresh.of_length(n) for n in order] == [expected[n] for n in order]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.integers(min_value=0, max_value=12), st.data())
+def test_a_restricted_set_has_the_same_layers(m, max_len, data):
+    f = factor_closure(m, max_len)
+    # layers already held, above and below the cut, are handed down or left
+    for k in data.draw(st.lists(st.integers(0, max_len), max_size=4)):
+        f.of_length(k)
+    n = data.draw(st.integers(0, max_len))
+    cut = f.restricted(n)
+    assert cut.max_len == n and cut.counts == f.counts[: n + 1]
+    top_down = range(n, -1, -1)
+    assert [cut.of_length(j) for j in top_down] == [f.of_length(j) for j in top_down]
+
+
+def test_a_short_layer_is_cut_without_the_layers_between(closure):
+    # asking for F_1 of F_64 builds and keeps F_1 alone, not F_63..F_1
+    f = replace(closure("paper12", 64))
+    assert len(f.of_length(1)) == 12
+    assert list(f._by_length) == [1]
+    assert f.of_length(64) is f.words and list(f._by_length) == [1]
 
 
 def test_complexity_counts(fibonacci, periodic_ab, closure):
