@@ -33,7 +33,6 @@ from .matrices import (
     WeightSequences,
     char_poly,
     incidence_matrix,
-    parikh,
     recurrence_from_charpoly,
     weight_sequence,
 )

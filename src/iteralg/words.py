@@ -71,6 +71,7 @@ class Morphism:
                 raise ValueError("degrees must be positive")
         # str.translate accepts any indexable table; a list beats a dict here
         object.__setattr__(self, "_table", list(self.images))
+        object.__setattr__(self, "_names", [name + " " for name in self.letters])
 
     @property
     def size(self) -> int:
@@ -86,27 +87,14 @@ class Morphism:
         """phi(word), via one C-level translate pass."""
         return word.translate(self._table)
 
-    def apply_n(self, word: Word, n: int) -> Word:
-        for _ in range(n):
-            word = self.apply(word)
-        return word
-
     def encode(self, names: str | Iterable[str]) -> Word:
         """Build a word from whitespace-separated names or an iterable of names."""
         toks = names.split() if isinstance(names, str) else list(names)
         return "".join(chr(self.letter(t).id) for t in toks)
 
     def decode(self, word: Word) -> str:
-        return " ".join(map(self.letters.__getitem__, map(ord, word)))
-
-    def degree_of(self, word: Word) -> int:
-        if self.degrees is None:
-            raise ContractError("morphism carries no grading")
-        return sum(self.degrees[ord(ch)] for ch in word)
-
-    @property
-    def max_image_len(self) -> int:
-        return max((len(i) for i in self.images), default=0)
+        """Letter names separated by spaces, by one translate pass."""
+        return word.translate(self._names)[:-1]
 
     @property
     def min_image_len(self) -> int:
@@ -256,11 +244,6 @@ class FactorSet:
     def factors(self) -> frozenset[Word]:
         """Every factor of length <= ``max_len`` as one set, built on first use."""
         return frozenset().union(*map(self.of_length, range(self.max_len, -1, -1)))
-
-    def sorted_factors(self) -> list[Word]:
-        """Deterministic length-then-canonical order."""
-        layers = [self.of_length(n) for n in range(self.max_len, -1, -1)]
-        return [w for layer in reversed(layers) for w in layer]
 
 
 def _xor_lengths(words: Iterable[Word], codec: str) -> Counter[int]:

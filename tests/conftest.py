@@ -18,7 +18,13 @@ from iteralg.graded import (
     max_homogeneous_chain,
     s_set,
 )
-from iteralg.matrices import WEIGHT_EXPANSION_BUDGET_LETTERS, WeightSequences
+from iteralg.matrices import (
+    WEIGHT_EXPANSION_BUDGET_LETTERS,
+    CharPoly,
+    IncidenceMatrix,
+    LinearRecurrence,
+    WeightSequences,
+)
 from iteralg.words import (
     FactorSet,
     Morphism,
@@ -35,6 +41,98 @@ from iteralg.words import (
 
 # ---------------------------------------------------------------------------
 # oracles: deliberately naive, sharing no code with the library paths they check
+
+
+def apply_n(m: Morphism, word: str, n: int) -> str:
+    """phi^n(word) by n translate passes."""
+    for _ in range(n):
+        word = m.apply(word)
+    return word
+
+
+def degree_of(m: Morphism, word: str) -> int:
+    if m.degrees is None:
+        raise ContractError("morphism carries no grading")
+    return sum(m.degrees[ord(ch)] for ch in word)
+
+
+def max_image_len(m: Morphism) -> int:
+    return max((len(i) for i in m.images), default=0)
+
+
+def sorted_factors(f: FactorSet) -> list[str]:
+    """Every factor, shortest first, each length in canonical order; the
+    layers are asked for from the longest down, each cut from the one above."""
+    layers = [f.of_length(n) for n in range(f.max_len, -1, -1)]
+    return [w for layer in reversed(layers) for w in layer]
+
+
+def holds_at(rec: LinearRecurrence, seq, n: int) -> bool:
+    """Does seq[n] follow from the rec.order terms before it?"""
+    return seq[n] == sum(c * seq[n - k] for k, c in enumerate(rec.coeffs, start=1))
+
+
+def parikh(m: Morphism, u: str) -> tuple[int, ...]:
+    for ch in u:
+        if ord(ch) >= m.size:
+            raise ContractError(f"letter id {ord(ch)} outside the alphabet")
+    return tuple(u.count(chr(i)) for i in range(m.size))
+
+
+# dense matrix products of Python ints, and the characteristic polynomial by
+# Faddeev-LeVerrier over them: O(n^4), for checking char_poly
+
+
+def identity(n: int) -> IncidenceMatrix:
+    return IncidenceMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def transpose(M: IncidenceMatrix) -> IncidenceMatrix:
+    return IncidenceMatrix(tuple(zip(*M.rows)))
+
+
+def matmul(A: IncidenceMatrix, B: IncidenceMatrix) -> IncidenceMatrix:
+    cols = list(zip(*B.rows))
+    return IncidenceMatrix(
+        tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in A.rows)
+    )
+
+
+def matvec(M: IncidenceMatrix, v) -> tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in M.rows)
+
+
+def is_zero(M: IncidenceMatrix) -> bool:
+    return all(e == 0 for row in M.rows for e in row)
+
+
+def plus_scalar(M: IncidenceMatrix, c: int) -> IncidenceMatrix:
+    """M + cI."""
+    return IncidenceMatrix(
+        tuple(tuple(e + c * (i == j) for j, e in enumerate(row)) for i, row in enumerate(M.rows))
+    )
+
+
+def evaluate_matrix(p: CharPoly, M: IncidenceMatrix) -> IncidenceMatrix:
+    """p(M) by Horner's rule over dense products."""
+    acc = IncidenceMatrix(tuple((0,) * M.size for _ in range(M.size)))
+    for c in reversed(p.coeffs):
+        acc = plus_scalar(matmul(acc, M), c)
+    return acc
+
+
+def faddeev_leverrier(M: IncidenceMatrix) -> CharPoly:
+    """det(xI - M) by the Faddeev-LeVerrier scheme; every division is exact."""
+    n = M.size
+    coeffs = [0] * n + [1]
+    B = identity(n)
+    for k in range(1, n + 1):
+        AB = matmul(M, B)
+        t = AB.trace()
+        assert t % k == 0, "Faddeev-LeVerrier trace division is not exact"
+        coeffs[n - k] = -(t // k)
+        B = plus_scalar(AB, coeffs[n - k])
+    return CharPoly(tuple(coeffs))
 
 
 def naive_power(m: Morphism, n: int, seed: int | None = None) -> list[int]:
@@ -68,6 +166,49 @@ def brute_factor_set(word: str, max_len: int) -> set[str]:
         for j in range(i + 1, min(i + max_len, len(word)) + 1):
             out.add(word[i:j])
     return out
+
+
+def proven_factors(m: Morphism, prefix: str, max_len: int) -> set[str]:
+    """Factors of x = phi(x) of length <= max_len, proved with no length cap:
+    the windows of the generated ``prefix`` closed under taking the windows
+    of phi^h(v), where phi^h erases every mortal letter.
+
+    Sound, since phi^h(v) is a factor of phi^h(x) = x whenever v is a factor.
+    Complete: a factor w lies in phi^h(v) for a factor v that ends earlier in
+    x (|phi^h(x[:t])| > t, as x is infinite), starts and ends with an immortal
+    letter and has at most as many immortal letters as w has letters; in an
+    erasing draw v can be longer than w.  So the closure keeps every window
+    of length <= max_len, and every window with at most max_len immortal
+    letters that starts and ends with one.
+    """
+    mortal: set[int] = set()
+    while mortal != (
+        grown := {c for c in range(m.size) if all(ord(ch) in mortal for ch in m.images[c])}
+    ):
+        mortal = grown
+    h = 1
+    while any(apply_n(m, chr(c), h) for c in mortal):
+        h += 1
+    table = [apply_n(m, chr(c), h) for c in range(m.size)]
+    immortal = [c not in mortal for c in range(m.size)]
+
+    def windows(word: str) -> set[str]:
+        n = len(word)
+        out = {word[i:j] for i in range(n) for j in range(i + 1, min(i + max_len, n) + 1)}
+        for i in range(n):
+            count = 0
+            for j in range(i, n):
+                if immortal[ord(word[j])]:
+                    count += 1
+                    if count > max_len or not immortal[ord(word[i])]:
+                        break
+                    out.add(word[i : j + 1])
+        return out
+
+    known = frontier = windows(prefix)
+    while frontier := set().union(*(windows(v.translate(table)) for v in frontier)) - known:
+        known |= frontier
+    return {w for w in known if len(w) <= max_len} | {""}
 
 
 def reference_closure(m: Morphism, max_len: int) -> tuple[tuple[str, ...], tuple[int, ...], int]:
@@ -275,7 +416,7 @@ def weight_crosscheck_reference(m: Morphism, n_max: int) -> WeightSequences:
     for n in range(n_max + 1):
         if len(word) > WEIGHT_EXPANSION_BUDGET_LETTERS:
             break
-        if m.degree_of(word) != direct[n]:
+        if degree_of(m, word) != direct[n]:
             raise InvariantError(f"weight mismatch at n={n}")
         checked = n
         word = m.apply(word)
@@ -285,7 +426,7 @@ def weight_crosscheck_reference(m: Morphism, n_max: int) -> WeightSequences:
 def prefix_identity_reference(m: Morphism, n: int, prefix: str) -> bool:
     """Does phi^{n+1}(start) phi^n(start), each expanded from the start letter,
     begin ``prefix``?  ContractError when ``prefix`` is shorter than that word."""
-    cat = m.apply_n(chr(m.start), n + 1) + m.apply_n(chr(m.start), n)
+    cat = apply_n(m, chr(m.start), n + 1) + apply_n(m, chr(m.start), n)
     if len(cat) > len(prefix):
         raise ContractError("prefix too short for the identity check")
     return prefix.startswith(cat)

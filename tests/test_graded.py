@@ -22,7 +22,9 @@ from iteralg.report import _graded_audit
 from iteralg.words import factor_closure, fixed_point_prefix
 
 from conftest import (
+    apply_n,
     chain_level_lengths,
+    degree_of,
     wide_morphism,
     degree_sums_reference,
     first_pieces_reference,
@@ -276,7 +278,7 @@ def test_chain_witness_verifies(paper12, closure):
     s = s_set(paper12, prefix)
     for d in range(1, 7):
         w = max_homogeneous_chain(paper12, s, None, d)
-        assert all(paper12.degree_of(p) == d for p in w.pieces)
+        assert all(degree_of(paper12, p) == d for p in w.pieces)
         assert w.concatenation() in prefix
 
 
@@ -562,7 +564,7 @@ def test_audit_lie_linkage(paper12, closure):
 
 
 def test_every_window_contains(paper12):
-    w6 = paper12.apply_n(chr(paper12.start), 6)
+    w6 = apply_n(paper12, chr(paper12.start), 6)
     assert every_window_contains(w6, paper12.start, 16)
     assert not every_window_contains(w6, paper12.start, 3)
 

@@ -1,14 +1,18 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iteralg import matrices, report
+from iteralg.config import AnalysisConfig
 from iteralg.errors import ContractError, InvariantError, RecurrenceValidationError
 from iteralg.matrices import (
     WEIGHT_EXPANSION_BUDGET_LETTERS,
     CharPoly,
+    IncidenceMatrix,
     char_poly,
     incidence_matrix,
-    parikh,
     recurrence_from_charpoly,
     weight_sequence,
 )
@@ -16,6 +20,14 @@ from iteralg.report import WEIGHT_TERMS
 from iteralg.words import PowerTables, classify_shape, fixed_point_prefix
 
 from conftest import (
+    apply_n,
+    evaluate_matrix,
+    faddeev_leverrier,
+    holds_at,
+    is_zero,
+    matvec,
+    parikh,
+    transpose,
     wide_morphism,
     letter_count,
     level_prefix,
@@ -42,10 +54,10 @@ def test_incidence_fibonacci(fibonacci):
 
 def test_incidence_paper12_first_column(paper12):
     M = incidence_matrix(paper12)
-    ones = {i for i in range(12) if M.entry(i, 0) == 1}
+    ones = {i for i in range(12) if M.rows[i][0] == 1}
     names = {paper12.letters[i] for i in ones}
     assert names == {"x1", "x2", "y1", "y2"}
-    assert all(M.entry(i, 0) in (0, 1) for i in range(12))
+    assert all(M.rows[i][0] in (0, 1) for i in range(12))
 
 
 def test_incidence_identity_morphism():
@@ -93,7 +105,61 @@ def test_char_poly_paper12(paper12):
     assert p.high_to_low() == PAPER12_CHARPOLY_HIGH_TO_LOW
     assert M.trace() == 1
     assert p.evaluate(4) == 0
-    assert p.evaluate_matrix(M).is_zero()
+    assert is_zero(evaluate_matrix(p, M))
+
+
+@st.composite
+def square_matrices(draw, max_size: int = 14, max_entry: int = 7):
+    n = draw(st.integers(1, max_size))
+    entries = st.integers(0, max_entry)
+    return IncidenceMatrix(tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices())
+def test_char_poly_matches_faddeev_leverrier(M):
+    assert char_poly(M) == faddeev_leverrier(M)
+
+
+@pytest.mark.parametrize("size", [4, 12, 22, 40])
+def test_char_poly_matches_faddeev_leverrier_on_wide_alphabets(size):
+    M = incidence_matrix(wide_morphism(size))
+    assert char_poly(M) == faddeev_leverrier(M)
+
+
+def test_char_poly_combines_several_primes():
+    # 20 letters with entries up to 7: the bound is near 2^85, past one prime
+    M = IncidenceMatrix(
+        tuple(tuple((3 * i + 5 * j + i * j) % 8 for j in range(20)) for i in range(20))
+    )
+    assert 2 * matrices._coefficient_bound(M) > matrices._prime(0)
+    assert char_poly(M) == faddeev_leverrier(M)
+
+
+def test_primes_are_the_largest_below_2_61():
+    assert [matrices._prime(k) for k in range(3)] == [2**61 - 1, 2**61 - 31, 2**61 - 45]
+
+
+@pytest.mark.parametrize("degree", range(12))
+def test_a_mutated_coefficient_fails_the_cayley_hamilton_check(paper12, monkeypatch, degree):
+    mod = matrices._char_poly_mod
+
+    def mutated(M, q):
+        coeffs = mod(M, q)
+        coeffs[degree] = (coeffs[degree] + 1) % q
+        return coeffs
+
+    monkeypatch.setattr(matrices, "_char_poly_mod", mutated)
+    with pytest.raises(InvariantError, match="Cayley-Hamilton"):
+        char_poly(incidence_matrix(paper12))
+
+
+def test_analyze_of_a_hundred_letters_is_quick():
+    # with Faddeev-LeVerrier's dense products this took about 14 s on 2 vCPUs,
+    # by Hessenberg reduction about 0.2 s
+    t0 = time.perf_counter()
+    report.analyze(wide_morphism(100), AnalysisConfig(), "wide")
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_char_poly_rejects_non_monic():
@@ -108,7 +174,7 @@ def test_char_poly_rejects_non_monic():
 def test_recurrence_fibonacci_numbers():
     p = CharPoly((-1, -1, 1))
     rec = recurrence_from_charpoly(p, (1, 1))
-    assert rec.term(10) == 89
+    assert rec.extend(11)[10] == 89
 
 
 def test_recurrence_constant():
@@ -136,8 +202,8 @@ def test_recurrence_paper12_shape(paper12):
     assert rec.order == 12
     assert rec.coeffs == (1, 8, 16, 2, -5, -5, -21, -31, 10, 8, 0, 0)
     for n in range(12, 21):
-        assert rec.holds_at(ws.direct, n)
-        assert rec.holds_at(ws.transposed, n)
+        assert holds_at(rec, ws.direct, n)
+        assert holds_at(rec, ws.transposed, n)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +242,20 @@ def test_weights_degree_one_is_length(fibonacci):
     ws = weight_sequence(fibonacci, incidence_matrix(fibonacci), fixed_point_prefix(fibonacci, 1), 8)
     lengths = tuple(len(naive_power(fibonacci, n)) for n in range(9))
     assert ws.direct == lengths
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_morphisms(graded=True, allow_erasing=True), st.integers(0, 24))
+def test_weight_products_match_dense_products(m, n_max):
+    M = incidence_matrix(m)
+    ws = weight_sequence(m, M, fixed_point_prefix(m, 1), n_max)
+    theta = tuple(int(i == m.start) for i in range(m.size))
+    for convention, matrix in (("direct", M), ("transposed", transpose(M))):
+        vec, expected = theta, []
+        for _ in range(n_max + 1):
+            expected.append(sum(map(int.__mul__, m.degrees, vec)))
+            vec = matvec(matrix, vec)
+        assert getattr(ws, convention) == tuple(expected), convention
 
 
 def test_weights_need_grading():
@@ -266,11 +346,11 @@ def test_parikh_homomorphism(m, data):
     tu, tv, tuv = parikh(m, u), parikh(m, v), parikh(m, u + v)
     assert tuple(a + b for a, b in zip(tu, tv)) == tuv
     M = incidence_matrix(m)
-    assert M.matvec(tu) == parikh(m, m.apply(u))
+    assert matvec(M, tu) == parikh(m, m.apply(u))
     theta = parikh(m, u)
     for n in range(4):
-        assert theta == parikh(m, m.apply_n(u, n))
-        theta = M.matvec(theta)
+        assert theta == parikh(m, apply_n(m, u, n))
+        theta = matvec(M, theta)
 
 
 @settings(max_examples=40, deadline=None)
@@ -278,7 +358,7 @@ def test_parikh_homomorphism(m, data):
 def test_cayley_hamilton_always(m):
     M = incidence_matrix(m)
     p = char_poly(M)
-    assert p.evaluate_matrix(M).is_zero()
+    assert is_zero(evaluate_matrix(p, M))
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,4 +381,4 @@ def test_weight_sequence_satisfies_own_recurrence(m):
     ws = weight_sequence(m, M, fixed_point_prefix(m, 1), n_max)
     rec = recurrence_from_charpoly(p, ws.direct)
     for n in range(p.degree, n_max + 1):
-        assert rec.holds_at(ws.direct, n)
+        assert holds_at(rec, ws.direct, n)

@@ -6,7 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import iteralg
@@ -35,12 +35,15 @@ from iteralg.words import (
 )
 
 from conftest import (
+    apply_n,
     brute_factor_set,
     growing_reference,
+    max_image_len,
     naive_image,
     naive_power,
     occurring_reference,
     prefix_reference,
+    proven_factors,
     reference_closure,
     small_morphisms,
     wide_morphism,
@@ -455,10 +458,10 @@ def test_reduced_generations_expand_to_fixed_point_prefixes(m, j):
     if not mortal:
         assert psi is m and delete is None and layers == 0
         return
-    assert psi.apply_n(b, j) == m.apply_n(b, j).translate(delete)
-    assert m.apply_n(b, j + layers).startswith(m.apply_n(psi.apply_n(b, j), layers))
-    assert all(not m.apply_n(chr(c), layers) for c in mortal)
-    assert any(m.apply_n(chr(c), layers - 1) for c in mortal)
+    assert apply_n(psi, b, j) == apply_n(m, b, j).translate(delete)
+    assert apply_n(m, b, j + layers).startswith(apply_n(m, apply_n(psi, b, j), layers))
+    assert all(not apply_n(m, chr(c), layers) for c in mortal)
+    assert any(apply_n(m, chr(c), layers - 1) for c in mortal)
 
 
 @settings(max_examples=60, deadline=None)
@@ -468,7 +471,7 @@ def test_erasing_closure_is_the_windows_of_expanded_reduced_factors(m, max_len):
     psi, _, layers = words._delete_mortal(m)
     reduced = factor_closure(psi, max_len)
     expected = {
-        w for u in reduced.of_length(max_len) for w in words._windows(m.apply_n(u, layers), max_len)
+        w for u in reduced.of_length(max_len) for w in words._windows(apply_n(m, u, layers), max_len)
     }
     assert set(factor_closure(m, max_len).of_length(max_len)) == expected
 
@@ -500,17 +503,17 @@ def test_erasing_closure_expands_growing_letters_within_bounds():
 
 @settings(max_examples=60, deadline=None)
 @given(small_morphisms(allow_erasing=True), st.integers(min_value=1, max_value=8))
+# a0^8 first occurs far past 2^20 letters: the longest a0-run grows by one
+# letter every three generations
+@example(mk(["a0", "a1", "a2", "a3"], ["a0", "a1 a2", "a1 a3 a0", "a1"], "a1"), 8)
 def test_every_window_of_a_generated_prefix_is_a_factor(m, max_len):
     f = factor_closure(m, max_len)
     prefix = fixed_point_prefix(m, 2000).word
     oracle = brute_factor_set(prefix, max_len)
     assert oracle <= f.factors
     # soundness: a factor beyond the window still occurs, possibly much later
-    for w in f.factors - oracle:
-        n = 2**12
-        while w not in fixed_point_prefix(m, n).word:
-            n *= 4
-            assert n <= 2**18, f"factor never surfaced: {[ord(c) for c in w]}"
+    unproven = f.factors - proven_factors(m, prefix, max_len)
+    assert not unproven, f"factors not proved: {[[ord(c) for c in w] for w in unproven]}"
 
 
 # closure_rounds as printed by analyze (word.factors.closure_rounds)
@@ -847,7 +850,7 @@ def test_factor_closure_equals_brute_force(m):
     max_len = 6
     f = factor_closure(m, max_len)
     assert f.exact
-    horizon = 4 * max_len * max(m.max_image_len, 1)
+    horizon = 4 * max_len * max(max_image_len(m), 1)
     prefix = fixed_point_prefix(m, max(horizon, 64)).word
     oracle = brute_factor_set(prefix, max_len)
     # completeness on the sampled window
