@@ -309,7 +309,7 @@ def decide_uniform_recurrence(
             }
         )
     for a in sorted(occ):
-        if shape.growing[a] and b != a and b not in shape.reach[a]:
+        if shape.growing[a] and b != a and not m.letter_graph.reaches(a, b):
             return Verdict.no(
                 {
                     "witness": "growing-start-free-branch",

@@ -21,7 +21,7 @@ from .words import FactorSet, Morphism, PowerTables, Word, WordPrefix, letter_co
 class PositionDegreeSet:
     """The partial degree sums s_0 = 0, s_i = s_{i-1} + deg(word[i-1]) of a
     prefix under ``degrees``, the prefix's generation ends |phi^k(start)|
-    and the images of phi (both ``()`` for a bare word).
+    (``()`` for a bare word) and phi.
 
     The sums are not stored: s_i is read off the letter counts of
     ``word[:i]``.  Positive degrees make them strictly increasing.  The chain
@@ -33,7 +33,7 @@ class PositionDegreeSet:
     word: Word
     degrees: tuple[int, ...]
     gen_lengths: tuple[int, ...]
-    images: tuple[Word, ...] = ()
+    morphism: Morphism
     _bitsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # start -> (end, letter counts of word[start:end]) for the longest span read
     _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -45,8 +45,8 @@ class PositionDegreeSet:
     def __post_init__(self) -> None:
         if any(g < 1 for g in self.degrees):
             raise ValueError("degrees must be positive")
-        if self.gen_lengths and (self.gen_lengths[-1] != len(self.word) or not self.images):
-            raise ValueError("a prefix must end at its last generation and come with phi's images")
+        if self.gen_lengths and self.gen_lengths[-1] != len(self.word):
+            raise ValueError("a prefix must end at its last generation")
 
     def span_counts(self, i: int, j: int) -> tuple[int, ...]:
         """|word[i:j]|_x for each letter x.
@@ -108,8 +108,7 @@ class PositionDegreeSet:
         bits = self._bitsets.get(key)
         if bits is None:
             ends = self.gen_lengths or (len(self.word),)
-            seed = (ord(self.word[0]),) if self.gen_lengths else ()
-            tables = PowerTables(self.images, seed, table)
+            tables = PowerTables(self.morphism, map(ord, self.word[:1]), table)
             i, h = tables.pick(ends, 0)
             bits = int(("1" + tables.apply(self.word[: ends[i]], h))[::-1], 2)
             self._bitsets[key] = bits
@@ -204,8 +203,8 @@ def s_set(m: Morphism, prefix: WordPrefix | Word) -> PositionDegreeSet:
     if m.degrees is None:
         raise ContractError("position-degree set needs a grading")
     if isinstance(prefix, WordPrefix):
-        return PositionDegreeSet(prefix.word, m.degrees, prefix.gen_lengths, m.images)
-    return PositionDegreeSet(word=prefix, degrees=m.degrees, gen_lengths=())
+        return PositionDegreeSet(prefix.word, m.degrees, prefix.gen_lengths, m)
+    return PositionDegreeSet(prefix, m.degrees, (), m)
 
 
 _LOW_WORD = (1 << 64) - 1

@@ -12,9 +12,9 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, cycle, islice, pairwise, starmap
-from operator import itemgetter, xor
+from functools import cached_property, reduce
+from itertools import accumulate, count, cycle, islice, pairwise, starmap
+from operator import itemgetter, or_, xor
 from typing import ClassVar, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -100,6 +100,63 @@ class Morphism:
     def min_image_len(self) -> int:
         return min((len(i) for i in self.images), default=0)
 
+    @cached_property
+    def letter_graph(self) -> LetterGraph:
+        """The ``LetterGraph``, built on first use by Tarjan's algorithm (SIAM J.
+        Comput. 1972) with the depth-first path in a list: no recursion limit.  A
+        component closes after all it reaches, so its reach and depth follow from
+        its one-step letters; its own still read depth 0, so a cycle stays immortal."""
+        succ = [set(map(ord, img)) for img in self.images]
+        index: dict[int, int] = {}  # letter -> visit number
+        low: dict[int, int] = {}  # letter -> least visit number it reaches on the stack
+        component, reach, depth = [-1] * self.size, [0] * self.size, [0] * self.size
+        stack: list[int] = []  # letters of the components not yet closed, in visit order
+        closing = count()
+        for root in range(self.size):
+            work = [] if root in index else [(root, None)]  # the depth-first path
+            while work:
+                v, edges = work.pop()
+                if edges is None:  # first visit
+                    index[v] = low[v] = len(index)
+                    stack.append(v)
+                    edges = iter(succ[v])
+                if (w := next((x for x in edges if x not in index), None)) is not None:
+                    work += [(v, edges), (w, None)]
+                    continue
+                low[v] = min([low[v], *(low[x] for x in succ[v] if component[x] < 0)])
+                if low[v] == index[v]:  # v's component is the stack from v up
+                    i = bisect_left(stack, index[v], key=index.__getitem__)
+                    group, stack[i:] = stack[i:], []
+                    out = set().union(*map(succ.__getitem__, group))
+                    bits = reduce(or_, (1 << x | reach[x] for x in out), 0)
+                    depths = [depth[x] for x in out]
+                    k = 1 + max(depths, default=0) if all(depths) else 0
+                    c = next(closing)
+                    for w in group:
+                        component[w], reach[w], depth[w] = c, bits, k
+        return LetterGraph(tuple(component), tuple(reach), tuple(depth))
+
+
+class LetterGraph(NamedTuple):
+    """The digraph a -> letters of phi(a) condensed to its strongly connected
+    components, numbered in the order Tarjan's algorithm closes them: every
+    edge goes to the same component or a lower one.  ``reach[a]`` is the
+    bitset of the letters reachable from a in one or more steps, and
+    ``depth[a]`` the least k with phi^k(a) empty, 0 when there is none."""
+
+    component: tuple[int, ...]
+    reach: tuple[int, ...]
+    depth: tuple[int, ...]
+
+    def reaches(self, a: int, b: int) -> bool:
+        """Whether b is reachable from a in one or more steps."""
+        return bool(self.reach[a] >> b & 1)
+
+    def reachable(self, seed: Iterable[int]) -> list[int]:
+        """The letters reachable from ``seed`` in zero or more steps, sorted."""
+        mask = reduce(or_, (1 << a | self.reach[a] for a in seed), 0)
+        return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
 
 def letter_counts(word: Word, size: int, start: int = 0, end: int | None = None) -> tuple[int, ...]:
     """|word[start:end]|_x for each letter id x < ``size``.
@@ -138,21 +195,18 @@ class WordPrefix:
 class ShapeRecord:
     """The letter structure of a morphism; ``classify_shape`` builds it.
 
-    ``reach[a]`` is the set of letters reachable from a in one or more steps
-    of the digraph a -> letters of phi(a).  ``occurring`` is {start} |
-    reach[start], the letters of the fixed point when the start is
-    prolongable.  ``growing[a]`` says whether |phi^n(a)| is unbounded.
-    ``start_recurs`` says whether the start letter occurs at least twice in
-    the fixed point.  ``unreachable`` is the first pair (a, b) of occurring
-    letters, in sorted order, with b not reachable from a, and None when
-    every occurring letter reaches every other: phi is primitive on them.
+    ``occurring`` is the start and every letter it reaches, the letters of
+    the fixed point when the start is prolongable.  ``growing[a]`` says
+    whether |phi^n(a)| is unbounded.  ``start_recurs`` says whether the start
+    letter occurs at least twice in the fixed point.  ``unreachable`` is the
+    first pair (a, b) of occurring letters, in sorted order, with b not
+    reachable from a, and None when phi is primitive on them.
     """
 
     d_uniform: int | None
     erasing: bool
     growing: tuple[bool, ...]
     occurring: frozenset[int]
-    reach: tuple[frozenset[int], ...]
     start_recurs: bool
     unreachable: tuple[int, int] | None
 
@@ -403,16 +457,7 @@ def load_morphism(path: str) -> Morphism:
 
 def mortal_letters(m: Morphism) -> frozenset[int]:
     """Letters that map to the empty word after finitely many iterations."""
-    mortal = {i for i in range(m.size) if not m.images[i]}
-    while True:
-        grown = {
-            i
-            for i in range(m.size)
-            if i not in mortal and all(ord(ch) in mortal for ch in m.images[i])
-        }
-        if not grown:
-            return frozenset(mortal)
-        mortal |= grown
+    return frozenset(a for a, k in enumerate(m.letter_graph.depth) if k)
 
 
 def _prolongability_failure(m: Morphism, letter_id: int) -> str | None:
@@ -423,8 +468,7 @@ def _prolongability_failure(m: Morphism, letter_id: int) -> str | None:
     tail = img[1:]
     if not tail:
         return f"tail of phi({name}) after {name} is empty"
-    mortal = mortal_letters(m)
-    if all(ord(ch) in mortal for ch in tail):
+    if all(m.letter_graph.depth[ord(ch)] for ch in tail):
         return f"tail of phi({name}) consists only of mortal letters"
     return None
 
@@ -434,31 +478,13 @@ def is_prolongable(m: Morphism, letter: int | Letter) -> bool:
     return _prolongability_failure(m, lid) is None
 
 
-def support_reach(m: Morphism, letters: frozenset[int]) -> dict[int, set[int]]:
-    """>= 1 step reachability in the digraph a -> letters of phi(a), within ``letters``."""
-    reach = {a: {ord(ch) for ch in m.images[a] if ord(ch) in letters} for a in letters}
-    changed = True
-    while changed:
-        changed = False
-        for a in letters:
-            add: set[int] = set()
-            for b in reach[a]:
-                add |= reach[b]
-            if not add <= reach[a]:
-                reach[a] |= add
-                changed = True
-    return reach
-
-
 def classify_shape(m: Morphism) -> ShapeRecord:
-    """The one letter record the deciders read, from one ``support_reach``.
+    """The one letter record the deciders read, from ``m.letter_graph``.
 
-    Occurring letters are closed under images and mortal letters produce only
-    mortal letters, so the closure restricted to either set is this closure
-    intersected with it.  Growth is decided on the immortal letters, where
-    every image keeps at least one letter: a grows iff some letter with two
-    or more immortal image letters is reachable from a cycle that a reaches
-    (only then does it recur often enough to keep multiplying).
+    Growth is decided on the immortal letters, where every image keeps at
+    least one letter: a grows iff it reaches, in one or more steps, a letter
+    on a cycle that reaches a letter with two or more immortal image letters
+    (only then does that letter recur often enough to keep multiplying).
 
     The fixed point is b t phi(t) phi^2(t)... for phi(b) = b t, and the
     letters of phi^k(c) are those reachable from c in exactly k steps, so
@@ -466,56 +492,35 @@ def classify_shape(m: Morphism) -> ShapeRecord:
     """
     lens = {len(img) for img in m.images}
     d_uniform = lens.pop() if len(lens) == 1 else None
-    closure = support_reach(m, frozenset(range(m.size)))
-    reach = tuple(frozenset(closure[a]) for a in range(m.size))
-    mortal = mortal_letters(m)
-    cyclic = {a for a in range(m.size) if a in reach[a]}  # all immortal
-    multipliers = {
-        a for a in range(m.size) if sum(ord(ch) not in mortal for ch in m.images[a]) >= 2
-    }
-    growing = []
-    for a in range(m.size):
-        cycles = ({a} | reach[a]) & cyclic  # empty for a mortal letter
-        fed = cycles.union(*(reach[c] for c in cycles))
-        growing.append(bool(fed & multipliers))
-    tail = {ord(ch) for ch in m.images[m.start][1:]}
-    occurring = frozenset({m.start} | reach[m.start])
-    unreachable = _unreachable_pair(occurring, reach)
-    if (unreachable is None) != all(m.start in reach[a] for a in occurring):
+    graph = m.letter_graph
+    counts = (sum(not graph.depth[ord(ch)] for ch in img) for img in m.images)
+    multipliers = sum(1 << a for a, k in enumerate(counts) if k >= 2)
+    fed = sum(1 << a for a, bits in enumerate(graph.reach) if bits >> a & 1 and bits & multipliers)
+    occurring = frozenset(graph.reachable((m.start,)))
+    unreachable = _unreachable_pair(graph, occurring)
+    if (unreachable is None) != all(graph.reaches(a, m.start) for a in occurring):
         raise InvariantError("reduced start-reachability test disagrees with closure")
     return ShapeRecord(
         d_uniform=d_uniform,
         erasing=any(not img for img in m.images),
-        growing=tuple(growing),
+        growing=tuple(bool(bits & fed) for bits in graph.reach),
         occurring=occurring,
-        reach=reach,
-        start_recurs=m.start in tail.union(*(reach[c] for c in tail)),
+        start_recurs=m.start in graph.reachable(map(ord, m.images[m.start][1:])),
         unreachable=unreachable,
     )
 
 
-def _unreachable_pair(
-    letters: frozenset[int], reach: Sequence[frozenset[int]]
-) -> tuple[int, int] | None:
-    """The first (a, b) of ``letters``, in sorted order, with b not in reach[a]."""
-    order = sorted(letters)
-    return next(((a, b) for a in order for b in order if b not in reach[a]), None)
+def _unreachable_pair(graph: LetterGraph, letters: frozenset[int]) -> tuple[int, int] | None:
+    """The first (a, b) of ``letters``, in sorted order, with b not reachable from a."""
+    wanted = sum(1 << a for a in letters)
+    for a in sorted(letters):
+        if missing := wanted & ~graph.reach[a]:
+            return a, (missing & -missing).bit_length() - 1
+    return None
 
 
 # ---------------------------------------------------------------------------
 # fixed point generation
-
-
-def _reachable(images: Sequence[Word], seed: Iterable[int]) -> list[int]:
-    """The letters reachable from ``seed`` in zero or more steps, sorted."""
-    letters = set(seed)
-    stack = list(letters)
-    while stack:
-        for ch in images[stack.pop()]:
-            if ord(ch) not in letters:
-                letters.add(ord(ch))
-                stack.append(ord(ch))
-    return sorted(letters)
 
 
 class PowerTables:
@@ -527,22 +532,22 @@ class PowerTables:
     letter while a table entry is written at copy cost, so a late generation
     is cheapest read off an early one under a deep table; ``pick`` chooses
     how deep.  For h >= 1 only the letters reachable from ``seed`` in zero or
-    more steps get an entry, so a letter that never occurs costs nothing
-    however fast it grows; no word with another letter may be translated
-    under such a table.
+    more steps (read off m's ``LetterGraph``) get an entry, so a letter that
+    never occurs costs nothing however fast it grows; no word with another
+    letter may be translated under such a table.
     """
 
     def __init__(
         self,
-        images: Sequence[Word],
+        m: Morphism,
         seed: Iterable[int],
         sigma: Sequence[str] | None = None,
     ) -> None:
-        self._images = images
-        self._letters = _reachable(images, seed)
+        self._images = m.images
+        self._letters = m.letter_graph.reachable(seed)
         self._tables: list[list[str] | None] = [None if sigma is None else list(sigma)]
         # |T_h[c]| for each letter c, and the letters of T_h over the reachable c
-        first = [1] * len(images) if sigma is None else [len(v) for v in sigma]
+        first = [1] * m.size if sigma is None else [len(v) for v in sigma]
         self._entry_lengths = [first]
         self._sizes = [sum(map(first.__getitem__, self._letters))]
 
@@ -650,7 +655,7 @@ def fixed_point_prefix(
     by_length: dict[int, list[int]] = {}  # chunk length -> indices of the chunks that long
     for j, length in enumerate(chunk_lengths):
         by_length.setdefault(length, []).append(j)
-    tables = PowerTables(m.images, map(ord, m.images[m.start][1:]))
+    tables = PowerTables(m, map(ord, m.images[m.start][1:]))
     while total < n:
         i, h = tables.pick(chunk_lengths, 1)
         chunk = tables.apply(parts[i + 1], h)
@@ -763,18 +768,13 @@ def _delete_mortal(m: Morphism) -> tuple[Morphism, list[str] | None, int]:
     """(psi, delta, k) for the mortal letters D of m: psi = delta o phi with
     the letters of D mapped to themselves, the translate table of the map
     delta deleting D (None when D is empty and psi = phi), and the least k
-    with phi^k(D) empty."""
+    with phi^k(D) empty: the longest path among the mortal components."""
     mortal = mortal_letters(m)
     if not mortal:
         return m, None, 0
     delete = ["" if c in mortal else chr(c) for c in range(m.size)]
     images = tuple(chr(c) if c in mortal else v.translate(delete) for c, v in enumerate(m.images))
-    # phi^r kills the letters whose image letters phi^(r-1) kills
-    layers, dead = 0, set()
-    while len(dead) < len(mortal):
-        dead |= {c for c in mortal if all(ord(ch) in dead for ch in m.images[c])}
-        layers += 1
-    return Morphism(m.letters, images, m.start), delete, layers
+    return Morphism(m.letters, images, m.start), delete, max(m.letter_graph.depth)
 
 
 def _expanded_windows(
@@ -791,7 +791,7 @@ def _expanded_windows(
     x = phi^h(x), so every window collected is a factor of x.
     """
     sep, edge = chr(m.size), size - 1
-    letters = _reachable(m.images, (m.start,))
+    letters = m.letter_graph.reachable((m.start,))
     table = [chr(c) for c in range(m.size)]
     found: set[Word] = set()
     for _ in range(k):
@@ -914,6 +914,7 @@ __all__ = [
     "Word",
     "Letter",
     "Morphism",
+    "LetterGraph",
     "WordPrefix",
     "PowerTables",
     "ShapeRecord",
@@ -922,7 +923,6 @@ __all__ = [
     "load_morphism",
     "mortal_letters",
     "is_prolongable",
-    "support_reach",
     "classify_shape",
     "fixed_point_prefix",
     "factor_closure",

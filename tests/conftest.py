@@ -33,9 +33,7 @@ from iteralg.words import (
     factor_closure,
     fixed_point_prefix,
     is_prolongable,
-    mortal_letters,
     parse_morphism,
-    support_reach,
 )
 
 
@@ -352,13 +350,63 @@ def occurring_reference(m: Morphism) -> frozenset[int]:
     return frozenset(seen)
 
 
+def support_reach(m: Morphism, letters: frozenset[int]) -> dict[int, set[int]]:
+    """>= 1 step reachability in the digraph a -> letters of phi(a), within ``letters``,
+    by a set fixpoint over all pairs."""
+    reach = {a: {ord(ch) for ch in m.images[a] if ord(ch) in letters} for a in letters}
+    changed = True
+    while changed:
+        changed = False
+        for a in letters:
+            add: set[int] = set()
+            for b in reach[a]:
+                add |= reach[b]
+            if not add <= reach[a]:
+                reach[a] |= add
+                changed = True
+    return reach
+
+
+def mortal_reference(m: Morphism) -> frozenset[int]:
+    """Letters that map to the empty word after finitely many iterations, by a fixpoint."""
+    mortal = {i for i in range(m.size) if not m.images[i]}
+    while True:
+        grown = {
+            i
+            for i in range(m.size)
+            if i not in mortal and all(ord(ch) in mortal for ch in m.images[i])
+        }
+        if not grown:
+            return frozenset(mortal)
+        mortal |= grown
+
+
+def mortal_layers_reference(m: Morphism) -> int:
+    """The least k with phi^k empty on every mortal letter: phi^r kills the
+    letters whose image letters phi^(r-1) kills."""
+    mortal = mortal_reference(m)
+    layers, dead = 0, set()
+    while len(dead) < len(mortal):
+        dead |= {c for c in mortal if all(ord(ch) in dead for ch in m.images[c])}
+        layers += 1
+    return layers
+
+
+def unreachable_reference(m: Morphism) -> tuple[int, int] | None:
+    """The first (a, b) of occurring letters, in sorted order, with b not
+    reachable from a in one or more steps, by a scan over all pairs."""
+    order = sorted(occurring_reference(m))
+    reach = support_reach(m, frozenset(range(m.size)))
+    return next(((a, b) for a in order for b in order if b not in reach[a]), None)
+
+
 def growing_reference(m: Morphism) -> frozenset[int]:
     """Letters a with |phi^n(a)| unbounded, decided on the immortal restriction psi.
 
     a grows iff some letter c with |psi(c)| >= 2 is reachable from a cycle
     that a reaches, with reachability taken within the immortal letters.
     """
-    mortal = mortal_letters(m)
+    mortal = mortal_reference(m)
     immortal = [i for i in range(m.size) if i not in mortal]
     if not immortal:
         return frozenset()

@@ -90,7 +90,7 @@ def test_analyze_decides_primitivity_once(monkeypatch, paper12):
 def test_every_primitivity_reader_runs_the_cross_check(monkeypatch, paper12, tmp_path):
     # a closure test that calls primitive paper12 reducible disagrees with
     # the start-reachability test on analyze, audit and decide ur
-    monkeypatch.setattr(words, "_unreachable_pair", lambda letters, reach: (0, 1))
+    monkeypatch.setattr(words, "_unreachable_pair", lambda graph, letters: (0, 1))
     cfg = AnalysisConfig(max_len=8)
     for run in (report.analyze, report.audit):
         with pytest.raises(InvariantError, match="start-reachability"):

@@ -203,8 +203,8 @@ def test_position_degree_set_needs_a_whole_last_generation(paper12):
     s = s_set(paper12, fixed_point_prefix(paper12, 16))
     with pytest.raises(ValueError):
         replace(s, word=s.word[:-1])
-    with pytest.raises(ValueError):
-        replace(s, images=())
+    with pytest.raises(TypeError):  # phi is a required field
+        graded.PositionDegreeSet(s.word, s.degrees, s.gen_lengths)
 
 
 def _mark_table(degrees, cap):
@@ -245,7 +245,7 @@ def test_analyze_builds_no_sums_tuple(name, monkeypatch):
     report.analyze(m, AnalysisConfig(max_len=16), name)
     assert len(built) == 1
     # nothing the set holds has an entry per letter position
-    held = [v for v in vars(built[0]).values() if not isinstance(v, str)]
+    held = [v for v in vars(built[0]).values() if not isinstance(v, (str, words.Morphism))]
     assert all(len(v) < len(built[0].word) for v in held)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -31,7 +32,6 @@ from iteralg.words import (
     mortal_letters,
     parse_morphism,
     subword_complexity,
-    support_reach,
 )
 
 from conftest import (
@@ -39,6 +39,8 @@ from conftest import (
     brute_factor_set,
     growing_reference,
     max_image_len,
+    mortal_layers_reference,
+    mortal_reference,
     naive_image,
     naive_power,
     occurring_reference,
@@ -46,6 +48,8 @@ from conftest import (
     proven_factors,
     reference_closure,
     small_morphisms,
+    support_reach,
+    unreachable_reference,
     wide_morphism,
 )
 
@@ -329,7 +333,7 @@ def test_power_tables_match_substitution(m, data):
     sigma = data.draw(
         st.none() | st.lists(st.text(alphabet="01", max_size=3), min_size=m.size, max_size=m.size)
     )
-    tables = PowerTables(m.images, map(ord, word), sigma)
+    tables = PowerTables(m, map(ord, word), sigma)
     for h in range(6):
         expected = naive_image(m, word, h)
         assert tables.apply(word, h) == (expected if sigma is None else expected.translate(sigma))
@@ -343,7 +347,7 @@ def test_power_tables_pick_a_generation_that_expands_to_the_target(m, count, d):
     for _ in range(count - 1):
         gens.append(naive_image(m, gens[-1], 1))
     sigma = [str(len(img) % 2) for img in m.images]
-    tables = PowerTables(m.images, map(ord, gens[0]), sigma)
+    tables = PowerTables(m, map(ord, gens[0]), sigma)
     i, h = tables.pick([len(w) for w in gens], d)
     assert 0 <= i < count and h - d == count - 1 - i
     assert tables.apply(gens[i], h) == naive_image(m, gens[-1], d).translate(sigma)
@@ -352,7 +356,7 @@ def test_power_tables_pick_a_generation_that_expands_to_the_target(m, count, d):
 def test_power_tables_skip_a_letter_that_never_occurs():
     m = EXPANSION_CASES["unused"]
     bare = mk(["a", "b"], ["a b", "b a"], "a")
-    with_z, without_z = PowerTables(m.images, [1]), PowerTables(bare.images, [1])
+    with_z, without_z = PowerTables(m, [1]), PowerTables(bare, [1])
     lengths = [2**k for k in range(12)]
     assert with_z.pick(lengths, 1) == without_z.pick(lengths, 1)
     i, h = with_z.pick(lengths, 1)
@@ -762,12 +766,41 @@ def any_morphisms(draw):
 @given(any_morphisms())
 def test_shape_record_matches_oracles(m):
     shape = classify_shape(m)
-    assert shape.occurring == occurring_reference(m)
+    lens = {len(img) for img in m.images}
+    assert shape.d_uniform == (lens.pop() if len(lens) == 1 else None)
+    assert shape.erasing == ("" in m.images)
     assert {a for a in range(m.size) if shape.growing[a]} == growing_reference(m)
-    immortal = frozenset(range(m.size)) - mortal_letters(m)
-    for letters in (shape.occurring, immortal):
-        restricted = support_reach(m, letters)
-        assert all(restricted[a] == shape.reach[a] & letters for a in letters)
+    assert shape.occurring == occurring_reference(m)
+    reach = support_reach(m, frozenset(range(m.size)))
+    for a in range(m.size):
+        assert {b for b in range(m.size) if m.letter_graph.reaches(a, b)} == reach[a]
+    tail = {ord(ch) for ch in m.images[m.start][1:]}
+    assert shape.start_recurs == (m.start in tail.union(*(reach[c] for c in tail)))
+    assert shape.unreachable == unreachable_reference(m)
+    assert mortal_letters(m) == mortal_reference(m)
+    assert words._delete_mortal(m)[2] == mortal_layers_reference(m)
+
+
+def test_shape_of_a_thousand_letters_within_five_seconds():
+    # a generous bound: the condensation takes milliseconds, an all-pairs
+    # reachability closure about a minute
+    m = wide_morphism(1000)
+    started = time.perf_counter()
+    shape = classify_shape(m)
+    assert time.perf_counter() - started < 5.0
+    assert shape.occurring == frozenset(range(1000)) and shape.primitive
+
+
+def test_mortal_chain_longer_than_the_recursion_limit():
+    # a -> a b d1, d_i -> d_(i+1), d_5000 -> empty: one path of 5,000 letters
+    n = 5000
+    assert n > sys.getrecursionlimit()
+    images = [chr(0) + chr(1) + chr(2), chr(1)] + [chr(i + 1) for i in range(2, n + 1)] + [""]
+    m = Morphism(("a", "b", *(f"d{i}" for i in range(1, n + 1))), tuple(images), 0)
+    assert words._delete_mortal(m)[2] == n
+    shape = classify_shape(m)
+    assert mortal_letters(m) == frozenset(range(2, n + 2))
+    assert shape.occurring == frozenset(range(n + 2)) and shape.unreachable == (1, 0)
 
 
 def spy_prefixes(monkeypatch, modules):
@@ -799,9 +832,10 @@ def assert_one_prefix_built(calls, n):
     ],
 )
 def test_analyze_builds_one_letter_record(monkeypatch, source):
-    """One analyze: one classify_shape, one closure, one incidence matrix, and
-    one prefix, which every later expansion extends or cuts."""
-    calls = {"classify_shape": 0, "support_reach": 0, "incidence_matrix": 0}
+    """One analyze: one classify_shape, one letter graph for phi and one for
+    psi when phi erases, one incidence matrix, and one prefix, which every
+    later expansion extends or cuts."""
+    calls = {"classify_shape": 0, "letter_graph": 0, "incidence_matrix": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -816,12 +850,13 @@ def test_analyze_builds_one_letter_record(monkeypatch, source):
     matrix_counter = counted("incidence_matrix", matrices.incidence_matrix)
     for mod in (iteralg, matrices, report):
         monkeypatch.setattr(mod, "incidence_matrix", matrix_counter)
-    monkeypatch.setattr(words, "support_reach", counted("support_reach", words.support_reach))
+    monkeypatch.setattr(words, "LetterGraph", counted("letter_graph", words.LetterGraph))
     prefix_calls = spy_prefixes(monkeypatch, (report, words, matrices, deciders))
     text = cli.gallery_text(source) if source in cli.GALLERY_NAMES else source
     m = parse_morphism(text)
     doc, _ = report.analyze(m, AnalysisConfig(max_len=16), source)
-    assert calls == {"classify_shape": 1, "support_reach": 1, "incidence_matrix": 1}
+    graphs = 1 if source == "paper12" else 2
+    assert calls == {"classify_shape": 1, "letter_graph": graphs, "incidence_matrix": 1}
     assert_one_prefix_built(prefix_calls, AnalysisConfig().prefix_letters)
     assert doc["shape"]["erasing"] == (source != "paper12")
 
