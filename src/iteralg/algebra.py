@@ -6,6 +6,7 @@ is not a factor of the fixed point.  Coefficients stay exact Fractions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -87,21 +88,26 @@ def hilbert_function(f: FactorSet, n: int) -> int:
     return sum(f.counts[j] for j in range(n + 1))
 
 
-def graded_dimension(f: FactorSet, degrees: tuple[int, ...], d: int) -> int:
-    """Number of factors whose grading degree sums to d."""
-    if d < 0:
+def graded_dimensions(f: FactorSet, degrees: tuple[int, ...], top: int) -> list[int]:
+    """Number of factors of each grading degree 0..top, from one pass over
+    F_top down to F_1."""
+    if top < 0:
         raise ContractError("degree must be nonnegative")
-    if d > f.max_len:
+    if top > f.max_len:
         # degrees are >= 1, so a degree-d word has length <= d
         raise ContractError(
-            f"degree {d} needs factors up to length {d}, computed bound is {f.max_len}"
+            f"degree {top} needs factors up to length {top}, computed bound is {f.max_len}"
         )
-    if d == 0:
-        return 1
     # a letter of degree g becomes g copies of one character, so a word's
     # degree is the length of its translation
     table = ["." * g for g in degrees]
-    return sum(len(w.translate(table)) == d for n in range(1, d + 1) for w in f.of_length(n))
+    tally = Counter(len(w.translate(table)) for n in range(top, 0, -1) for w in f.of_length(n))
+    return [1] + [tally[d] for d in range(1, top + 1)]
 
 
-__all__ = ["MonomialElement", "multiply", "hilbert_function", "graded_dimension"]
+def graded_dimension(f: FactorSet, degrees: tuple[int, ...], d: int) -> int:
+    """Number of factors whose grading degree sums to d."""
+    return graded_dimensions(f, degrees, d)[d]
+
+
+__all__ = ["MonomialElement", "multiply", "hilbert_function", "graded_dimension", "graded_dimensions"]

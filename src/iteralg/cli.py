@@ -8,6 +8,7 @@ Unknown verdict).  Verdicts go to stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -166,7 +167,14 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="report format")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one, so repeated `main` calls in one process build it once.
+
+    `set_defaults(func=cmd_*)` binds the command functions when the parser is
+    built: replacing a `cli.cmd_*` after the first call does not reach `main`.
+    """
     parser = argparse.ArgumentParser(
         prog="iteralg",
         description="Analyze pure morphic words and their monomial algebras.",

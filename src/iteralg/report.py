@@ -230,10 +230,7 @@ def _graded_doc(m: Morphism, prefix: WordPrefix, f: FactorSet, cfg: AnalysisConf
             for row in scan.rows
         ],
     }
-    dims = [
-        _s(algebra.graded_dimension(f, m.degrees, d))
-        for d in range(0, min(cfg.d_max, f.max_len) + 1)
-    ]
+    dims = [_s(v) for v in algebra.graded_dimensions(f, m.degrees, min(cfg.d_max, f.max_len))]
     return {**doc, "graded_dims": dims, "nilpotency_scan": scan_doc}
 
 

@@ -54,6 +54,14 @@ def degree_of(m: Morphism, word: str) -> int:
     return sum(m.degrees[ord(ch)] for ch in word)
 
 
+def graded_dimension_reference(f: FactorSet, degrees: tuple[int, ...], d: int) -> int:
+    """The number of factors of degree d, rescanning F_1..F_d for this d alone."""
+    if d == 0:
+        return 1
+    table = ["." * g for g in degrees]
+    return sum(len(w.translate(table)) == d for n in range(1, d + 1) for w in f.of_length(n))
+
+
 def max_image_len(m: Morphism) -> int:
     return max((len(i) for i in m.images), default=0)
 

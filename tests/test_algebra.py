@@ -5,11 +5,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iteralg.algebra import MonomialElement, graded_dimension, hilbert_function, multiply
+from iteralg.algebra import (
+    MonomialElement,
+    graded_dimension,
+    graded_dimensions,
+    hilbert_function,
+    multiply,
+)
 from iteralg.errors import ContractError
 from iteralg.words import factor_closure
 
-from conftest import degree_of, small_morphisms, sorted_factors
+from conftest import degree_of, graded_dimension_reference, small_morphisms, sorted_factors
 
 
 def test_multiply_image_prefix(paper12, closure):
@@ -99,6 +105,26 @@ def test_graded_dimension_matches_a_degree_sum(m, max_len):
             1 for w in f.factors if sum(m.degrees[ord(ch)] for ch in w) == d
         )
         assert graded_dimension(f, m.degrees, d) == expected, d
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    small_morphisms(allow_erasing=True, graded=True),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.data(),
+)
+def test_one_pass_matches_the_per_degree_rescan(m, max_len, d_max, data):
+    # letter degrees up to 4, so some letters lie above D when D < 4
+    degrees = tuple(data.draw(st.integers(1, 4)) for _ in m.letters)
+    f = factor_closure(m, max_len)
+    top = min(d_max, max_len)
+    dims = graded_dimensions(f, degrees, top)
+    assert dims == [graded_dimension_reference(f, degrees, d) for d in range(top + 1)]
+    assert dims[0] == graded_dimension(f, degrees, 0) == 1
+    assert [graded_dimension(f, degrees, d) for d in range(top + 1)] == dims
+    with pytest.raises(ContractError):
+        graded_dimension(f, degrees, max_len + 1)
 
 
 def test_associativity_random_triples(paper12, closure):

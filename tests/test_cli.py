@@ -1,3 +1,5 @@
+import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import iteralg
 from iteralg.cli import main
 from iteralg.config import AnalysisConfig
 from iteralg.errors import ContractError
@@ -304,3 +307,70 @@ def test_json_output_repeatable(capsys):
     _, out1, _ = run(capsys, "analyze", "gallery/fibonacci.morph", "--format", "json")
     _, out2, _ = run(capsys, "analyze", "gallery/fibonacci.morph", "--format", "json")
     assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+@pytest.fixture
+def fresh_cli(monkeypatch):
+    """``iteralg.cli`` imported anew, with ``argparse.ArgumentParser``
+    constructions counted from before the import; the old module comes back
+    after the test."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(iteralg, "cli", iteralg.cli)
+    monkeypatch.delitem(sys.modules, "iteralg.cli")
+    return importlib.import_module("iteralg.cli"), built
+
+
+def test_parser_is_built_once_per_process(fresh_cli, capsys):
+    cli, built = fresh_cli
+    assert built == []  # importing builds no parser
+    assert cli.main(["gallery", "list"]) == 0
+    one_tree = len(built)
+    assert one_tree == 7  # iteralg, its four commands, gallery's list and show
+    argvs = [
+        ["analyze", "gallery/ba-example.morph", "--max-len", "8"],
+        ["decide", "gallery/paper12.morph", "prime"],
+        ["audit", "gallery/periodic-ab.morph", "--max-len", "8"],
+        ["gallery", "show", "fibonacci"],
+    ]
+    for argv in argvs * 3:
+        cli.main(argv)
+    capsys.readouterr()
+    assert len(built) == one_tree
+
+
+def test_argparse_errors_leave_the_parser_usable(capsys):
+    for argv in (
+        ["decide", "gallery/paper12.morph", "bogus"],
+        ["analyze", "gallery/paper12.morph", "--max-len", "x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+    code, out, err = run(capsys, "analyze", "gallery/fibonacci.morph", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "analyze-fibonacci.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["gallery", "show", "--help"]])
+def test_help_text_repeats(fresh_cli, capsys, argv):
+    cli, _ = fresh_cli
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: iteralg")
