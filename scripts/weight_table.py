@@ -27,8 +27,6 @@ def main() -> None:
         m, label = _resolve_morphism(args.path)
     except MorphismParseError as exc:
         ap.error(str(exc))
-    if m.degrees is None:
-        raise SystemExit("morphism carries no grading")
     M = incidence_matrix(m)
     poly = char_poly(M)
     # the gcd line reads W4 and W5, the recurrence poly.degree terms

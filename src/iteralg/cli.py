@@ -114,17 +114,13 @@ def cmd_decide(args: argparse.Namespace) -> int:
         verdict = decide_uniform_recurrence(m, classify_shape(m), k_max=cfg.k_max)
     else:  # pragma: no cover - argparse restricts choices
         raise ContractError(f"unknown property {prop!r}")
-    suffix = " (conditional)" if v_conditional(verdict) else ""
+    suffix = " (conditional)" if verdict.conditional and not verdict.is_unknown else ""
     bound = f" bound={verdict.bound}" if verdict.bound is not None else ""
     sys.stdout.write(f"{prop}: {verdict.value.value}{suffix}{bound}\n")
     sys.stdout.write(
         "certificate: " + json.dumps(verdict.certificate, sort_keys=True) + "\n"
     )
     return _verdict_exit(verdict)
-
-
-def v_conditional(v: Verdict) -> bool:
-    return v.conditional and not v.is_unknown
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -218,10 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MorphismParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except ContractError as exc:
+    except (MorphismParseError, ContractError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except IterAlgError as exc:

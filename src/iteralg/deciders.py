@@ -407,6 +407,11 @@ def _weakest(*verdicts: Verdict) -> bool:
     return any(v.conditional for v in verdicts)
 
 
+def _via(v: Verdict, rule: str) -> Verdict:
+    """v relabelled as a ring property read off it by ``rule``."""
+    return Verdict(v.value, v.conditional, {**v.certificate, "via": rule}, v.bound)
+
+
 def decide_prime(m: Morphism, shape: ShapeRecord) -> Verdict:
     """Prime iff the start letter occurs at least twice in the fixed point.
 
@@ -435,21 +440,12 @@ def ring_property_report(m: Morphism, deps: DeciderOutputs) -> PropertyReport:
     recurrent + aperiodic implication and are Unknown outside it.
     """
     prime = deps.prime
-    semiprime = Verdict(
-        prime.value, prime.conditional, {**prime.certificate, "via": "semiprime-iff-prime"}, prime.bound
-    )
-
     ep = deps.eventually_periodic
     ur = deps.uniformly_recurrent
-    just_infinite = Verdict(
-        ur.value, ur.conditional, {**ur.certificate, "via": "just-infinite-iff-uniformly-recurrent"}, ur.bound
-    )
-    pi = Verdict(
-        ep.value, ep.conditional, {**ep.certificate, "via": "pi-iff-eventually-periodic"}, ep.bound
-    )
-    noetherian = Verdict(
-        ep.value, ep.conditional, {**ep.certificate, "via": "noetherian-iff-eventually-periodic"}, ep.bound
-    )
+    semiprime = _via(prime, "semiprime-iff-prime")
+    just_infinite = _via(ur, "just-infinite-iff-uniformly-recurrent")
+    pi = _via(ep, "pi-iff-eventually-periodic")
+    noetherian = _via(ep, "noetherian-iff-eventually-periodic")
 
     if ur.is_yes and ep.is_no:
         jacobson = Verdict.yes(

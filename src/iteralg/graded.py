@@ -20,7 +20,7 @@ from .words import FactorSet, Morphism, PowerTables, Word, WordPrefix, letter_co
 @dataclass(frozen=True)
 class PositionDegreeSet:
     """The partial degree sums s_0 = 0, s_i = s_{i-1} + deg(word[i-1]) of a
-    prefix under ``degrees``, the prefix's generation ends |phi^k(start)|
+    prefix under phi's grading, the prefix's generation ends |phi^k(start)|
     (``()`` for a bare word) and phi.
 
     The sums are not stored: s_i is read off the letter counts of
@@ -31,7 +31,6 @@ class PositionDegreeSet:
     """
 
     word: Word
-    degrees: tuple[int, ...]
     gen_lengths: tuple[int, ...]
     morphism: Morphism
     _bitsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -43,10 +42,12 @@ class PositionDegreeSet:
     _marks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(g < 1 for g in self.degrees):
-            raise ValueError("degrees must be positive")
         if self.gen_lengths and self.gen_lengths[-1] != len(self.word):
             raise ValueError("a prefix must end at its last generation")
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return self.morphism.degrees
 
     def span_counts(self, i: int, j: int) -> tuple[int, ...]:
         """|word[i:j]|_x for each letter x.
@@ -200,11 +201,9 @@ class NilpotencyScan:
 
 
 def s_set(m: Morphism, prefix: WordPrefix | Word) -> PositionDegreeSet:
-    if m.degrees is None:
-        raise ContractError("position-degree set needs a grading")
     if isinstance(prefix, WordPrefix):
-        return PositionDegreeSet(prefix.word, m.degrees, prefix.gen_lengths, m)
-    return PositionDegreeSet(prefix, m.degrees, (), m)
+        return PositionDegreeSet(prefix.word, prefix.gen_lengths, m)
+    return PositionDegreeSet(prefix, (), m)
 
 
 _LOW_WORD = (1 << 64) - 1
@@ -263,8 +262,6 @@ def max_homogeneous_chain(
     """
     if d < 1:
         raise ContractError("chain degree must be positive")
-    if m.degrees is None:
-        raise ContractError("homogeneous chains need a grading")
     generations = len(s.gen_lengths)
     if any(not 0 <= k < generations for k in levels):
         raise ContractError(
@@ -319,8 +316,6 @@ def graded_nilpotency_scan(
     arithmetic progression, so chains only ever stop at the prefix boundary;
     those rows are flagged unbounded-within-sample instead of stabilized.
     """
-    if m.degrees is None:
-        raise ContractError("nilpotency scan needs a grading")
     order = sorted(range(len(levels)), key=lambda i: levels[i])
     lv = tuple(levels[i] for i in order)
     degenerate = len(set(m.degrees)) == 1

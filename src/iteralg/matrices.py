@@ -198,12 +198,6 @@ class LinearRecurrence:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def extend(self, count: int) -> list[int]:
-        seq = list(self.initial[:count])
-        while len(seq) < count:
-            seq.append(sum(c * seq[-k] for k, c in enumerate(self.coeffs, start=1)))
-        return seq
-
 
 def recurrence_from_charpoly(p: CharPoly, initial: list[int] | tuple[int, ...]) -> LinearRecurrence:
     """Read the recurrence off a monic polynomial and validate the seed terms."""
@@ -249,8 +243,6 @@ def weight_sequence(m: Morphism, M: IncidenceMatrix, prefix: WordPrefix, n_max: 
     against M's and its degree counted over the word translated to its
     distinct degree classes, the lowest read off the chunk's length.
     """
-    if m.degrees is None:
-        raise ContractError("weight sequence needs a grading")
     u = m.degrees
     rows, columns = _sparse(M.rows), _sparse(zip(*M.rows))
 

@@ -60,16 +60,14 @@ def verdict_doc(v: Verdict) -> dict:
 
 
 def _morphism_doc(m: Morphism, source: str) -> dict:
-    doc = {
+    return {
         "source": source,
         "letters": list(m.letters),
         "start": m.letters[m.start],
         "images": {m.letters[i]: m.decode(m.images[i]) for i in range(m.size)},
+        "degrees": {m.letters[i]: m.degrees[i] for i in range(m.size)},
+        "explicit_grading": m.explicit_grading,
     }
-    if m.degrees is not None:
-        doc["degrees"] = {m.letters[i]: m.degrees[i] for i in range(m.size)}
-        doc["explicit_grading"] = m.explicit_grading
-    return doc
 
 
 def _shape_doc(m: Morphism, shape: ShapeRecord) -> dict:
@@ -175,8 +173,7 @@ def _graded_audit(
         )
     counterexamples: list[str] = []
     if audit_len >= 2:
-        short = f.restricted(audit_len)
-        rotation = graded.cyclic_rotation_audit(short, audit_len)
+        rotation = graded.cyclic_rotation_audit(f, audit_len)
         rotation_doc = {
             "max_len": rotation.max_len,
             "pass": rotation.passed,
@@ -210,7 +207,6 @@ def _graded_audit(
 
 
 def _graded_doc(m: Morphism, prefix: WordPrefix, f: FactorSet, cfg: AnalysisConfig) -> dict:
-    assert m.degrees is not None
     audit_len = min(DEFAULT_EMBEDDED_AUDIT_LEN, f.max_len)
     s = graded.s_set(m, prefix)
     # analyze shows failures inside the entries; only audit lists counterexamples
@@ -234,13 +230,18 @@ def _graded_doc(m: Morphism, prefix: WordPrefix, f: FactorSet, cfg: AnalysisConf
     return {**doc, "graded_dims": dims, "nilpotency_scan": scan_doc}
 
 
-def _diagnostics_doc(poly: CharPoly, weights: WeightSequences | None) -> dict:
-    doc: dict = {}
+def _diagnostics_doc(poly: CharPoly, weights: WeightSequences) -> dict:
+    rec = recurrence_from_charpoly(poly, weights.direct)
+    mismatch = weights.first_divergence is not None
     warnings: list[str] = []
-    if weights is not None:
-        rec = recurrence_from_charpoly(poly, weights.direct)
-        mismatch = weights.first_divergence is not None
-        doc["weights"] = {
+    if mismatch:
+        warnings.append(
+            "weight conventions disagree from n="
+            f"{weights.first_divergence}: direct u^T M^n theta vs transposed "
+            "u^T (M^T)^n theta; both sequences reported, neither preferred"
+        )
+    return {
+        "weights": {
             "n_max": len(weights.direct) - 1,
             "direct": [_s(v) for v in weights.direct],
             "transposed": [_s(v) for v in weights.transposed],
@@ -263,15 +264,9 @@ def _diagnostics_doc(poly: CharPoly, weights: WeightSequences | None) -> dict:
                 ],
                 "validated_terms": len(weights.direct),
             },
-        }
-        if mismatch:
-            warnings.append(
-                "weight conventions disagree from n="
-                f"{weights.first_divergence}: direct u^T M^n theta vs transposed "
-                "u^T (M^T)^n theta; both sequences reported, neither preferred"
-            )
-    doc["warnings"] = warnings
-    return doc
+        },
+        "warnings": warnings,
+    }
 
 
 def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, PropertyReport]:
@@ -284,7 +279,7 @@ def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, Proper
     deps = run_deciders(m, shape, f, prefix, mh_bound=cfg.mh_bound, k_max=cfg.k_max)
     properties = ring_property_report(m, deps)
     n_weights = max(WEIGHT_TERMS, poly.degree - 1)  # the recurrence reads poly.degree terms
-    weights = weight_sequence(m, M, prefix, n_weights) if m.degrees is not None else None
+    weights = weight_sequence(m, M, prefix, n_weights)
 
     doc = {
         "morphism": _morphism_doc(m, source),
@@ -298,10 +293,9 @@ def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, Proper
             "uniformly_recurrent": verdict_doc(deps.uniformly_recurrent),
             "eventually_periodic": verdict_doc(deps.eventually_periodic),
         },
+        "graded": _graded_doc(m, prefix, f, cfg),
+        "diagnostics": _diagnostics_doc(poly, weights),
     }
-    if m.degrees is not None:
-        doc["graded"] = _graded_doc(m, prefix, f, cfg)
-    doc["diagnostics"] = _diagnostics_doc(poly, weights)
     return doc, properties
 
 
@@ -309,8 +303,6 @@ def audit(
     m: Morphism, cfg: AnalysisConfig, source: str, max_len: int | None = None
 ) -> tuple[dict, bool, list[str]]:
     """Grading audit document: chains, rotations, brackets, windows, prefixes."""
-    if m.degrees is None:
-        raise ContractError("audit requires a grading")
     audit_len = max_len if max_len is not None else cfg.max_len
     if audit_len < 2:
         raise ContractError("audit needs a factor bound of at least 2")

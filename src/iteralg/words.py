@@ -43,14 +43,15 @@ class Morphism:
     """A free-monoid endomorphism with a designated start letter.
 
     ``letters`` fixes the canonical order (ids are positions), ``images[i]``
-    is the image word of letter ``i``, and ``degrees`` is the optional
-    grading (positive integer per letter).
+    is the image word of letter ``i``, and ``degrees`` is the grading
+    (positive integer per letter).  Without ``degrees`` every letter has
+    degree 1, as in a file without ``degree`` lines.
     """
 
     letters: tuple[str, ...]
     images: tuple[Word, ...]
     start: int
-    degrees: tuple[int, ...] | None = None
+    degrees: tuple[int, ...] = ()
     explicit_grading: bool = False
 
     def __post_init__(self) -> None:
@@ -64,11 +65,12 @@ class Morphism:
             for ch in img:
                 if ord(ch) >= len(self.letters):
                     raise ValueError("image uses a letter outside the alphabet")
-        if self.degrees is not None:
-            if len(self.degrees) != len(self.letters):
-                raise ValueError("degree map must be total over the alphabet")
-            if any(d < 1 for d in self.degrees):
-                raise ValueError("degrees must be positive")
+        if not self.degrees:
+            object.__setattr__(self, "degrees", (1,) * len(self.letters))
+        if len(self.degrees) != len(self.letters):
+            raise ValueError("degree map must be total over the alphabet")
+        if any(d < 1 for d in self.degrees):
+            raise ValueError("degrees must be positive")
         # str.translate accepts any indexable table; a list beats a dict here
         object.__setattr__(self, "_table", list(self.images))
         object.__setattr__(self, "_names", [name + " " for name in self.letters])
@@ -282,17 +284,6 @@ class FactorSet:
             found = tuple(dict.fromkeys(map(itemgetter(slice(0, n)), source)))
             self._by_length[n] = found
         return found
-
-    def restricted(self, n: int) -> "FactorSet":
-        """The same factor set cut down to ``max_len`` = n, holding the
-        layers below n that this one holds."""
-        if n < 0 or n > self.max_len:
-            raise ContractError(f"length {n} outside the computed range 0..{self.max_len}")
-        if n == self.max_len:
-            return self
-        cut = FactorSet(max_len=n, words=self.of_length(n), closure_rounds=self.closure_rounds)
-        cut._by_length.update((k, layer) for k, layer in self._by_length.items() if k < n)
-        return cut
 
     @cached_property
     def factors(self) -> frozenset[Word]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
@@ -49,8 +51,6 @@ def apply_n(m: Morphism, word: str, n: int) -> str:
 
 
 def degree_of(m: Morphism, word: str) -> int:
-    if m.degrees is None:
-        raise ContractError("morphism carries no grading")
     return sum(m.degrees[ord(ch)] for ch in word)
 
 
@@ -83,6 +83,14 @@ def parikh(m: Morphism, u: str) -> tuple[int, ...]:
         if ord(ch) >= m.size:
             raise ContractError(f"letter id {ord(ch)} outside the alphabet")
     return tuple(u.count(chr(i)) for i in range(m.size))
+
+
+def extend_recurrence(rec: LinearRecurrence, count: int) -> list[int]:
+    """The first ``count`` terms of rec's sequence, from its initial terms on."""
+    seq = list(rec.initial[:count])
+    while len(seq) < count:
+        seq.append(sum(c * seq[-k] for k, c in enumerate(rec.coeffs, start=1)))
+    return seq
 
 
 # dense matrix products of Python ints, and the characteristic polynomial by
@@ -550,6 +558,78 @@ def lie_reference(m: Morphism, f: FactorSet, max_len: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# elements of the monomial algebra: sparse rational combinations of factor
+# words, multiplied by concatenation, a concatenation outside F being zero
+
+
+@dataclass(frozen=True)
+class MonomialElement:
+    """Formal rational combination of factor words; zero is the empty map."""
+
+    terms: dict[str, Fraction] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        cleaned = {w: Fraction(c) for w, c in self.terms.items() if c != 0}
+        object.__setattr__(self, "terms", cleaned)
+
+    @staticmethod
+    def zero() -> "MonomialElement":
+        return MonomialElement({})
+
+    @staticmethod
+    def unit() -> "MonomialElement":
+        return MonomialElement({"": Fraction(1)})
+
+    @staticmethod
+    def word(w: str, coeff: Fraction | int = 1) -> "MonomialElement":
+        return MonomialElement({w: Fraction(coeff)})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: "MonomialElement") -> "MonomialElement":
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = out.get(w, Fraction(0)) + c
+        return MonomialElement(out)
+
+    def __sub__(self, other: "MonomialElement") -> "MonomialElement":
+        return self + other.scale(-1)
+
+    def scale(self, k: Fraction | int) -> "MonomialElement":
+        k = Fraction(k)
+        return MonomialElement({w: c * k for w, c in self.terms.items()})
+
+
+def multiply(f: FactorSet, x: MonomialElement, y: MonomialElement) -> MonomialElement:
+    """Bilinear product; a concatenation outside the factor set is zero.
+
+    Concatenations longer than the computed bound are a contract error: the
+    caller must enlarge the factor set first.
+    """
+    known = f.factors
+    for e in (x, y):
+        for w in e.terms:
+            if len(w) > f.max_len:
+                raise ContractError("support word exceeds the factor bound")
+            if w not in known:
+                raise ContractError("support word is not a known factor")
+    out: dict[str, Fraction] = {}
+    for u, cu in x.terms.items():
+        for v, cv in y.terms.items():
+            w = u + v
+            if len(w) > f.max_len:
+                raise ContractError(
+                    f"product of length {len(w)} exceeds the factor bound "
+                    f"{f.max_len}; enlarge the factor set"
+                )
+            if w in known:
+                out[w] = out.get(w, Fraction(0)) + cu * cv
+    return MonomialElement(out)
+
+
+# ---------------------------------------------------------------------------
 # gallery fixtures
 
 
@@ -626,9 +706,7 @@ def small_morphisms(
         else:
             ln = draw(st.integers(min_value=low, max_value=max_image))
             images.append("".join(chr(draw(st.integers(0, n - 1))) for _ in range(ln)))
-    degrees = (
-        tuple(draw(st.integers(1, 3)) for _ in range(n)) if graded else None
-    )
+    degrees = tuple(draw(st.integers(1, 3)) for _ in range(n)) if graded else ()
     m = Morphism(
         letters=letters, images=tuple(images), start=start, degrees=degrees
     )

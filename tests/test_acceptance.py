@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from iteralg.algebra import MonomialElement, hilbert_function, multiply
+from iteralg.algebra import hilbert_function
 from iteralg.config import AnalysisConfig
 from iteralg.deciders import run_deciders, ring_property_report
 from iteralg.errors import NoSplitError
@@ -34,6 +34,7 @@ from iteralg.report import analyze
 from iteralg.words import classify_shape, factor_closure, fixed_point_prefix
 
 from conftest import (
+    MonomialElement,
     apply_n,
     brute_factor_count,
     chain_level_lengths,
@@ -41,6 +42,7 @@ from conftest import (
     holds_at,
     is_zero,
     level_prefix,
+    multiply,
     naive_power,
     sorted_factors,
 )

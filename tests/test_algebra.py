@@ -5,17 +5,18 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iteralg.algebra import (
-    MonomialElement,
-    graded_dimension,
-    graded_dimensions,
-    hilbert_function,
-    multiply,
-)
+from iteralg.algebra import graded_dimension, graded_dimensions, hilbert_function
 from iteralg.errors import ContractError
 from iteralg.words import factor_closure
 
-from conftest import degree_of, graded_dimension_reference, small_morphisms, sorted_factors
+from conftest import (
+    MonomialElement,
+    degree_of,
+    graded_dimension_reference,
+    multiply,
+    small_morphisms,
+    sorted_factors,
+)
 
 
 def test_multiply_image_prefix(paper12, closure):

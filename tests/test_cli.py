@@ -11,9 +11,8 @@ import pytest
 import iteralg
 from iteralg.cli import main
 from iteralg.config import AnalysisConfig
-from iteralg.errors import ContractError
 from iteralg import report
-from test_words import mk
+from iteralg.words import Morphism, parse_morphism
 
 UNKNOWN_UR_SOURCE = """letters: a b
 start: a
@@ -263,10 +262,20 @@ def test_analyze_and_audit_share_graded_entries(capsys, entry):
     assert {k: analyzed[k] for k in keys} == audited["graded"]
 
 
-def test_audit_needs_grading_programmatically():
-    m = mk(["a", "b"], ["a b", "a"], "a")
-    with pytest.raises(ContractError):
-        report.audit(m, AnalysisConfig(), "inline")
+def test_morphism_without_degrees_reports_as_parsed():
+    # a Morphism built without degrees is graded 1 per letter, as a file
+    # without degree lines is, so both give the same documents
+    parsed = parse_morphism("letters: a b\nstart: a\nmap a -> a b\nmap b -> a\n")
+    built = Morphism(parsed.letters, parsed.images, parsed.start)
+    assert built.degrees == (1,) * built.size
+    assert built == parsed
+    cfg = AnalysisConfig(max_len=12)
+    for run_report in (report.analyze, report.audit):
+        doc_built = run_report(built, cfg, "built")[0]
+        doc_parsed = run_report(parsed, cfg, "parsed")[0]
+        assert doc_built["morphism"].pop("source") == "built"
+        assert doc_parsed["morphism"].pop("source") == "parsed"
+        assert report.to_json(doc_built) == report.to_json(doc_parsed)
 
 
 # ---------------------------------------------------------------------------

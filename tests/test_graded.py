@@ -19,7 +19,7 @@ from iteralg.graded import (
     s_set,
 )
 from iteralg.report import _graded_audit
-from iteralg.words import factor_closure, fixed_point_prefix
+from iteralg.words import Morphism, factor_closure, fixed_point_prefix
 
 from conftest import (
     apply_n,
@@ -63,12 +63,6 @@ def test_s_set_fibonacci_mixed_degrees():
     m = mk(["a", "b"], ["a b", "a"], "a", degrees=(1, 2))
     s = s_set(m, m.encode("a b a a b"))
     assert tuple(s.sum_at(i) for i in range(6)) == s.head(6) == (0, 1, 3, 4, 5, 7)
-
-
-def test_s_set_needs_grading():
-    m = mk(["a", "b"], ["a b", "a"], "a")
-    with pytest.raises(ContractError):
-        s_set(m, m.encode("a b"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,9 +188,9 @@ def test_sums_and_chains_on_large_alphabets(size):
 
 
 def test_position_degree_set_needs_positive_degrees(paper12):
-    s = s_set(paper12, "")
-    with pytest.raises(ValueError):
-        replace(s, degrees=(0,) * paper12.size)
+    # the set reads its degrees off phi, which rejects a non-positive one
+    with pytest.raises(ValueError, match="positive"):
+        Morphism(paper12.letters, paper12.images, paper12.start, (0,) * paper12.size)
 
 
 def test_position_degree_set_needs_a_whole_last_generation(paper12):
@@ -204,7 +198,7 @@ def test_position_degree_set_needs_a_whole_last_generation(paper12):
     with pytest.raises(ValueError):
         replace(s, word=s.word[:-1])
     with pytest.raises(TypeError):  # phi is a required field
-        graded.PositionDegreeSet(s.word, s.degrees, s.gen_lengths)
+        graded.PositionDegreeSet(s.word, s.gen_lengths)
 
 
 def _mark_table(degrees, cap):
@@ -386,7 +380,7 @@ def test_chain_check_rejects_sums_off_the_letters(paper12):
     # the chain is found under the morphism's grading and its span is counted
     # under the set's own degrees, so a set whose degrees disagree fails
     s = s_set(paper12, fixed_point_prefix(paper12, 256))
-    doubled = replace(s, degrees=tuple(2 * g for g in s.degrees))
+    doubled = replace(s, morphism=replace(paper12, degrees=tuple(2 * g for g in s.degrees)))
     with pytest.raises(InvariantError, match="wrong degree"):
         for d in range(1, 9):
             max_homogeneous_chain(paper12, doubled, None, d)

@@ -22,6 +22,7 @@ from iteralg.words import PowerTables, classify_shape, fixed_point_prefix
 from conftest import (
     apply_n,
     evaluate_matrix,
+    extend_recurrence,
     faddeev_leverrier,
     holds_at,
     is_zero,
@@ -174,12 +175,12 @@ def test_char_poly_rejects_non_monic():
 def test_recurrence_fibonacci_numbers():
     p = CharPoly((-1, -1, 1))
     rec = recurrence_from_charpoly(p, (1, 1))
-    assert rec.extend(11)[10] == 89
+    assert extend_recurrence(rec, 11)[10] == 89
 
 
 def test_recurrence_constant():
     rec = recurrence_from_charpoly(CharPoly((-1, 1)), (7,))
-    assert rec.extend(5) == [7, 7, 7, 7, 7]
+    assert extend_recurrence(rec, 5) == [7, 7, 7, 7, 7]
 
 
 def test_recurrence_validation_error():
@@ -256,12 +257,6 @@ def test_weight_products_match_dense_products(m, n_max):
             expected.append(sum(map(int.__mul__, m.degrees, vec)))
             vec = matvec(matrix, vec)
         assert getattr(ws, convention) == tuple(expected), convention
-
-
-def test_weights_need_grading():
-    m = mk(["a", "b"], ["a b", "a"], "a")
-    with pytest.raises(ContractError):
-        weight_sequence(m, incidence_matrix(m), fixed_point_prefix(m, 1), 4)
 
 
 # cross_checked_upto at n_max = WEIGHT_TERMS: the last n with |phi^n(start)| <= 4^9

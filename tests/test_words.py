@@ -54,7 +54,7 @@ from conftest import (
 )
 
 
-def mk(letters, images, start, degrees=None):
+def mk(letters, images, start, degrees=()):
     idx = {n: i for i, n in enumerate(letters)}
     enc = tuple("".join(chr(idx[t]) for t in img.split()) for img in images)
     return Morphism(tuple(letters), enc, idx[start], degrees)
@@ -684,20 +684,6 @@ def test_layers_do_not_depend_on_the_order_they_are_asked_in(m, max_len, data):
     for order in (ascending, ascending[::-1], data.draw(st.permutations(ascending))):
         fresh = replace(f)
         assert [fresh.of_length(n) for n in order] == [expected[n] for n in order]
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_morphisms(allow_erasing=True), st.integers(min_value=0, max_value=12), st.data())
-def test_a_restricted_set_has_the_same_layers(m, max_len, data):
-    f = factor_closure(m, max_len)
-    # layers already held, above and below the cut, are handed down or left
-    for k in data.draw(st.lists(st.integers(0, max_len), max_size=4)):
-        f.of_length(k)
-    n = data.draw(st.integers(0, max_len))
-    cut = f.restricted(n)
-    assert cut.max_len == n and cut.counts == f.counts[: n + 1]
-    top_down = range(n, -1, -1)
-    assert [cut.of_length(j) for j in top_down] == [f.of_length(j) for j in top_down]
 
 
 def test_a_short_layer_is_cut_without_the_layers_between(closure):
