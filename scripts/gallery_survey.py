@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep the built-in gallery and print one verdict row per morphism.
 
-Usage: python3 scripts/gallery_survey.py [--max-len L] [--mh-bound B]
+Usage: python3 scripts/gallery_survey.py [--max-len L]
 """
 
 import argparse
@@ -21,7 +21,6 @@ def fmt(verdict) -> str:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-len", type=int, default=32)
-    ap.add_argument("--mh-bound", type=int, default=32)
     args = ap.parse_args()
 
     header = f"{'name':<14}{'shape':<12}{'prime':<8}{'j.inf':<8}{'pi':<8}{'gk':<5}{'class':<22}{'time':<8}"
@@ -33,7 +32,7 @@ def main() -> None:
         shape = classify_shape(m)
         prefix = fixed_point_prefix(m, DEFAULT_PREFIX_LETTERS)
         f = factor_closure(m, args.max_len, prefix=prefix)
-        deps = run_deciders(m, shape, f, prefix, mh_bound=args.mh_bound)
+        deps = run_deciders(m, shape, f, prefix)
         rep = ring_property_report(m, deps)
         elapsed = time.perf_counter() - t0
         shape_txt = f"{shape.d_uniform}-uniform" if shape.d_uniform else "general"

@@ -38,7 +38,6 @@ from .matrices import (
 )
 from .words import (
     FactorSet,
-    Letter,
     Morphism,
     ShapeRecord,
     Word,

@@ -15,16 +15,11 @@ import sys
 from importlib import resources
 
 from . import report
-from .config import (
-    DEFAULT_D_MAX,
-    DEFAULT_K_MAX,
-    DEFAULT_MAX_LEN,
-    DEFAULT_MH_BOUND,
-    DEFAULT_PREFIX_LETTERS,
-    AnalysisConfig,
-)
+from .config import AnalysisConfig
 from .deciders import (
+    RING_RULES,
     Verdict,
+    _via,
     decide_eventual_periodicity,
     decide_prime,
     decide_primitive,
@@ -63,14 +58,19 @@ def _resolve_morphism(path: str) -> tuple[Morphism, str]:
     raise MorphismParseError(f"no such file or gallery entry: {path}")
 
 
+# The budget flags, one per AnalysisConfig field: name -> (metavar, help).  A
+# command takes only the budgets it reads; one left unset keeps its default
+# from ``config``.
+BUDGET_FLAGS = {
+    "prefix_letters": ("N", "fixed-point prefix budget in letters"),
+    "max_len": ("L", "factor length bound"),
+    "k_max": ("K", "iteration depth for the block-cover recurrence test"),
+    "d_max": ("D", "largest graded degree audited"),
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
-    return AnalysisConfig(
-        prefix_letters=args.prefix_letters,
-        max_len=args.max_len,
-        mh_bound=args.mh_bound,
-        k_max=args.k_max,
-        d_max=args.d_max,
-    )
+    return AnalysisConfig(**{k: v for k, v in vars(args).items() if k in BUDGET_FLAGS})
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -109,7 +109,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
     elif prop in ("periodic", "pi", "noetherian"):
         prefix = fixed_point_prefix(m, cfg.prefix_letters)
         f = factor_closure(m, cfg.max_len, prefix=prefix)
-        verdict = decide_eventual_periodicity(m, f, prefix, mh_bound=cfg.mh_bound)
+        verdict = decide_eventual_periodicity(m, f, prefix)
+        if prop in RING_RULES:
+            verdict = _via(verdict, RING_RULES[prop])
     elif prop == "ur":
         verdict = decide_uniform_recurrence(m, classify_shape(m), k_max=cfg.k_max)
     else:  # pragma: no cover - argparse restricts choices
@@ -126,7 +128,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     m, label = _resolve_morphism(args.path)
-    doc, passed, counterexamples = report.audit(m, cfg, label, max_len=args.max_len)
+    doc, passed, counterexamples = report.audit(m, cfg, label)
     _emit(doc, args.format)
     if args.format == "text":  # the JSON document carries them in result.counterexamples
         for c in counterexamples:
@@ -148,19 +150,14 @@ def cmd_gallery(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prefix-letters", type=int, default=DEFAULT_PREFIX_LETTERS,
-                   metavar="N", help="fixed-point prefix budget in letters")
-    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN, metavar="L",
-                   help="factor length bound")
-    p.add_argument("--mh-bound", type=int, default=DEFAULT_MH_BOUND, metavar="B",
-                   help="complexity lengths checked for eventual periodicity")
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, metavar="K",
-                   help="iteration depth for the block-cover recurrence test")
-    p.add_argument("--d-max", type=int, default=DEFAULT_D_MAX, metavar="D",
-                   help="largest graded degree audited")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="report format")
+def _add_flags(p: argparse.ArgumentParser, budgets, *, report_format: bool) -> None:
+    for name in budgets:
+        metavar, text = BUDGET_FLAGS[name]
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=argparse.SUPPRESS,
+                       metavar=metavar, help=text)
+    if report_format:
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       help="report format")
 
 
 @functools.cache
@@ -179,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="full report for a morphism file")
     p_analyze.add_argument("path")
-    _add_budget_flags(p_analyze)
+    _add_flags(p_analyze, BUDGET_FLAGS, report_format=True)
     p_analyze.add_argument("--strict", action="store_true",
                            help="exit 3 when any verdict is Unknown")
     p_analyze.set_defaults(func=cmd_analyze)
@@ -190,12 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
         "property",
         choices=("prime", "periodic", "ur", "primitive", "pi", "noetherian"),
     )
-    _add_budget_flags(p_decide)
+    _add_flags(p_decide, ("prefix_letters", "max_len", "k_max"), report_format=False)
     p_decide.set_defaults(func=cmd_decide)
 
     p_audit = sub.add_parser("audit", help="graded audit: chains, rotations, brackets")
     p_audit.add_argument("path")
-    _add_budget_flags(p_audit)
+    _add_flags(p_audit, BUDGET_FLAGS, report_format=True)
     p_audit.set_defaults(func=cmd_audit)
 
     p_gallery = sub.add_parser("gallery", help="built-in example morphisms")

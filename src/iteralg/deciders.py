@@ -12,6 +12,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+from .config import DEFAULT_K_MAX
 from .errors import InvariantError
 from .words import (
     FactorSet,
@@ -209,14 +210,9 @@ def _common_suffix(word: Word, q: int) -> int:
     return lo
 
 
-def decide_eventual_periodicity(
-    m: Morphism,
-    f: FactorSet,
-    prefix: WordPrefix,
-    *,
-    mh_bound: int | None = None,
-) -> Verdict:
-    """Morse-Hedlund positive test plus verified period extraction.
+def decide_eventual_periodicity(m: Morphism, f: FactorSet, prefix: WordPrefix) -> Verdict:
+    """Morse-Hedlund positive test on the exact p(n), n <= ``f.max_len``, plus
+    verified period extraction.
 
     Yes is unconditional: the extracted (preperiod, period) pair is checked
     to reproduce a fixed point of the morphism starting with the start
@@ -225,7 +221,7 @@ def decide_eventual_periodicity(
     minimal one whatever the length.
     No is conditional on the exhausted complexity bound.
     """
-    bound = min(f.max_len, mh_bound if mh_bound is not None else f.max_len)
+    bound = f.max_len
     fired_at = None
     for n in range(1, bound + 1):
         if subword_complexity(f, n) <= n:
@@ -268,23 +264,28 @@ def decide_uniform_recurrence(
     m: Morphism,
     shape: ShapeRecord,
     *,
-    k_max: int = 6,
+    k_max: int = DEFAULT_K_MAX,
 ) -> Verdict:
     """Block-cover and primitivity sufficient tests, structural refutations.
 
     Block cover: if phi^k(a) begins with the start letter for every occurring
     a, the fixed point is a concatenation of such blocks and every factor
-    recurs within a bounded window.  Refutations: the start letter occurring
-    exactly once (``shape.start_recurs`` false), or a growing occurring
-    letter that never produces it.
+    recurs within a bounded window.  Only the length and first letter of each
+    phi^k(a) are read, by recurrences over the images, so no block is built.
+    Refutations: the start letter occurring exactly once
+    (``shape.start_recurs`` false), or a growing occurring letter that never
+    produces it.
     """
-    occ = shape.occurring
+    occ = sorted(shape.occurring)
     b = m.start
-    images_k = {a: chr(a) for a in sorted(occ)}
-    for k in range(1, k_max + 1):
-        images_k = {a: m.apply(img) for a, img in images_k.items()}
-        if all(img and ord(img[0]) == b for img in images_k.values()):
-            max_block = max(len(img) for img in images_k.values())
+    images = [list(map(ord, img)) for img in m.images]
+    lengths = [1] * m.size  # |phi^k(c)| for every letter c
+    firsts: list[int | None] = list(range(m.size))  # first letter of phi^k(c), None if empty
+    for k in range(1, k_max + 1):  # firsts at k reads the lengths at k - 1
+        firsts = [next((firsts[c] for c in img if lengths[c]), None) for img in images]
+        lengths = [sum(map(lengths.__getitem__, img)) for img in images]
+        if all(firsts[a] == b for a in occ):
+            max_block = max(lengths[a] for a in occ)
             window = (
                 shape.d_uniform**k if shape.d_uniform is not None else 2 * max_block
             )
@@ -308,7 +309,7 @@ def decide_uniform_recurrence(
                 "letter": m.letters[b],
             }
         )
-    for a in sorted(occ):
+    for a in occ:
         if shape.growing[a] and b != a and not m.letter_graph.reaches(a, b):
             return Verdict.no(
                 {
@@ -407,6 +408,15 @@ def _weakest(*verdicts: Verdict) -> bool:
     return any(v.conditional for v in verdicts)
 
 
+# A ring property read off one word-level verdict, and the rule that reads it.
+RING_RULES = {
+    "semiprime": "semiprime-iff-prime",
+    "just_infinite": "just-infinite-iff-uniformly-recurrent",
+    "pi": "pi-iff-eventually-periodic",
+    "noetherian": "noetherian-iff-eventually-periodic",
+}
+
+
 def _via(v: Verdict, rule: str) -> Verdict:
     """v relabelled as a ring property read off it by ``rule``."""
     return Verdict(v.value, v.conditional, {**v.certificate, "via": rule}, v.bound)
@@ -442,10 +452,10 @@ def ring_property_report(m: Morphism, deps: DeciderOutputs) -> PropertyReport:
     prime = deps.prime
     ep = deps.eventually_periodic
     ur = deps.uniformly_recurrent
-    semiprime = _via(prime, "semiprime-iff-prime")
-    just_infinite = _via(ur, "just-infinite-iff-uniformly-recurrent")
-    pi = _via(ep, "pi-iff-eventually-periodic")
-    noetherian = _via(ep, "noetherian-iff-eventually-periodic")
+    semiprime = _via(prime, RING_RULES["semiprime"])
+    just_infinite = _via(ur, RING_RULES["just_infinite"])
+    pi = _via(ep, RING_RULES["pi"])
+    noetherian = _via(ep, RING_RULES["noetherian"])
 
     if ur.is_yes and ep.is_no:
         jacobson = Verdict.yes(
@@ -486,12 +496,11 @@ def run_deciders(
     f: FactorSet,
     prefix: WordPrefix,
     *,
-    mh_bound: int | None = None,
-    k_max: int = 6,
+    k_max: int = DEFAULT_K_MAX,
 ) -> DeciderOutputs:
     """Run the full decider battery over one letter record, factor set and prefix."""
     prim = decide_primitive(m, shape)
-    ep = decide_eventual_periodicity(m, f, prefix, mh_bound=mh_bound)
+    ep = decide_eventual_periodicity(m, f, prefix)
     ur = decide_uniform_recurrence(m, shape, k_max=k_max)
     comp = classify_complexity(m, shape, f, ep)
     return DeciderOutputs(
@@ -517,4 +526,5 @@ __all__ = [
     "classify_complexity",
     "ring_property_report",
     "run_deciders",
+    "RING_RULES",
 ]

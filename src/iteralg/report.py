@@ -276,7 +276,7 @@ def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, Proper
     poly = char_poly(M)
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
     f = factor_closure(m, cfg.max_len, prefix=prefix)
-    deps = run_deciders(m, shape, f, prefix, mh_bound=cfg.mh_bound, k_max=cfg.k_max)
+    deps = run_deciders(m, shape, f, prefix, k_max=cfg.k_max)
     properties = ring_property_report(m, deps)
     n_weights = max(WEIGHT_TERMS, poly.degree - 1)  # the recurrence reads poly.degree terms
     weights = weight_sequence(m, M, prefix, n_weights)
@@ -299,17 +299,15 @@ def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, Proper
     return doc, properties
 
 
-def audit(
-    m: Morphism, cfg: AnalysisConfig, source: str, max_len: int | None = None
-) -> tuple[dict, bool, list[str]]:
-    """Grading audit document: chains, rotations, brackets, windows, prefixes."""
-    audit_len = max_len if max_len is not None else cfg.max_len
-    if audit_len < 2:
+def audit(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, bool, list[str]]:
+    """Grading audit document: chains, rotations, brackets, windows, prefixes,
+    over the factors of length up to ``cfg.max_len``."""
+    if cfg.max_len < 2:
         raise ContractError("audit needs a factor bound of at least 2")
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
-    f = factor_closure(m, audit_len, prefix=prefix)
+    f = factor_closure(m, cfg.max_len, prefix=prefix)
     graded_doc, counterexamples, _ = _graded_audit(
-        m, graded.s_set(m, prefix), f, cfg.d_max, audit_len
+        m, graded.s_set(m, prefix), f, cfg.d_max, cfg.max_len
     )
 
     deps_ur = decide_uniform_recurrence(m, classify_shape(m), k_max=cfg.k_max)
@@ -363,7 +361,7 @@ def to_json(doc: dict) -> str:
     return json.dumps(doc, ensure_ascii=True, indent=2) + "\n"
 
 
-def render_text(doc: dict, indent: int = 0) -> str:
+def render_text(doc: dict) -> str:
     """Plain deterministic rendering that follows document order."""
     lines: list[str] = []
 
@@ -385,7 +383,7 @@ def render_text(doc: dict, indent: int = 0) -> str:
         else:
             lines.append(f"{pad}{label}: {node}")
 
-    walk(doc, indent, None)
+    walk(doc, 0, None)
     return "\n".join(lines) + "\n"
 
 

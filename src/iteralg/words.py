@@ -33,11 +33,6 @@ DEFAULT_MEMORY_BUDGET_BYTES = 512 * 2**20
 COUNT_PASS_MAX_LETTERS = 64
 
 
-class Letter(NamedTuple):
-    id: int
-    name: str
-
-
 @dataclass(frozen=True)
 class Morphism:
     """A free-monoid endomorphism with a designated start letter.
@@ -79,9 +74,10 @@ class Morphism:
     def size(self) -> int:
         return len(self.letters)
 
-    def letter(self, name: str) -> Letter:
+    def letter(self, name: str) -> int:
+        """The id of the letter called ``name``."""
         try:
-            return Letter(self.letters.index(name), name)
+            return self.letters.index(name)
         except ValueError:
             raise ContractError(f"unknown letter {name!r}") from None
 
@@ -92,10 +88,10 @@ class Morphism:
     def encode(self, names: str | Iterable[str]) -> Word:
         """Build a word from whitespace-separated names or an iterable of names."""
         toks = names.split() if isinstance(names, str) else list(names)
-        return "".join(chr(self.letter(t).id) for t in toks)
+        return "".join(chr(self.letter(t)) for t in toks)
 
     def decode(self, word: Word) -> str:
-        """Letter names separated by spaces, by one translate pass."""
+        """The letter names, separated by spaces, by one translate pass."""
         return word.translate(self._names)[:-1]
 
     @property
@@ -160,7 +156,7 @@ class LetterGraph(NamedTuple):
         return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-def letter_counts(word: Word, size: int, start: int = 0, end: int | None = None) -> tuple[int, ...]:
+def letter_counts(word: Word, size: int, start: int, end: int) -> tuple[int, ...]:
     """|word[start:end]|_x for each letter id x < ``size``.
 
     Up to ``COUNT_PASS_MAX_LETTERS`` letters this is one C-level ``str.count``
@@ -464,9 +460,8 @@ def _prolongability_failure(m: Morphism, letter_id: int) -> str | None:
     return None
 
 
-def is_prolongable(m: Morphism, letter: int | Letter) -> bool:
-    lid = letter.id if isinstance(letter, Letter) else letter
-    return _prolongability_failure(m, lid) is None
+def is_prolongable(m: Morphism, letter: int) -> bool:
+    return _prolongability_failure(m, letter) is None
 
 
 def classify_shape(m: Morphism) -> ShapeRecord:
@@ -903,7 +898,6 @@ def subword_complexity(f: FactorSet, n: int) -> int:
 
 __all__ = [
     "Word",
-    "Letter",
     "Morphism",
     "LetterGraph",
     "WordPrefix",

@@ -508,6 +508,17 @@ def periodic_candidates_reference(prefix: str, max_period: int):
             yield prefix[:j], prefix[j : j + q]
 
 
+def block_cover_reference(m: Morphism, occurring, k_max: int) -> tuple[int, int] | None:
+    """(k, max_block) for the least k <= k_max at which phi^k(a) begins with the
+    start letter for every occurring a, by building each phi^k(a) as a word."""
+    images_k = {a: chr(a) for a in sorted(occurring)}
+    for k in range(1, k_max + 1):
+        images_k = {a: m.apply(img) for a, img in images_k.items()}
+        if all(img and ord(img[0]) == m.start for img in images_k.values()):
+            return k, max(len(img) for img in images_k.values())
+    return None
+
+
 def window_reference(word: str, letter: int, window: int) -> bool:
     """Does every length-``window`` slice of ``word`` hold the letter?"""
     return all(chr(letter) in word[i : i + window] for i in range(len(word) - window + 1))

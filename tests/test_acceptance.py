@@ -177,7 +177,7 @@ def test_c09_dictionary_regression(paper12, ba_example, periodic_ab, closure):
             m, classify_shape(m), closure(name, max_len), fixed_point_prefix(m, 4**8), **kw
         )
 
-    deps = deciders(paper12, "paper12", 16, mh_bound=16)
+    deps = deciders(paper12, "paper12", 16)
     rep = ring_property_report(paper12, deps)
     assert rep.prime.is_yes and not rep.prime.conditional
     assert rep.semiprime.is_yes

@@ -1,7 +1,10 @@
 import argparse
+import dataclasses
 import importlib
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import iteralg
-from iteralg.cli import main
+from iteralg.cli import _config_from_args, build_parser, main
 from iteralg.config import AnalysisConfig
 from iteralg import report
 from iteralg.words import Morphism, parse_morphism
@@ -29,6 +32,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, preexec_fn=None):
+    """``python -m iteralg *argv`` in a child process that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    search = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": search}
+    return subprocess.run(
+        [sys.executable, "-m", "iteralg", *argv],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +125,7 @@ def test_unreadable_path_is_a_parse_error(tmp_path, command, kind):
 def test_analyze_strict_unknown(tmp_path, capsys):
     src = tmp_path / "u.morph"
     src.write_text(UNKNOWN_UR_SOURCE)
-    budget = ("--max-len", "16", "--mh-bound", "16", "--prefix-letters", "4096")
+    budget = ("--max-len", "16", "--prefix-letters", "4096")
     code, out, _ = run(capsys, "analyze", str(src), "--strict", *budget)
     assert code == 3
     code2, _, _ = run(capsys, "analyze", str(src), *budget)
@@ -133,6 +147,21 @@ def test_analyze_weights_cover_the_recurrence(tmp_path, capsys, letters, n_max):
     weights = json.loads(out)["diagnostics"]["weights"]
     assert weights["recurrence"]["order"] == letters
     assert weights["n_max"] == n_max
+
+
+def test_analyze_long_images_in_bounded_memory(tmp_path):
+    """a -> a b^39, b -> b a^39: the block-cover search reads |phi^k(a)| and its
+    first letter, never phi^6(a) itself (40^6 letters), so analyze at default
+    budgets fits in 1.5 GB of address space."""
+    src = tmp_path / "long.morph"
+    src.write_text("letters: a b\nstart: a\nmap a -> a" + " b" * 39 + "\nmap b -> b" + " a" * 39 + "\n")
+    limit = 1_500_000 * 1024
+    proc = run_module(
+        "analyze", str(src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_analyze_reads_local_file_over_gallery(tmp_path, capsys):
@@ -179,7 +208,8 @@ def test_decide_prime_certificate_matches_analyze(capsys, entry):
 
 @pytest.mark.parametrize("entry", GALLERY)
 def test_decide_matches_analyze(capsys, entry):
-    """decide prime/ur/periodic/primitive print analyze's value, flag, bound and certificate."""
+    """decide prime/ur/periodic/primitive/pi/noetherian print analyze's value, flag,
+    bound and certificate."""
     path = f"gallery/{entry}.morph"
     budget = ("--max-len", "24")
     _, doc_out, _ = run(capsys, "analyze", path, "--format", "json", *budget)
@@ -189,6 +219,8 @@ def test_decide_matches_analyze(capsys, entry):
         "ur": "uniformly_recurrent",
         "periodic": "eventually_periodic",
         "primitive": "primitive_morphism",
+        "pi": "pi",
+        "noetherian": "noetherian",
     }
     for prop, key in keys.items():
         code, out, err = run(capsys, "decide", path, prop, *budget)
@@ -383,3 +415,40 @@ def test_help_text_repeats(fresh_cli, capsys, argv):
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
     assert texts[0].startswith("usage: iteralg")
+
+
+# ---------------------------------------------------------------------------
+# option surface
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "gallery/fibonacci.morph", "--mh-bound", "8"],
+        ["decide", "gallery/fibonacci.morph", "periodic", "--mh-bound", "8"],
+        ["audit", "gallery/fibonacci.morph", "--mh-bound", "8"],
+        ["decide", "gallery/fibonacci.morph", "prime", "--format", "json"],
+        ["decide", "gallery/fibonacci.morph", "prime", "--d-max", "3"],
+    ],
+)
+def test_unread_flags_are_usage_errors(argv):
+    proc = run_module(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: iteralg")
+    assert "unrecognized arguments" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_analyze_budget_flags_are_the_config_fields(capsys):
+    """analyze takes one flag per AnalysisConfig field, and each sets its field."""
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    options = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+    names = [f.name for f in dataclasses.fields(AnalysisConfig)]
+    assert options == {"help", "format", "strict"} | {n.replace("_", "-") for n in names}
+    values = {n: 2 + i for i, n in enumerate(names)}
+    argv = ["analyze", "x.morph"]
+    for n, v in values.items():
+        argv += ["--" + n.replace("_", "-"), str(v)]
+    assert _config_from_args(build_parser().parse_args(argv)) == AnalysisConfig(**values)

@@ -17,7 +17,12 @@ from iteralg.deciders import (
 )
 from iteralg.words import classify_shape, factor_closure, fixed_point_prefix
 
-from conftest import occurring_reference, periodic_candidates_reference, small_morphisms
+from conftest import (
+    block_cover_reference,
+    occurring_reference,
+    periodic_candidates_reference,
+    small_morphisms,
+)
 from test_words import mk
 
 
@@ -145,7 +150,7 @@ def test_periodic_ba(ba_example, closure):
 
 def test_fibonacci_aperiodic_conditional(fibonacci, closure):
     f = closure("fibonacci", 64)
-    v = decide_eventual_periodicity(fibonacci, f, prefix_of(fibonacci), mh_bound=64)
+    v = decide_eventual_periodicity(fibonacci, f, prefix_of(fibonacci))
     assert v.is_no and v.conditional and v.bound == 64
 
 
@@ -215,13 +220,31 @@ def test_ur_block_cover_witness_scans(paper12):
     assert all(chr(paper12.start) in w for w in windows)
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.sampled_from([1, 3, 6]))
+def test_block_cover_matches_word_expansion(m, k_max):
+    """The block-cover certificate read off lengths and first letters is the one
+    that building every phi^k(a) as a word finds."""
+    shape = classify_shape(m)
+    v = ur(m, k_max=k_max)
+    found = block_cover_reference(m, shape.occurring, k_max)
+    if found is None:
+        assert v.certificate.get("witness") != "block-cover"
+    else:
+        k, max_block = found
+        window = shape.d_uniform**k if shape.d_uniform is not None else 2 * max_block
+        assert v.certificate == {
+            "witness": "block-cover", "k": k, "max_block": max_block, "start_gap_bound": window
+        }
+
+
 # ---------------------------------------------------------------------------
 # complexity classification
 
 
 def test_complexity_paper12(paper12, closure):
     f = closure("paper12", 16)
-    ep = decide_eventual_periodicity(paper12, f, prefix_of(paper12), mh_bound=16)
+    ep = decide_eventual_periodicity(paper12, f, prefix_of(paper12))
     r = classify_complexity(paper12, classify_shape(paper12), f, ep)
     assert r.complexity_class is ComplexityClass.LINEAR
     assert r.gk_dimension == 2 and r.conditional and r.method == "d-uniform-aperiodic"
@@ -237,7 +260,7 @@ def test_complexity_periodic(periodic_ab, closure):
 
 def test_complexity_fibonacci(fibonacci, closure):
     f = closure("fibonacci", 16)
-    ep = decide_eventual_periodicity(fibonacci, f, prefix_of(fibonacci), mh_bound=16)
+    ep = decide_eventual_periodicity(fibonacci, f, prefix_of(fibonacci))
     r = classify_complexity(fibonacci, classify_shape(fibonacci), f, ep)
     assert r.complexity_class is ComplexityClass.LINEAR
     assert r.gk_dimension == 2 and r.method == "primitive-aperiodic"
@@ -246,7 +269,7 @@ def test_complexity_fibonacci(fibonacci, closure):
 def test_complexity_heuristic_path():
     m = mk(["a", "b"], ["a a b", "b"], "a")
     f = factor_closure(m, 24)
-    ep = decide_eventual_periodicity(m, f, prefix_of(m), mh_bound=24)
+    ep = decide_eventual_periodicity(m, f, prefix_of(m))
     assert ep.is_no
     r = classify_complexity(m, classify_shape(m), f, ep)
     assert r.method == "heuristic-fit"
@@ -261,7 +284,7 @@ def test_complexity_heuristic_path():
 
 def test_report_paper12(paper12, closure):
     deps = run_deciders(
-        paper12, classify_shape(paper12), closure("paper12", 16), prefix_of(paper12), mh_bound=16
+        paper12, classify_shape(paper12), closure("paper12", 16), prefix_of(paper12)
     )
     rep = ring_property_report(paper12, deps)
     assert rep.prime.is_yes and not rep.prime.conditional
@@ -289,7 +312,6 @@ def test_report_ba(ba_example, closure):
 def test_report_fibonacci(fibonacci, closure):
     deps = run_deciders(
         fibonacci, classify_shape(fibonacci), closure("fibonacci", 16), prefix_of(fibonacci),
-        mh_bound=16,
     )
     rep = ring_property_report(fibonacci, deps)
     assert rep.prime.is_yes
@@ -301,7 +323,7 @@ def test_report_fibonacci(fibonacci, closure):
 @given(small_morphisms())
 def test_dictionary_coherence(m):
     f = factor_closure(m, 8)
-    deps = run_deciders(m, classify_shape(m), f, fixed_point_prefix(m, 512), mh_bound=8)
+    deps = run_deciders(m, classify_shape(m), f, fixed_point_prefix(m, 512))
     rep = ring_property_report(m, deps)
     assert rep.semiprime.value == rep.prime.value
     assert rep.pi.value == rep.noetherian.value

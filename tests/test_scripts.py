@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "argv, fragment",
     [
-        (["scripts/gallery_survey.py", "--max-len", "8", "--mh-bound", "8"], "paper12"),
+        (["scripts/gallery_survey.py", "--max-len", "8"], "paper12"),
         (["scripts/weight_table.py", "paper12"], "weights for gallery/paper12.morph"),
         (["scripts/weight_table.py", "fibonacci", "--n-max", "3"], "gcd(W4, W5)"),
         (["scripts/weight_table.py", "periodic-ab", "--n-max", "2"], "gcd(W4, W5)"),
