@@ -75,11 +75,22 @@ class PositionDegreeSet:
     def marks(self, table: list[str], i: int, j: int) -> str:
         """``word[i:j]`` translated under ``table``, followed by the marks of
         any further letters already translated from i: one translation per
-        table and start, extended when a longer span asks for it."""
+        table and start, extended when a longer span asks for it.
+
+        An entry of two or more marks would send ``str.translate`` down its
+        slow per-letter path, so each letter is first translated to one
+        character, an entry of one mark to itself and a longer one to a
+        placeholder other than "0" and "1", and each placeholder is then
+        replaced by its entry."""
         key = (tuple(table), i)
         end, marks = self._marks.get(key, (i, ""))
         if j > end:
-            marks += self.word[end:j].translate(table)
+            wide = dict.fromkeys(v for v in table if len(v) > 1)
+            placeholders = {v: chr(ord("2") + n) for n, v in enumerate(wide)}
+            new = self.word[end:j].translate([placeholders.get(v, v) for v in table])
+            for v, placeholder in placeholders.items():
+                new = new.replace(placeholder, v)
+            marks += new
             self._marks[key] = (j, marks)
         return marks
 
@@ -218,17 +229,34 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _longest_run(bits: int, powers: list[int], d: int, cut: int) -> tuple[int, int]:
+def _longest_run(
+    bits: int, powers: list[int], d: int, cut: int | None = None
+) -> tuple[int, int]:
     """(r, A_r) for the largest r with a run of r steps of d inside the set
-    bits up to ``cut``; A_k marks the starts of the k-step runs and
-    ``powers[j]`` is A_{2^j}.  Only the lowest start matters for the cut."""
+    bits; A_k marks the starts of the k-step runs and ``powers[j]`` is
+    A_{2^j}.  A nonzero A_r holds a whole run, so a step is taken whenever
+    its starts are not empty.  With a ``cut`` only bits up to it count:
+    ``bits`` is cut there and each A_k at cut - kd, the last start whose run
+    ends by the cut, before it is shifted."""
+    if cut is not None:
+        mask = (2 << cut) - 1
+        bits &= mask
     r, starts = 0, bits
     for j in reversed(range(len(powers))):
         k = 1 << j
-        nxt = starts & (powers[j] >> (r * d))
-        if nxt and _lowest(nxt) + (r + k) * d <= cut:
+        runs = powers[j] if cut is None else powers[j] & (mask >> (k * d))
+        nxt = starts & (runs >> (r * d))
+        if nxt:
             r, starts = r + k, nxt
     return r, starts
+
+
+def _equal_width_run(width: int, letters: int, d: int) -> int:
+    """The longest run of steps of d in {0, width, 2*width, ..., letters*width},
+    the capped sums of ``letters`` letters that all have capped degree
+    ``width``: the whole word in steps of d / width letters when width
+    divides d, and no step otherwise."""
+    return letters * width // d if d % width == 0 else 0
 
 
 def max_homogeneous_chain(
@@ -244,21 +272,26 @@ def max_homogeneous_chain(
     Letters count at their degree capped at d + 1: a letter of larger degree
     lies in no degree-d piece either way, so the runs v, v+d, ..., v+rd of the
     capped sums cut the word at the same indices as the sums of ``s``, and a
-    huge degree cannot blow up the bitset of capped sums.  Doubling,
-    A_{2k} = A_k & (A_k >> kd), marks the starts of 2^j-piece runs, and a
-    binary descent finds the longest; its lowest set bit is the smallest
-    start, the tie rule.  A level runs the descent again below its
-    generation's cut, except the last generation: the prefix ends there, so
-    its cut is the whole descent's and its chain is the witness's.
+    huge degree cannot blow up the bitset of capped sums.
 
-    The witness is checked on its letters only: its letter counts give
-    degree r*d under the set's own degrees and r*d marks under the capped
-    ones, and a letter ends at every d-th mark, which holds exactly when the
-    span splits into r pieces of degree d.  The counts and marks are the
-    set's (``span_counts``, ``marks``), so a span that several degrees share
-    is read once; the marks of a longer span from the same start, cut to
-    r*d, are this span's.  The sums at the start and at the levels' cuts are
-    read off letter counts too.
+    When every letter has the same capped width g (all degrees equal, or all
+    above d), the capped sums are 0, g, ..., g*|word|, and the longest run
+    and each level's are read off the lengths (``_equal_width_run``), with
+    the smallest start, 0.  Otherwise the capped sums are a bitset.
+    Doubling, A_{2k} = A_k & (A_k >> kd), marks the starts of 2^j-piece
+    runs, and a binary descent finds the longest; its lowest set bit is the
+    smallest start, the tie rule.  A level runs the descent again on the
+    ints cut at its generation's capped sum, except the last generation: the
+    prefix ends there, so its chain is the witness's.
+
+    The witness is checked on its letters only, on either path: its letter
+    counts give degree r*d under the set's own degrees and r*d marks under
+    the capped ones, and a letter ends at every d-th mark, which holds
+    exactly when the span splits into r pieces of degree d.  The counts and
+    marks are the set's (``span_counts``, ``marks``), so a span that several
+    degrees share is read once; the marks of a longer span from the same
+    start, cut to r*d, are this span's.  The sums at the start and at the
+    levels' cuts are read off letter counts too.
     """
     if d < 1:
         raise ContractError("chain degree must be positive")
@@ -269,17 +302,22 @@ def max_homogeneous_chain(
         )
     cap = min(max(m.degrees), d + 1)
     table = ["0" * (min(g, cap) - 1) + "1" for g in m.degrees]
-    bits = s.bitset(table)  # bit p: some prefix has capped degree p
-    powers = []
-    runs, shift = bits & (bits >> d), d
-    while runs:
-        powers.append(runs)
-        runs &= runs >> shift
-        shift *= 2
-    r, starts = _longest_run(bits, powers, d, bits.bit_length() - 1)
-    low = _lowest(starts)
-    i0 = (bits & ((1 << low) - 1)).bit_count()
-    ir = i0 + ((bits >> low) & ((2 << (r * d)) - 1)).bit_count() - 1
+    width, *other_widths = set(map(len, table))
+    if not other_widths:
+        r = _equal_width_run(width, len(s.word), d)
+        i0, ir = 0, r * d // width
+    else:
+        bits = s.bitset(table)  # bit p: some prefix has capped degree p
+        powers = []
+        runs, shift = bits & (bits >> d), d
+        while runs:
+            powers.append(runs)
+            runs &= runs >> shift
+            shift *= 2
+        r, starts = _longest_run(bits, powers, d)
+        low = _lowest(starts)
+        i0 = (bits & ((1 << low) - 1)).bit_count()
+        ir = i0 + ((bits >> low) & ((2 << (r * d)) - 1)).bit_count() - 1
     counts = s.span_counts(i0, ir)
     if (
         s.span_degree(i0, ir) != r * d
@@ -293,6 +331,8 @@ def max_homogeneous_chain(
     level_lengths = tuple(
         r
         if k == generations - 1
+        else _equal_width_run(width, s.gen_lengths[k], d)
+        if not other_widths
         else _longest_run(bits, powers, d, s.sum_at(s.gen_lengths[k], cap))[0]
         for k in levels
     )

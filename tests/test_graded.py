@@ -2,7 +2,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iteralg import cli, graded, report, words
@@ -121,6 +121,10 @@ def test_shared_span_reads_match_accumulate(m, n, data):
         assert s.sum_at(j, cap) == sums[cap][j]
         table = _mark_table(m.degrees, 3 if cap is None else cap)
         assert s.marks(table, i, j).startswith(word[i:j].translate(table))
+        # entries of up to 9 marks, the widths d = 8 caps at
+        widths = data.draw(st.lists(st.integers(1, 9), min_size=m.size, max_size=m.size))
+        table = _mark_table(widths, 9)
+        assert s.marks(table, i, j).startswith(word[i:j].translate(table))
 
 
 def test_chains_count_each_gallery_prefix_at_most_twice(monkeypatch):
@@ -145,21 +149,23 @@ def test_chains_count_each_gallery_prefix_at_most_twice(monkeypatch):
 
 @pytest.mark.parametrize("name", ["paper12", "fibonacci"])
 def test_chain_check_rejects_one_piece_too_many(name, monkeypatch):
-    # a descent that reports one piece more than it found fails every degree,
-    # on a fresh set and on one whose spans the true chains already read
+    # a descent (paper12) or an equal-width closed form (fibonacci) that
+    # reports one piece more than it found fails every degree, on a fresh set
+    # and on one whose spans the true chains already read
     m = words.parse_morphism(cli.gallery_text(name))
     prefix = fixed_point_prefix(m, 4**6)
     levels = (prefix.generation_level - 1, prefix.generation_level)
     filled = s_set(m, prefix)
     for d in range(1, 9):
         max_homogeneous_chain(m, filled, None, d, levels=levels)
-    longest = graded._longest_run
+    longest, equal_width = graded._longest_run, graded._equal_width_run
 
     def one_more(*args):
         r, starts = longest(*args)
         return r + 1, starts
 
     monkeypatch.setattr(graded, "_longest_run", one_more)
+    monkeypatch.setattr(graded, "_equal_width_run", lambda *args: equal_width(*args) + 1)
     for s in (filled, s_set(m, prefix)):
         for d in range(1, 9):
             with pytest.raises(InvariantError, match="wrong degree"):
@@ -350,10 +356,22 @@ def test_bare_word_has_no_level_lengths(paper12):
         max_homogeneous_chain(paper12, s, None, 2, levels=[0])
 
 
+# a -> a b c, b -> c a, c -> b: every letter occurs, and level 5 ends at letter 48
+PINNED = mk(["a", "b", "c"], ["a b c", "c a", "b"], "a")
+
+
 @settings(max_examples=80, deadline=None)
-@given(small_morphisms(allow_erasing=True, graded=True), st.integers(0, 5), st.data())
-def test_chain_witness_matches_run_oracle(m, top, data):
-    m = replace(m, degrees=tuple(data.draw(DEGREES) for _ in m.degrees))
+@given(
+    small_morphisms(allow_erasing=True, graded=True),
+    st.integers(0, 5),
+    st.lists(DEGREES, min_size=4, max_size=4),
+)
+@example(PINNED, 5, [1, 1, 1])  # equal widths: the chain runs from 0 in steps of d letters
+@example(PINNED, 5, [2, 2, 2])  # equal widths: odd degrees have no chain
+@example(PINNED, 5, [9, 10, 10**6])  # every degree above d: capped widths equal, no chain
+@example(PINNED, 5, [1, 2, 3])  # mixed widths: the bitset descent
+def test_chain_witness_matches_run_oracle(m, top, degrees):
+    m = replace(m, degrees=tuple(degrees[: m.size]))
     prefix = level_prefix(m, top)
     s = s_set(m, prefix)
     sums = tuple(degree_sums_reference(s.degrees, s.word))
@@ -374,6 +392,42 @@ def test_chain_witness_matches_run_oracle(m, top, data):
     for bad in (-1, len(levels)):
         with pytest.raises(ContractError):
             max_homogeneous_chain(m, s, None, 1, levels=[0, bad])
+
+
+@pytest.mark.parametrize("name, built", [("fibonacci", 0), ("paper12", 8)])
+def test_equal_width_chains_build_no_bitset(name, built, monkeypatch):
+    # fibonacci's letters all have degree 1, so its chains take the closed
+    # form; paper12's degrees 1 and 2 need a bitset for every degree
+    calls = []
+    bitset = graded.PositionDegreeSet.bitset
+
+    def spy(self, table):
+        calls.append(tuple(table))
+        return bitset(self, table)
+
+    monkeypatch.setattr(graded.PositionDegreeSet, "bitset", spy)
+    report.analyze(words.parse_morphism(cli.gallery_text(name)), AnalysisConfig(), name)
+    assert len(calls) == built
+
+
+def test_chain_levels_deep_in_a_linear_prefix():
+    # |phi^k(a)| = 2k + 1, so 4^6 letters hold about 2,000 generations and the
+    # level descents cut their ints far from the first generation
+    m = mk(["a", "b", "c"], ["a b c", "b", "c"], "a", degrees=(1, 2, 3))
+    prefix = fixed_point_prefix(m, 4**6)
+    assert prefix.generation_level > 2000
+    s = s_set(m, prefix)
+    sums = tuple(degree_sums_reference(m.degrees, prefix.word))
+    top = prefix.generation_level
+    levels = (top - 1, top)
+    for d in range(1, 9):
+        w = max_homogeneous_chain(m, s, None, d, levels=levels)
+        r, start = max_run_start(sums, d)
+        assert (w.length, w.start_value) == (r, start)
+        assert w.span == (sums.index(start), sums.index(start + r * d))
+        assert w.level_lengths == tuple(
+            max_run_start(sums[: prefix.gen_lengths[k] + 1], d)[0] for k in levels
+        )
 
 
 def test_chain_check_rejects_sums_off_the_letters(paper12):
