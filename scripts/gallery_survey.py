@@ -33,7 +33,7 @@ def main() -> None:
         prefix = fixed_point_prefix(m, DEFAULT_PREFIX_LETTERS)
         f = factor_closure(m, args.max_len, prefix=prefix)
         deps = run_deciders(m, shape, f, prefix)
-        rep = ring_property_report(m, deps)
+        rep = ring_property_report(deps)
         elapsed = time.perf_counter() - t0
         shape_txt = f"{shape.d_uniform}-uniform" if shape.d_uniform else "general"
         gk = rep.gk_dimension if rep.gk_dimension is not None else "?"

@@ -32,8 +32,9 @@ def graded_dimensions(f: FactorSet, degrees: tuple[int, ...], top: int) -> list[
             f"degree {top} needs factors up to length {top}, computed bound is {f.max_len}"
         )
     # a letter of degree g becomes g copies of one character, so a word's
-    # degree is the length of its translation
-    table = ["." * g for g in degrees]
+    # degree is the length of its translation; capped at top + 1, a word
+    # holding a letter of larger degree still lies above top and is dropped
+    table = ["." * min(g, top + 1) for g in degrees]
     tally = Counter(len(w.translate(table)) for n in range(top, 0, -1) for w in f.of_length(n))
     return [1] + [tally[d] for d in range(1, top + 1)]
 

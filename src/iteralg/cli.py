@@ -111,7 +111,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         f = factor_closure(m, cfg.max_len, prefix=prefix)
         verdict = decide_eventual_periodicity(m, f, prefix)
         if prop in RING_RULES:
-            verdict = _via(verdict, RING_RULES[prop])
+            verdict = _via(verdict, RING_RULES[prop][1])
     elif prop == "ur":
         verdict = decide_uniform_recurrence(m, classify_shape(m), k_max=cfg.k_max)
     else:  # pragma: no cover - argparse restricts choices

@@ -96,16 +96,7 @@ class PropertyReport:
 
     @property
     def has_unknown(self) -> bool:
-        verdicts = [
-            self.prime,
-            self.semiprime,
-            self.just_infinite,
-            self.pi,
-            self.noetherian,
-            self.jacobson_trivial,
-            self.primitive_algebra,
-        ]
-        return any(v.is_unknown for v in verdicts) or self.gk_dimension is None
+        return any(getattr(self, p).is_unknown for p in RING_PROPERTIES) or self.gk_dimension is None
 
 
 @dataclass(frozen=True)
@@ -354,7 +345,6 @@ def _fit_complexity(
 
 
 def classify_complexity(
-    m: Morphism,
     shape: ShapeRecord,
     f: FactorSet,
     ep: Verdict,
@@ -404,22 +394,50 @@ def classify_complexity(
 # ring dictionary
 
 
-def _weakest(*verdicts: Verdict) -> bool:
-    return any(v.conditional for v in verdicts)
-
-
-# A ring property read off one word-level verdict, and the rule that reads it.
+# An iff property: the word verdict it is read off, and the rule that reads it.
 RING_RULES = {
-    "semiprime": "semiprime-iff-prime",
-    "just_infinite": "just-infinite-iff-uniformly-recurrent",
-    "pi": "pi-iff-eventually-periodic",
-    "noetherian": "noetherian-iff-eventually-periodic",
+    "semiprime": ("prime", "semiprime-iff-prime"),
+    "just_infinite": ("uniformly_recurrent", "just-infinite-iff-uniformly-recurrent"),
+    "pi": ("eventually_periodic", "pi-iff-eventually-periodic"),
+    "noetherian": ("eventually_periodic", "noetherian-iff-eventually-periodic"),
 }
+
+# A property implied by earlier ones: its Unknown note, and its implications
+# (value, the premise verdicts and the values they must have, certificate),
+# tried in order.
+_YES, _NO = VerdictValue.YES, VerdictValue.NO
+RING_IMPLICATIONS = {
+    "jacobson_trivial": (
+        "implication applies only to uniformly recurrent aperiodic words",
+        [(_YES, {"uniformly_recurrent": _YES, "eventually_periodic": _NO},
+          {"witness": "uniformly-recurrent-and-aperiodic"})],
+    ),
+    "primitive_algebra": (
+        "needs prime, non-PI and trivial radical",
+        [(_NO, {"prime": _NO}, {"witness": "not-prime", "via": "primitive-implies-prime"}),
+         (_YES, {"prime": _YES, "pi": _NO, "jacobson_trivial": _YES},
+          {"witness": "prime-non-pi-semiprimitive"})],
+    ),
+}
+
+# The ring properties in report order; each reads only word verdicts and
+# the properties before it.
+RING_PROPERTIES = ("prime", *RING_RULES, *RING_IMPLICATIONS)
 
 
 def _via(v: Verdict, rule: str) -> Verdict:
     """v relabelled as a ring property read off it by ``rule``."""
     return Verdict(v.value, v.conditional, {**v.certificate, "via": rule}, v.bound)
+
+
+def _implied(known: dict, note: str, implications) -> Verdict:
+    """The first implication whose premises in ``known`` all have their
+    stated values, conditional when any premise is; Unknown with ``note``
+    when none applies."""
+    for value, premises, certificate in implications:
+        if all(known[p].value is v for p, v in premises.items()):
+            return Verdict(value, any(known[p].conditional for p in premises), dict(certificate))
+    return Verdict.unknown(note=note)
 
 
 def decide_prime(m: Morphism, shape: ShapeRecord) -> Verdict:
@@ -441,50 +459,20 @@ def decide_prime(m: Morphism, shape: ShapeRecord) -> Verdict:
     )
 
 
-def ring_property_report(m: Morphism, deps: DeciderOutputs) -> PropertyReport:
-    """Map word-level verdicts to ring-theoretic ones.
+def ring_property_report(deps: DeciderOutputs) -> PropertyReport:
+    """Map word-level verdicts to ring-theoretic ones by ``RING_RULES`` and
+    ``RING_IMPLICATIONS``.
 
-    Prime iff the start letter occurs at least twice (exact decider), just
-    infinite iff uniformly recurrent, PI and noetherian iff eventually
-    periodic; the radical and primitivity entries use the uniformly
-    recurrent + aperiodic implication and are Unknown outside it.
+    Prime is the exact decider's verdict; the rules relabel a word verdict,
+    and the implications leave a property Unknown outside their premises.
     """
-    prime = deps.prime
-    ep = deps.eventually_periodic
-    ur = deps.uniformly_recurrent
-    semiprime = _via(prime, RING_RULES["semiprime"])
-    just_infinite = _via(ur, RING_RULES["just_infinite"])
-    pi = _via(ep, RING_RULES["pi"])
-    noetherian = _via(ep, RING_RULES["noetherian"])
-
-    if ur.is_yes and ep.is_no:
-        jacobson = Verdict.yes(
-            {"witness": "uniformly-recurrent-and-aperiodic"},
-            conditional=_weakest(ur, ep),
-        )
-    else:
-        jacobson = Verdict.unknown(note="implication applies only to uniformly recurrent aperiodic words")
-
-    if prime.is_no:
-        primitive_algebra = Verdict.no(
-            {"witness": "not-prime", "via": "primitive-implies-prime"}
-        )
-    elif prime.is_yes and pi.is_no and jacobson.is_yes:
-        primitive_algebra = Verdict.yes(
-            {"witness": "prime-non-pi-semiprimitive"},
-            conditional=_weakest(prime, pi, jacobson),
-        )
-    else:
-        primitive_algebra = Verdict.unknown(note="needs prime, non-PI and trivial radical")
-
+    known = dict(vars(deps))
+    for name, (source, rule) in RING_RULES.items():
+        known[name] = _via(known[source], rule)
+    for name, (note, implications) in RING_IMPLICATIONS.items():
+        known[name] = _implied(known, note, implications)
     return PropertyReport(
-        prime=prime,
-        semiprime=semiprime,
-        just_infinite=just_infinite,
-        pi=pi,
-        noetherian=noetherian,
-        jacobson_trivial=jacobson,
-        primitive_algebra=primitive_algebra,
+        **{p: known[p] for p in RING_PROPERTIES},
         gk_dimension=deps.complexity.gk_dimension,
         complexity_class=deps.complexity.complexity_class,
     )
@@ -502,7 +490,7 @@ def run_deciders(
     prim = decide_primitive(m, shape)
     ep = decide_eventual_periodicity(m, f, prefix)
     ur = decide_uniform_recurrence(m, shape, k_max=k_max)
-    comp = classify_complexity(m, shape, f, ep)
+    comp = classify_complexity(shape, f, ep)
     return DeciderOutputs(
         primitive=prim,
         eventually_periodic=ep,
@@ -527,4 +515,6 @@ __all__ = [
     "ring_property_report",
     "run_deciders",
     "RING_RULES",
+    "RING_IMPLICATIONS",
+    "RING_PROPERTIES",
 ]

@@ -274,8 +274,9 @@ def max_homogeneous_chain(
     capped sums cut the word at the same indices as the sums of ``s``, and a
     huge degree cannot blow up the bitset of capped sums.
 
-    When every letter has the same capped width g (all degrees equal, or all
-    above d), the capped sums are 0, g, ..., g*|word|, and the longest run
+    When every letter the word can hold (those reachable from the start, for
+    a generated prefix) has the same capped width g (all degrees equal, or
+    all above d), the capped sums are 0, g, ..., g*|word|, and the longest run
     and each level's are read off the lengths (``_equal_width_run``), with
     the smallest start, 0.  Otherwise the capped sums are a bitset.
     Doubling, A_{2k} = A_k & (A_k >> kd), marks the starts of 2^j-piece
@@ -302,7 +303,9 @@ def max_homogeneous_chain(
         )
     cap = min(max(m.degrees), d + 1)
     table = ["0" * (min(g, cap) - 1) + "1" for g in m.degrees]
-    width, *other_widths = set(map(len, table))
+    # a generated prefix holds only the letters reachable from the start
+    held = m.letter_graph.reachable((m.start,)) if s.gen_lengths else range(m.size)
+    width, *other_widths = {len(table[c]) for c in held}
     if not other_widths:
         r = _equal_width_run(width, len(s.word), d)
         i0, ir = 0, r * d // width

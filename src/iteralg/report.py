@@ -13,6 +13,7 @@ import math
 from . import algebra, graded
 from .config import DEFAULT_EMBEDDED_AUDIT_LEN, AnalysisConfig
 from .deciders import (
+    RING_PROPERTIES,
     ComplexityResult,
     PropertyReport,
     Verdict,
@@ -20,7 +21,7 @@ from .deciders import (
     ring_property_report,
     run_deciders,
 )
-from .errors import ContractError, InvariantError
+from .errors import ContractError, InvariantError, ResourceBudgetError
 from .matrices import (
     CharPoly,
     IncidenceMatrix,
@@ -131,13 +132,7 @@ def _complexity_doc(result: ComplexityResult, f: FactorSet) -> dict:
 
 def _properties_doc(report: PropertyReport) -> dict:
     return {
-        "prime": verdict_doc(report.prime),
-        "semiprime": verdict_doc(report.semiprime),
-        "just_infinite": verdict_doc(report.just_infinite),
-        "pi": verdict_doc(report.pi),
-        "noetherian": verdict_doc(report.noetherian),
-        "jacobson_trivial": verdict_doc(report.jacobson_trivial),
-        "primitive_algebra": verdict_doc(report.primitive_algebra),
+        **{p: verdict_doc(getattr(report, p)) for p in RING_PROPERTIES},
         "gk_dimension": report.gk_dimension if report.gk_dimension is not None else "Unknown",
         "complexity_class": report.complexity_class.value,
     }
@@ -277,7 +272,7 @@ def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, Proper
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
     f = factor_closure(m, cfg.max_len, prefix=prefix)
     deps = run_deciders(m, shape, f, prefix, k_max=cfg.k_max)
-    properties = ring_property_report(m, deps)
+    properties = ring_property_report(deps)
     n_weights = max(WEIGHT_TERMS, poly.degree - 1)  # the recurrence reads poly.degree terms
     weights = weight_sequence(m, M, prefix, n_weights)
 
@@ -316,16 +311,18 @@ def audit(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, bool, li
         gap = deps_ur.certificate["start_gap_bound"]
         max_block = deps_ur.certificate["max_block"]
         needed = max(4 * max_block * 16, min(cfg.prefix_letters, len(prefix.word)))
-        scan_prefix = fixed_point_prefix(m, needed, prefix=prefix).word
-        ok = graded.every_window_contains(scan_prefix[:needed], m.start, gap)
-        if not ok:
+        try:
+            scan_prefix = fixed_point_prefix(m, needed, prefix=prefix).word[:needed]
+        except ResourceBudgetError:  # the scan stops at the prefix budget
+            scan_prefix = prefix.word
+        if not graded.every_window_contains(scan_prefix, m.start, gap):
             raise InvariantError(
                 "block-cover certificate violated: a window without the start letter exists"
             )
         window_doc = {
             "applicable": True,
             "window": gap,
-            "scanned_letters": needed,
+            "scanned_letters": len(scan_prefix),
             "pass": True,
         }
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import accumulate, count, cycle, islice, pairwise, starmap
-from operator import itemgetter, or_, xor
+from operator import itemgetter, mul, or_, xor
 from typing import ClassVar, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -548,6 +548,12 @@ class PowerTables:
             self._sizes.append(sum(map(lengths.__getitem__, self._letters)))
         return self._sizes[h]
 
+    def length(self, word: Word, h: int) -> int:
+        """|word translated under T_h|, known without building T_h."""
+        self.size(h)
+        counts = letter_counts(word, len(self._images), 0, len(word))
+        return sum(map(mul, counts, self._entry_lengths[h]))
+
     def table(self, h: int) -> list[str] | None:
         """T_h, with the tables below it built first; None is the identity."""
         while len(self._tables) <= h:
@@ -601,10 +607,12 @@ def fixed_point_prefix(
     under phi^h (``PowerTables``), whose tables cover the letters reachable
     from t.  phi^{k+1}(t) depends only on phi^k(t), so once a chunk equals
     an earlier one the chunks cycle and the rest of the prefix repeats that
-    cycle, laid out with no loop step per generation.  A chunk is compared
-    only with earlier chunks of its length, so growing chunks cost no
-    comparison.  The budget counts two copies of the letters (the chunks
-    and their join) and ``_GENERATION_BYTES`` per generation.
+    cycle, laid out with no loop step per generation.  As in Brent's cycle
+    finding (1980), a chunk is compared only with the chunk at the last
+    power of two below its index, so a held prefix's chunks need no
+    registry.  The budget counts two copies of the letters (the chunks and
+    their join) and ``_GENERATION_BYTES`` per generation, and a generation
+    is checked against it before it is built.
     """
     reason = _prolongability_failure(m, m.start)
     if reason is not None:
@@ -638,16 +646,16 @@ def fixed_point_prefix(
     chunk_lengths = list(map(len, parts[1:]))
     total = ends[-1]
     gen_lengths = list(ends)
-    by_length: dict[int, list[int]] = {}  # chunk length -> indices of the chunks that long
-    for j, length in enumerate(chunk_lengths):
-        by_length.setdefault(length, []).append(j)
     tables = PowerTables(m, map(ord, m.images[m.start][1:]))
     while total < n:
         i, h = tables.pick(chunk_lengths, 1)
-        chunk = tables.apply(parts[i + 1], h)
-        same = by_length.setdefault(len(chunk), [])
-        first = next((j for j in same if parts[j + 1] == chunk), None)
-        if first is not None:
+        source, gens = parts[i + 1], len(gen_lengths) + 1
+        if over_budget(total + len(source) * tables.size(h), gens):  # no entry is longer
+            if over_budget(total + tables.length(source, h), gens):
+                raise ResourceBudgetError(exceeded)
+        chunk = tables.apply(source, h)
+        first = 1 << (len(chunk_lengths) - 1).bit_length() >> 1
+        if parts[first + 1] == chunk:
             # chunks first, first + 1, ... repeat: take the fewest that reach n
             lengths = chunk_lengths[first:]
             within = list(accumulate(lengths))  # chunk ends within one cycle
@@ -661,10 +669,7 @@ def fixed_point_prefix(
             steps = islice(cycle(lengths), count)
             gen_lengths += islice(accumulate(steps, initial=total), 1, None)
             break
-        same.append(len(chunk_lengths))
         total += len(chunk)
-        if over_budget(total, len(gen_lengths) + 1):
-            raise ResourceBudgetError(exceeded)
         parts.append(chunk)
         chunk_lengths.append(len(chunk))
         gen_lengths.append(total)

@@ -12,6 +12,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from iteralg.cli import gallery_text
+from iteralg.deciders import DeciderOutputs, PropertyReport, Verdict
 from iteralg.errors import ContractError, InvariantError, NoSplitError
 from iteralg.graded import (
     ChainWitness,
@@ -566,6 +567,56 @@ def lie_reference(m: Morphism, f: FactorSet, max_len: int) -> dict:
             except NoSplitError:
                 failures.append(m.decode(w))
     return {"pass": not failures, "failures": failures}
+
+
+def ring_property_reference(deps: DeciderOutputs) -> PropertyReport:
+    """The ring dictionary as an if/elif chain, one branch per rule."""
+
+    def weakest(*verdicts: Verdict) -> bool:
+        return any(v.conditional for v in verdicts)
+
+    def via(v: Verdict, rule: str) -> Verdict:
+        return Verdict(v.value, v.conditional, {**v.certificate, "via": rule}, v.bound)
+
+    prime = deps.prime
+    ep = deps.eventually_periodic
+    ur = deps.uniformly_recurrent
+    semiprime = via(prime, "semiprime-iff-prime")
+    just_infinite = via(ur, "just-infinite-iff-uniformly-recurrent")
+    pi = via(ep, "pi-iff-eventually-periodic")
+    noetherian = via(ep, "noetherian-iff-eventually-periodic")
+
+    if ur.is_yes and ep.is_no:
+        jacobson = Verdict.yes(
+            {"witness": "uniformly-recurrent-and-aperiodic"},
+            conditional=weakest(ur, ep),
+        )
+    else:
+        jacobson = Verdict.unknown(note="implication applies only to uniformly recurrent aperiodic words")
+
+    if prime.is_no:
+        primitive_algebra = Verdict.no(
+            {"witness": "not-prime", "via": "primitive-implies-prime"}
+        )
+    elif prime.is_yes and pi.is_no and jacobson.is_yes:
+        primitive_algebra = Verdict.yes(
+            {"witness": "prime-non-pi-semiprimitive"},
+            conditional=weakest(prime, pi, jacobson),
+        )
+    else:
+        primitive_algebra = Verdict.unknown(note="needs prime, non-PI and trivial radical")
+
+    return PropertyReport(
+        prime=prime,
+        semiprime=semiprime,
+        just_infinite=just_infinite,
+        pi=pi,
+        noetherian=noetherian,
+        jacobson_trivial=jacobson,
+        primitive_algebra=primitive_algebra,
+        gk_dimension=deps.complexity.gk_dimension,
+        complexity_class=deps.complexity.complexity_class,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def test_c09_dictionary_regression(paper12, ba_example, periodic_ab, closure):
         )
 
     deps = deciders(paper12, "paper12", 16)
-    rep = ring_property_report(paper12, deps)
+    rep = ring_property_report(deps)
     assert rep.prime.is_yes and not rep.prime.conditional
     assert rep.semiprime.is_yes
     assert rep.just_infinite.is_yes and not rep.just_infinite.conditional
@@ -189,14 +189,14 @@ def test_c09_dictionary_regression(paper12, ba_example, periodic_ab, closure):
     assert rep.primitive_algebra.is_yes and rep.primitive_algebra.conditional
 
     deps_ba = deciders(ba_example, "ba-example", 8)
-    rep_ba = ring_property_report(ba_example, deps_ba)
+    rep_ba = ring_property_report(deps_ba)
     assert rep_ba.prime.is_no and rep_ba.pi.is_yes and rep_ba.gk_dimension == 1
 
     deps_p = deciders(periodic_ab, "periodic-ab", 8)
     ep = deps_p.eventually_periodic
     assert ep.is_yes
     assert ep.certificate["preperiod"] == "" and ep.certificate["period"] == "a b"
-    assert ring_property_report(periodic_ab, deps_p).gk_dimension == 1
+    assert ring_property_report(deps_p).gk_dimension == 1
     ok(9, "ring dictionary matches on paper12, ba-example, and periodic-ab")
 
 

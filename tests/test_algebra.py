@@ -97,15 +97,17 @@ def test_graded_dimension_counts_by_degree(paper12, closure):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_morphisms(allow_erasing=True, graded=True), st.integers(1, 8))
-def test_graded_dimension_matches_a_degree_sum(m, max_len):
-    # degrees 1..3 per letter: each factor's degree summed letter by letter
+@given(small_morphisms(allow_erasing=True, graded=True), st.integers(1, 8), st.integers(0, 4))
+def test_graded_dimension_matches_a_degree_sum(m, max_len, lifted):
+    # degrees 1..3 per letter, letter ``lifted`` (if any) at 10^12, far above
+    # every degree read: each factor's degree summed letter by letter
+    degrees = tuple(10**12 if i == lifted else g for i, g in enumerate(m.degrees))
     f = factor_closure(m, max_len)
     for d in range(max_len + 1):
         expected = sum(
-            1 for w in f.factors if sum(m.degrees[ord(ch)] for ch in w) == d
+            1 for w in f.factors if sum(degrees[ord(ch)] for ch in w) == d
         )
-        assert graded_dimension(f, m.degrees, d) == expected, d
+        assert graded_dimension(f, degrees, d) == expected, d
 
 
 @settings(max_examples=80, deadline=None)

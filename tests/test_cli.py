@@ -164,6 +164,23 @@ def test_analyze_long_images_in_bounded_memory(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_analyze_letter_degree_far_above_d_max(tmp_path):
+    """degree b = 2 * 10^9: the graded dimensions count a letter's degree only
+    up to D + 1, so analyze fits in 1.5 GB of address space."""
+    src = tmp_path / "deg.morph"
+    src.write_text(
+        "letters: a b\nstart: a\nmap a -> a b\nmap b -> a\n"
+        "degree a = 1\ndegree b = 2000000000\n"
+    )
+    limit = 1_500_000 * 1024
+    proc = run_module(
+        "analyze", str(src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_analyze_reads_local_file_over_gallery(tmp_path, capsys):
     local = tmp_path / "fibonacci.morph"
     local.write_text("letters: z\nstart: z\nmap z -> z z\n")
@@ -275,6 +292,23 @@ def test_audit_periodic_fails(capsys):
     assert code == 1
     assert "rotation audit" in out
     assert "\ncounterexample: rotation audit: " in out  # text mode lists them after the document
+
+
+def test_audit_window_scan_stops_at_the_prefix_budget(tmp_path, capsys):
+    """a -> a b^20, b -> c b^20, ..., f -> a f^20: the block cover has
+    max_block 21^5, and 64 blocks pass the prefix budget, so the window is
+    scanned over the 21^4 letters the run already holds."""
+    letters = "abcdef"
+    maps = [f"map {x} -> {y}" + f" {x}" * 20 for x, y in zip(letters, "bcdefa")]
+    maps[0] = "map a -> a" + " b" * 20
+    src = tmp_path / "cycle.morph"
+    src.write_text(f"letters: {' '.join(letters)}\nstart: a\n" + "\n".join(maps) + "\n")
+    code, out, err = run(capsys, "audit", str(src), "--format", "json")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    window = doc["checks"]["window"]
+    assert window == {"applicable": True, "window": 21**5, "scanned_letters": 21**4, "pass": True}
+    assert any("prefix identity fails" in c for c in doc["result"]["counterexamples"])
 
 
 def test_audit_fibonacci_default_grading(capsys):

@@ -1,3 +1,6 @@
+from dataclasses import fields, replace
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +9,15 @@ from iteralg import cli, deciders, report, words
 from iteralg.config import AnalysisConfig
 from iteralg.errors import InvariantError
 from iteralg.deciders import (
+    RING_IMPLICATIONS,
+    RING_PROPERTIES,
+    RING_RULES,
     ComplexityClass,
+    ComplexityResult,
+    DeciderOutputs,
+    PropertyReport,
+    Verdict,
+    VerdictValue,
     _periodic_candidates,
     classify_complexity,
     decide_eventual_periodicity,
@@ -21,6 +32,7 @@ from conftest import (
     block_cover_reference,
     occurring_reference,
     periodic_candidates_reference,
+    ring_property_reference,
     small_morphisms,
 )
 from test_words import mk
@@ -245,7 +257,7 @@ def test_block_cover_matches_word_expansion(m, k_max):
 def test_complexity_paper12(paper12, closure):
     f = closure("paper12", 16)
     ep = decide_eventual_periodicity(paper12, f, prefix_of(paper12))
-    r = classify_complexity(paper12, classify_shape(paper12), f, ep)
+    r = classify_complexity(classify_shape(paper12), f, ep)
     assert r.complexity_class is ComplexityClass.LINEAR
     assert r.gk_dimension == 2 and r.conditional and r.method == "d-uniform-aperiodic"
 
@@ -253,7 +265,7 @@ def test_complexity_paper12(paper12, closure):
 def test_complexity_periodic(periodic_ab, closure):
     f = closure("periodic-ab", 8)
     ep = decide_eventual_periodicity(periodic_ab, f, prefix_of(periodic_ab))
-    r = classify_complexity(periodic_ab, classify_shape(periodic_ab), f, ep)
+    r = classify_complexity(classify_shape(periodic_ab), f, ep)
     assert r.complexity_class is ComplexityClass.CONSTANT
     assert r.gk_dimension == 1 and not r.conditional
 
@@ -261,7 +273,7 @@ def test_complexity_periodic(periodic_ab, closure):
 def test_complexity_fibonacci(fibonacci, closure):
     f = closure("fibonacci", 16)
     ep = decide_eventual_periodicity(fibonacci, f, prefix_of(fibonacci))
-    r = classify_complexity(fibonacci, classify_shape(fibonacci), f, ep)
+    r = classify_complexity(classify_shape(fibonacci), f, ep)
     assert r.complexity_class is ComplexityClass.LINEAR
     assert r.gk_dimension == 2 and r.method == "primitive-aperiodic"
 
@@ -271,7 +283,7 @@ def test_complexity_heuristic_path():
     f = factor_closure(m, 24)
     ep = decide_eventual_periodicity(m, f, prefix_of(m))
     assert ep.is_no
-    r = classify_complexity(m, classify_shape(m), f, ep)
+    r = classify_complexity(classify_shape(m), f, ep)
     assert r.method == "heuristic-fit"
     assert r.conditional
     assert (r.gk_dimension == 3) == (r.complexity_class is ComplexityClass.QUADRATIC)
@@ -286,7 +298,7 @@ def test_report_paper12(paper12, closure):
     deps = run_deciders(
         paper12, classify_shape(paper12), closure("paper12", 16), prefix_of(paper12)
     )
-    rep = ring_property_report(paper12, deps)
+    rep = ring_property_report(deps)
     assert rep.prime.is_yes and not rep.prime.conditional
     assert rep.semiprime.value == rep.prime.value
     assert rep.just_infinite.is_yes and not rep.just_infinite.conditional
@@ -301,7 +313,7 @@ def test_report_ba(ba_example, closure):
     deps = run_deciders(
         ba_example, classify_shape(ba_example), closure("ba-example", 8), prefix_of(ba_example)
     )
-    rep = ring_property_report(ba_example, deps)
+    rep = ring_property_report(deps)
     assert rep.prime.is_no
     assert rep.prime.certificate["witness"] == "nilpotent-ideal"
     assert rep.pi.is_yes and rep.noetherian.is_yes
@@ -313,23 +325,57 @@ def test_report_fibonacci(fibonacci, closure):
     deps = run_deciders(
         fibonacci, classify_shape(fibonacci), closure("fibonacci", 16), prefix_of(fibonacci),
     )
-    rep = ring_property_report(fibonacci, deps)
+    rep = ring_property_report(deps)
     assert rep.prime.is_yes
     assert rep.just_infinite.is_yes
     assert rep.pi.is_no and rep.pi.conditional
 
 
 @settings(max_examples=30, deadline=None)
-@given(small_morphisms())
+@given(small_morphisms(allow_erasing=True))
 def test_dictionary_coherence(m):
     f = factor_closure(m, 8)
     deps = run_deciders(m, classify_shape(m), f, fixed_point_prefix(m, 512))
-    rep = ring_property_report(m, deps)
+    rep = ring_property_report(deps)
+    assert rep == ring_property_reference(deps)
+    assert not deps.prime.conditional
     assert rep.semiprime.value == rep.prime.value
     assert rep.pi.value == rep.noetherian.value
     assert (rep.gk_dimension == 1) == (
         rep.complexity_class is ComplexityClass.CONSTANT
     )
+
+
+def test_ring_table_matches_reference_on_every_premise_combination():
+    states = [(v, c) for v in VerdictValue for c in (False, True)]
+    complexity = ComplexityResult(ComplexityClass.LINEAR, 2, True, "d-uniform-aperiodic")
+    verdict_fields = [f.name for f in fields(PropertyReport) if f.type == "Verdict"]
+    for (pv, pc), (uv, uc), (ev, ec) in product(states, repeat=3):
+        prime = Verdict(pv, pc, {"witness": "p"}, 3)
+        ur_ = Verdict(uv, uc, {"witness": "u"}, 5)
+        ep = Verdict(ev, ec, {"witness": "e"}, 7)
+        deps = DeciderOutputs(ur_, ep, ur_, complexity, prime)
+        rep, ref = ring_property_report(deps), ring_property_reference(deps)
+        if pv is VerdictValue.NO and pc:
+            # "not prime" inherits prime's flag in the table; decide_prime is
+            # exact, so no input reaches this (test_dictionary_coherence)
+            assert rep.primitive_algebra.conditional and not ref.primitive_algebra.conditional
+            ref = replace(ref, primitive_algebra=replace(ref.primitive_algebra, conditional=True))
+        assert rep == ref, (prime, ur_, ep)
+        assert rep.has_unknown == any(getattr(rep, p).is_unknown for p in verdict_fields)
+
+
+def test_ring_table_reads_only_word_verdicts_and_earlier_properties():
+    word_verdicts = [f.name for f in fields(DeciderOutputs) if f.type == "Verdict"]
+    reads = {name: [source] for name, (source, _) in RING_RULES.items()}
+    for name, (_, implications) in RING_IMPLICATIONS.items():
+        reads[name] = [p for _, premises, _ in implications for p in premises]
+    assert RING_PROPERTIES[0] in word_verdicts
+    for name, sources in reads.items():
+        earlier = RING_PROPERTIES[: RING_PROPERTIES.index(name)]
+        assert all(s in word_verdicts or s in earlier for s in sources), name
+    report_verdicts = [f.name for f in fields(PropertyReport) if f.type == "Verdict"]
+    assert report_verdicts == list(RING_PROPERTIES)
 
 
 @settings(max_examples=25, deadline=None)

@@ -358,6 +358,8 @@ def test_bare_word_has_no_level_lengths(paper12):
 
 # a -> a b c, b -> c a, c -> b: every letter occurs, and level 5 ends at letter 48
 PINNED = mk(["a", "b", "c"], ["a b c", "c a", "b"], "a")
+# a -> a b, b -> a, c -> c: c is unreachable from a, so it never occurs
+UNREACHED = mk(["a", "b", "c"], ["a b", "a", "c"], "a")
 
 
 @settings(max_examples=80, deadline=None)
@@ -370,6 +372,7 @@ PINNED = mk(["a", "b", "c"], ["a b c", "c a", "b"], "a")
 @example(PINNED, 5, [2, 2, 2])  # equal widths: odd degrees have no chain
 @example(PINNED, 5, [9, 10, 10**6])  # every degree above d: capped widths equal, no chain
 @example(PINNED, 5, [1, 2, 3])  # mixed widths: the bitset descent
+@example(UNREACHED, 5, [1, 1, 2])  # the letters that occur have equal widths
 def test_chain_witness_matches_run_oracle(m, top, degrees):
     m = replace(m, degrees=tuple(degrees[: m.size]))
     prefix = level_prefix(m, top)

@@ -226,6 +226,20 @@ def test_prefix_budget_counts_each_generation():
         fixed_point_prefix(m, 4**9, memory_budget_bytes=2 * 2**20)
 
 
+def test_prefix_budget_is_checked_before_a_generation_is_built():
+    # a -> a^21: 21^4 + 1 letters fit in 1 MiB but need generation 5, whose
+    # 21^5 letters do not; the error comes before that generation is built
+    m = mk(["a"], [" ".join("a" * 21)], "a")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError, match="prefix generation exceeds"):
+            fixed_point_prefix(m, 21**4 + 1, memory_budget_bytes=2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_prefix_requires_prolongable():
     m = mk(["a", "b"], ["b a", "b"], "a")
     with pytest.raises(NotProlongableError):
