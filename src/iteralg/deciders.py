@@ -67,8 +67,7 @@ class Verdict:
 class ComplexityClass(enum.Enum):
     CONSTANT = "O(1)"
     LINEAR = "Theta(n)"
-    N_LOG_LOG_N = "Theta(n log log n)"
-    N_LOG_N = "Theta(n log n)"
+    AT_MOST_N_LOG_N = "O(n log n)"
     QUADRATIC = "Theta(n^2)"
     UNKNOWN = "Unknown"
 
@@ -79,7 +78,6 @@ class ComplexityResult:
     gk_dimension: int | None  # None = Unknown
     conditional: bool
     method: str
-    fit: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -315,46 +313,14 @@ def decide_uniform_recurrence(
 # complexity classification
 
 
-def _fit_complexity(
-    f: FactorSet, candidates: list[ComplexityClass]
-) -> tuple[ComplexityClass, dict]:
-    """Least-squares shape fit of exact p(n) values; heuristic by design."""
-    shapes = {
-        ComplexityClass.LINEAR: lambda n: float(n),
-        ComplexityClass.N_LOG_LOG_N: lambda n: n * math.log(max(math.log(n), 1.0)) if n >= 3 else float(n),
-        ComplexityClass.N_LOG_N: lambda n: n * math.log(n) if n >= 2 else float(n),
-        ComplexityClass.QUADRATIC: lambda n: float(n * n),
-    }
-    ns = list(range(2, f.max_len + 1))
-    values = [subword_complexity(f, n) for n in ns]
-    best: tuple[float, ComplexityClass] | None = None
-    residuals: dict[str, float] = {}
-    for cls in candidates:
-        g = shapes[cls]
-        gs = [g(n) for n in ns]
-        denom = sum(x * x for x in gs)
-        c = sum(v * x for v, x in zip(values, gs)) / denom if denom else 0.0
-        ss = sum((v - c * x) ** 2 for v, x in zip(values, gs))
-        norm = sum(v * v for v in values) or 1.0
-        rel = ss / norm
-        residuals[cls.value] = rel
-        if best is None or rel < best[0]:
-            best = (rel, cls)
-    assert best is not None
-    return best[1], {"residuals": residuals, "fit_up_to": f.max_len}
-
-
-def classify_complexity(
-    shape: ShapeRecord,
-    f: FactorSet,
-    ep: Verdict,
-) -> ComplexityResult:
+def classify_complexity(shape: ShapeRecord, ep: Verdict) -> ComplexityResult:
     """Complexity class and GK dimension from the periodicity verdict.
 
     Eventually periodic words have bounded complexity and dimension one.
     Aperiodic primitive or uniform morphisms have linear complexity and
-    dimension two.  Anything else is narrowed structurally and then fitted
-    against the admissible growth shapes; the fit is labeled heuristic.
+    dimension two.  Any other aperiodic word has p(n) = Theta(n^2), and
+    dimension three, iff it is pushy (``shape.pushy``), and p(n) = O(n log n),
+    dimension two, otherwise (Pansiot, ICALP 1984).
     """
     if ep.is_yes:
         return ComplexityResult(
@@ -371,23 +337,13 @@ def classify_complexity(
         return ComplexityResult(
             ComplexityClass.LINEAR, 2, ep.conditional, "primitive-aperiodic"
         )
-
-    bounded_present = any(not shape.growing[a] for a in shape.occurring)
-    candidates = [
-        ComplexityClass.LINEAR,
-        ComplexityClass.N_LOG_LOG_N,
-        ComplexityClass.N_LOG_N,
-    ]
-    if bounded_present:
-        candidates.append(ComplexityClass.QUADRATIC)
-    if f.max_len < 4:
+    if shape.pushy:
         return ComplexityResult(
-            ComplexityClass.UNKNOWN, None, True, "insufficient-factor-bound"
+            ComplexityClass.QUADRATIC, 3, ep.conditional, "pushy-aperiodic"
         )
-    cls, fit = _fit_complexity(f, candidates)
-    fit["bounded_letters_present"] = bounded_present
-    gk = 3 if cls is ComplexityClass.QUADRATIC else 2
-    return ComplexityResult(cls, gk, True, "heuristic-fit", fit)
+    return ComplexityResult(
+        ComplexityClass.AT_MOST_N_LOG_N, 2, ep.conditional, "non-pushy-aperiodic"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +446,7 @@ def run_deciders(
     prim = decide_primitive(m, shape)
     ep = decide_eventual_periodicity(m, f, prefix)
     ur = decide_uniform_recurrence(m, shape, k_max=k_max)
-    comp = classify_complexity(shape, f, ep)
+    comp = classify_complexity(shape, ep)
     return DeciderOutputs(
         primitive=prim,
         eventually_periodic=ep,

@@ -198,7 +198,8 @@ class ShapeRecord:
     whether |phi^n(a)| is unbounded.  ``start_recurs`` says whether the start
     letter occurs at least twice in the fixed point.  ``unreachable`` is the
     first pair (a, b) of occurring letters, in sorted order, with b not
-    reachable from a, and None when phi is primitive on them.
+    reachable from a, and None when phi is primitive on them.  ``pushy`` says
+    whether the fixed point has arbitrarily long factors over bounded letters.
     """
 
     d_uniform: int | None
@@ -207,6 +208,7 @@ class ShapeRecord:
     occurring: frozenset[int]
     start_recurs: bool
     unreachable: tuple[int, int] | None
+    pushy: bool
 
     @property
     def all_growing(self) -> bool:
@@ -486,14 +488,57 @@ def classify_shape(m: Morphism) -> ShapeRecord:
     unreachable = _unreachable_pair(graph, occurring)
     if (unreachable is None) != all(graph.reaches(a, m.start) for a in occurring):
         raise InvariantError("reduced start-reachability test disagrees with closure")
+    growing = tuple(bool(bits & fed) for bits in graph.reach)
     return ShapeRecord(
         d_uniform=d_uniform,
         erasing=any(not img for img in m.images),
-        growing=tuple(bool(bits & fed) for bits in graph.reach),
+        growing=growing,
         occurring=occurring,
         start_recurs=m.start in graph.reachable(map(ord, m.images[m.start][1:])),
         unreachable=unreachable,
+        pushy=_pushy(m, growing, occurring),
     )
+
+
+def _pushy(m: Morphism, growing: tuple[bool, ...], occurring: frozenset[int]) -> bool:
+    """Whether the fixed point has arbitrarily long factors over bounded letters.
+
+    For a growing letter c let phi(c) = u g v with g its first growing letter.
+    The left border run of phi^k(c), its bounded prefix, is phi^(k-1)(u)
+    followed by the left border run of phi^(k-1)(g), and phi^(k-1)(u) is
+    nonempty for every k iff u holds an immortal letter: the step c -> g then
+    *feeds*.  Walking c -> g from an occurring letter ends in a cycle, and
+    around a cycle with a feeding step the border run of the cycle's letters
+    grows by at least one letter a turn; around any other cycle it is bounded.
+    A bounded run of phi^k(c) = phi^(k-1)(phi(c)) lies in phi^(k-1) of one
+    letter of phi(c), or is a right border run, the image of bounded letters
+    and a left border run, so with bounded border runs every run is bounded.
+    The fixed point is pushy iff some cycle of the left map, or of its mirror
+    (the last growing letter and the letters after it), has a feeding step
+    (Pansiot, ICALP 1984; Cassaigne and Nicolas 2010).
+
+    Each letter is visited once: a walk stops at a letter an earlier walk
+    reached, and closes a cycle only when it meets itself.
+    """
+    grow = [c for c in sorted(occurring) if growing[c]]
+    depth = m.letter_graph.depth
+    for side in (1, -1):  # the left map, then its mirror
+        step, feeds = {}, {}
+        for c in grow:
+            img = m.images[c][::side]
+            i = next(i for i, ch in enumerate(img) if growing[ord(ch)])
+            step[c] = ord(img[i])
+            feeds[c] = any(not depth[ord(ch)] for ch in img[:i])
+        walk_of: dict[int, int] = {}  # letter -> the walk that first reached it
+        for w in grow:
+            path, c = [], w
+            while c not in walk_of:
+                walk_of[c] = w
+                path.append(c)
+                c = step[c]
+            if walk_of[c] == w and any(map(feeds.__getitem__, path[path.index(c):])):
+                return True
+    return False
 
 
 def _unreachable_pair(graph: LetterGraph, letters: frozenset[int]) -> tuple[int, int] | None:

@@ -445,6 +445,22 @@ def growing_reference(m: Morphism) -> frozenset[int]:
     return frozenset(growing)
 
 
+def pushy_reference(m: Morphism) -> bool:
+    """Whether some occurring growing c and some p <= |A| make phi^p(c), by
+    literal expansion, begin with a nonempty bounded word holding an immortal
+    letter followed by c, or end with c followed by such a word."""
+    mortal = mortal_reference(m)
+    grow = growing_reference(m) & occurring_reference(m)
+    for c in grow:
+        for p in range(1, m.size + 1):
+            word = naive_power(m, p, c)
+            for side in (word, word[::-1]):
+                i = next(i for i, x in enumerate(side) if x in grow)
+                if side[i] == c and any(x not in mortal for x in side[:i]):
+                    return True
+    return False
+
+
 def level_prefix(m: Morphism, k: int) -> WordPrefix:
     """The fixed-point prefix that ends exactly at phi^k(start)."""
     return fixed_point_prefix(m, len(naive_power(m, k)))

@@ -257,7 +257,7 @@ def test_block_cover_matches_word_expansion(m, k_max):
 def test_complexity_paper12(paper12, closure):
     f = closure("paper12", 16)
     ep = decide_eventual_periodicity(paper12, f, prefix_of(paper12))
-    r = classify_complexity(classify_shape(paper12), f, ep)
+    r = classify_complexity(classify_shape(paper12), ep)
     assert r.complexity_class is ComplexityClass.LINEAR
     assert r.gk_dimension == 2 and r.conditional and r.method == "d-uniform-aperiodic"
 
@@ -265,7 +265,7 @@ def test_complexity_paper12(paper12, closure):
 def test_complexity_periodic(periodic_ab, closure):
     f = closure("periodic-ab", 8)
     ep = decide_eventual_periodicity(periodic_ab, f, prefix_of(periodic_ab))
-    r = classify_complexity(classify_shape(periodic_ab), f, ep)
+    r = classify_complexity(classify_shape(periodic_ab), ep)
     assert r.complexity_class is ComplexityClass.CONSTANT
     assert r.gk_dimension == 1 and not r.conditional
 
@@ -273,21 +273,45 @@ def test_complexity_periodic(periodic_ab, closure):
 def test_complexity_fibonacci(fibonacci, closure):
     f = closure("fibonacci", 16)
     ep = decide_eventual_periodicity(fibonacci, f, prefix_of(fibonacci))
-    r = classify_complexity(classify_shape(fibonacci), f, ep)
+    r = classify_complexity(classify_shape(fibonacci), ep)
     assert r.complexity_class is ComplexityClass.LINEAR
     assert r.gk_dimension == 2 and r.method == "primitive-aperiodic"
 
 
 def test_complexity_heuristic_path():
+    # the input a float fit once classified: the runs of b grow by one letter
+    # each generation, so the word is pushy and p(n) = Theta(n^2)
     m = mk(["a", "b"], ["a a b", "b"], "a")
     f = factor_closure(m, 24)
     ep = decide_eventual_periodicity(m, f, prefix_of(m))
     assert ep.is_no
-    r = classify_complexity(classify_shape(m), f, ep)
-    assert r.method == "heuristic-fit"
-    assert r.conditional
-    assert (r.gk_dimension == 3) == (r.complexity_class is ComplexityClass.QUADRATIC)
-    assert r.fit["bounded_letters_present"]
+    r = classify_complexity(classify_shape(m), ep)
+    assert r.complexity_class is ComplexityClass.QUADRATIC
+    assert r.gk_dimension == 3 and r.method == "pushy-aperiodic"
+    assert r.conditional == ep.conditional
+
+
+def test_complexity_not_pushy():
+    # a -> a a b a, b -> b: each b sits between two a's, so no run of b is
+    # longer than one letter
+    m = mk(["a", "b"], ["a a b a", "b"], "a")
+    ep = decide_eventual_periodicity(m, factor_closure(m, 24), prefix_of(m))
+    assert ep.is_no
+    r = classify_complexity(classify_shape(m), ep)
+    assert r.complexity_class is ComplexityClass.AT_MOST_N_LOG_N
+    assert r.gk_dimension == 2 and r.method == "non-pushy-aperiodic"
+    assert r.conditional == ep.conditional
+
+
+@pytest.mark.parametrize("max_len", [32, 64])
+def test_gk_dimension_of_slowly_growing_bounded_runs(max_len):
+    # the runs of b b, c, c, ... grow by two letters a generation, which a fit
+    # of p(n) up to 32 read as Theta(n log n)
+    m = mk(list("abcdef"), ["a a d", "c", "c", "b b", "e e f", "a"], "a")
+    doc, props = report.analyze(m, AnalysisConfig(max_len=max_len, prefix_letters=4**7), "-")
+    assert props.gk_dimension == 3
+    assert doc["complexity"]["class"] == "Theta(n^2)"
+    assert doc["complexity"]["method"] == "pushy-aperiodic"
 
 
 # ---------------------------------------------------------------------------

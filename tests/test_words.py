@@ -43,6 +43,7 @@ from conftest import (
     mortal_reference,
     naive_image,
     naive_power,
+    pushy_reference,
     occurring_reference,
     prefix_reference,
     proven_factors,
@@ -749,6 +750,33 @@ def test_shape_bounded_chain():
     m = mk(["s", "u", "v"], ["s u", "v", "v"], "s")
     shape = classify_shape(m)
     assert shape.growing[0] and not shape.growing[1] and not shape.growing[2]
+
+
+def test_pushy_slow_grower():
+    # a -> a a c c, b -> b, c -> c b a b: the right border of phi^k(c) is
+    # phi^(k-1)(b) then the right border of phi^(k-1)(a), whose last growing
+    # letter is c again, so the runs of b grow every second generation
+    m = mk(["a", "b", "c"], ["a a c c", "b", "c b a b"], "a")
+    assert classify_shape(m).pushy
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_morphisms(allow_erasing=True))
+@example(mk(["a", "b"], ["a a b", "b"], "a"))  # pushy
+@example(mk(["a", "d"], ["a a d", ""], "a"))  # the border letter d dies: not pushy
+def test_pushy_matches_literal_expansion(m):
+    assert classify_shape(m).pushy == pushy_reference(m)
+
+
+def test_pushy_walks_a_five_thousand_letter_cycle_within_a_second():
+    # a_i -> a_(i+1) a_i: the left map is one cycle through every letter
+    n = 5000
+    images = tuple(chr((i + 1) % n) + chr(i) for i in range(n))
+    m = Morphism(tuple(f"a{i}" for i in range(n)), images, 0)
+    started = time.perf_counter()
+    shape = classify_shape(m)
+    assert time.perf_counter() - started < 1.0
+    assert shape.all_growing and not shape.pushy
 
 
 @st.composite
