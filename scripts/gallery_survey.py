@@ -8,9 +8,8 @@ import argparse
 import time
 
 from iteralg.cli import GALLERY_NAMES, gallery_text
-from iteralg.config import DEFAULT_PREFIX_LETTERS
 from iteralg.deciders import ring_property_report, run_deciders
-from iteralg.words import classify_shape, factor_closure, fixed_point_prefix, parse_morphism
+from iteralg.words import classify_shape, factor_closure, parse_morphism
 
 
 def fmt(verdict) -> str:
@@ -30,9 +29,7 @@ def main() -> None:
         m = parse_morphism(gallery_text(name))
         t0 = time.perf_counter()
         shape = classify_shape(m)
-        prefix = fixed_point_prefix(m, DEFAULT_PREFIX_LETTERS)
-        f = factor_closure(m, args.max_len, prefix=prefix)
-        deps = run_deciders(m, shape, f, prefix)
+        deps = run_deciders(m, shape, factor_closure(m, args.max_len))
         rep = ring_property_report(deps)
         elapsed = time.perf_counter() - t0
         shape_txt = f"{shape.d_uniform}-uniform" if shape.d_uniform else "general"

@@ -26,9 +26,7 @@ from .deciders import (
     decide_uniform_recurrence,
 )
 from .errors import ContractError, IterAlgError, MorphismParseError
-from .words import (
-    Morphism, classify_shape, factor_closure, fixed_point_prefix, load_morphism, parse_morphism
-)
+from .words import Morphism, classify_shape, factor_closure, load_morphism, parse_morphism
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -107,9 +105,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     elif prop == "prime":
         verdict = decide_prime(m, classify_shape(m))
     elif prop in ("periodic", "pi", "noetherian"):
-        prefix = fixed_point_prefix(m, cfg.prefix_letters)
-        f = factor_closure(m, cfg.max_len, prefix=prefix)
-        verdict = decide_eventual_periodicity(m, f, prefix)
+        verdict = decide_eventual_periodicity(m, factor_closure(m, cfg.max_len))
         if prop in RING_RULES:
             verdict = _via(verdict, RING_RULES[prop][1])
     elif prop == "ur":
@@ -187,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         "property",
         choices=("prime", "periodic", "ur", "primitive", "pi", "noetherian"),
     )
-    _add_flags(p_decide, ("prefix_letters", "max_len", "k_max"), report_format=False)
+    _add_flags(p_decide, ("max_len", "k_max"), report_format=False)
     p_decide.set_defaults(func=cmd_decide)
 
     p_audit = sub.add_parser("audit", help="graded audit: chains, rotations, brackets")

@@ -19,7 +19,6 @@ from .words import (
     Morphism,
     ShapeRecord,
     Word,
-    WordPrefix,
     fixed_point_prefix,
     subword_complexity,
 )
@@ -199,16 +198,28 @@ def _common_suffix(word: Word, q: int) -> int:
     return lo
 
 
-def decide_eventual_periodicity(m: Morphism, f: FactorSet, prefix: WordPrefix) -> Verdict:
+def decide_eventual_periodicity(m: Morphism, f: FactorSet) -> Verdict:
     """Morse-Hedlund positive test on the exact p(n), n <= ``f.max_len``, plus
-    verified period extraction.
+    verified period extraction from the first 2n letters of the fixed point x.
+
+    When p(n) <= n fires at n, the minimal pair (i*, q*), x[i*:] = x[i*+q*:]
+    with i* and then q* least, has i* + 2q* <= 2n:
+    - p never decreases, p(0) = 1 and p(n) <= n, so some k < n has
+      p(k+1) = p(k);
+    - so every length-k factor has exactly one right extension, and x[i:]
+      is determined by x[i:i+k];
+    - two of the windows at positions 0..p(k), where p(k) <= n, are equal,
+      so x[i:] = x[j:] for some i < j <= n;
+    - so i* <= i and q* <= j - i (every period of the tail is a multiple
+      of the least), and i* + 2q* <= 2j - i <= 2n, which is what
+      ``_periodic_candidates`` needs in order to yield (i*, q*) from a
+      2n-letter prefix.
+    A verified pair is exact, so no shorter period passes: the pair found is
+    the minimal one, whatever prefix length shows it.
 
     Yes is unconditional: the extracted (preperiod, period) pair is checked
     to reproduce a fixed point of the morphism starting with the start
-    letter.  Periods are read off ``prefix`` first, then off ``prefix``
-    extended to 4 and then 16 times its length; a verified pair is the
-    minimal one whatever the length.
-    No is conditional on the exhausted complexity bound.
+    letter.  No is conditional on the exhausted complexity bound.
     """
     bound = f.max_len
     fired_at = None
@@ -217,21 +228,19 @@ def decide_eventual_periodicity(m: Morphism, f: FactorSet, prefix: WordPrefix) -
             fired_at = n
             break
     if fired_at is not None:
-        held = prefix
-        for scale in (1, 4, 16):
-            held = fixed_point_prefix(m, scale * len(prefix), prefix=held)
-            for pre, per in _periodic_candidates(held.word, fired_at):
-                verified = _verify_periodic_fixed_point(m, pre, per)
-                if verified is not None:
-                    return Verdict.yes(
-                        {
-                            "preperiod": m.decode(pre),
-                            "period": m.decode(per),
-                            "mh_length": fired_at,
-                            "verified_letters": verified,
-                        },
-                        bound=bound,
-                    )
+        prefix = fixed_point_prefix(m, 2 * fired_at).word
+        for pre, per in _periodic_candidates(prefix, fired_at):
+            verified = _verify_periodic_fixed_point(m, pre, per)
+            if verified is not None:
+                return Verdict.yes(
+                    {
+                        "preperiod": m.decode(pre),
+                        "period": m.decode(per),
+                        "mh_length": fired_at,
+                        "verified_letters": verified,
+                    },
+                    bound=bound,
+                )
         raise InvariantError(
             "complexity bound says eventually periodic but no verified "
             "period was found; this contradicts Morse-Hedlund"
@@ -262,8 +271,9 @@ def decide_uniform_recurrence(
     recurs within a bounded window.  Only the length and first letter of each
     phi^k(a) are read, by recurrences over the images, so no block is built.
     Refutations: the start letter occurring exactly once
-    (``shape.start_recurs`` false), or a growing occurring letter that never
-    produces it.
+    (``shape.start_recurs`` false), a growing occurring letter that never
+    produces it, or a pushy word (``shape.pushy``): the start letter grows,
+    so the arbitrarily long factors over bounded letters avoid it.
     """
     occ = sorted(shape.occurring)
     b = m.start
@@ -306,6 +316,8 @@ def decide_uniform_recurrence(
                     "letter": m.letters[a],
                 }
             )
+    if shape.pushy:
+        return Verdict.no({"witness": "pushy", "letter": m.letters[b]})
     return Verdict.unknown(bound=k_max)
 
 
@@ -438,13 +450,12 @@ def run_deciders(
     m: Morphism,
     shape: ShapeRecord,
     f: FactorSet,
-    prefix: WordPrefix,
     *,
     k_max: int = DEFAULT_K_MAX,
 ) -> DeciderOutputs:
-    """Run the full decider battery over one letter record, factor set and prefix."""
+    """Run the full decider battery over one letter record and factor set."""
     prim = decide_primitive(m, shape)
-    ep = decide_eventual_periodicity(m, f, prefix)
+    ep = decide_eventual_periodicity(m, f)
     ur = decide_uniform_recurrence(m, shape, k_max=k_max)
     comp = classify_complexity(shape, ep)
     return DeciderOutputs(

@@ -264,8 +264,8 @@ def analyze(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, Proper
     shape = classify_shape(m)
     poly = char_poly(M)
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
-    f = factor_closure(m, cfg.max_len, prefix=prefix)
-    deps = run_deciders(m, shape, f, prefix, k_max=cfg.k_max)
+    f = factor_closure(m, cfg.max_len)
+    deps = run_deciders(m, shape, f, k_max=cfg.k_max)
     properties = ring_property_report(deps)
     n_weights = max(WEIGHT_TERMS, poly.degree - 1)  # the recurrence reads poly.degree terms
     weights = weight_sequence(m, M, prefix, n_weights)
@@ -294,7 +294,7 @@ def audit(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, bool, li
     if cfg.max_len < 2:
         raise ContractError("audit needs a factor bound of at least 2")
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
-    f = factor_closure(m, cfg.max_len, prefix=prefix)
+    f = factor_closure(m, cfg.max_len)
     graded_doc, counterexamples, _ = _graded_audit(
         m, graded.s_set(m, prefix), f, cfg.d_max, cfg.max_len
     )

@@ -777,40 +777,17 @@ def _lead_windows(
         yield from [w[i : i + size] for i in range(end)]
 
 
-def _prefix_through(
-    m: Morphism,
-    n: int,
-    held: WordPrefix | None,
-    memory_budget_bytes: int,
-    delete: list[str] | None = None,
-) -> WordPrefix:
-    """``fixed_point_prefix(m, n)``, read off ``held`` as far as it reaches.
-    ``held`` is a prefix of the fixed point of m or, given the table
-    ``delete`` of a map delta, of phi with m = delta o phi; then
-    delta(phi^g(start)) = m^g(start), so it is translated one generation at
-    a time, up to the first generation g >= 1 that reaches n."""
-    if held is not None and delete is not None:
-        parts, ends = [], [0]
-        for a, b in zip((0, *held.gen_lengths), held.gen_lengths):
-            parts.append(held.word[a:b].translate(delete))
-            ends.append(ends[-1] + len(parts[-1]))
-            if len(ends) > 2 and ends[-1] >= n:
-                break
-        held = WordPrefix("".join(parts), tuple(ends[1:]))
-    return fixed_point_prefix(m, n, memory_budget_bytes=memory_budget_bytes, prefix=held)
-
-
-def _delete_mortal(m: Morphism) -> tuple[Morphism, list[str] | None, int]:
-    """(psi, delta, k) for the mortal letters D of m: psi = delta o phi with
-    the letters of D mapped to themselves, the translate table of the map
-    delta deleting D (None when D is empty and psi = phi), and the least k
-    with phi^k(D) empty: the longest path among the mortal components."""
+def _delete_mortal(m: Morphism) -> tuple[Morphism, int]:
+    """(psi, k) for the mortal letters D of m: psi = delta o phi with the
+    letters of D mapped to themselves, where the map delta deletes D (psi is
+    m when D is empty), and the least k with phi^k(D) empty: the longest
+    path among the mortal components."""
     mortal = mortal_letters(m)
     if not mortal:
-        return m, None, 0
+        return m, 0
     delete = ["" if c in mortal else chr(c) for c in range(m.size)]
     images = tuple(chr(c) if c in mortal else v.translate(delete) for c, v in enumerate(m.images))
-    return Morphism(m.letters, images, m.start), delete, max(m.letter_graph.depth)
+    return Morphism(m.letters, images, m.start), max(m.letter_graph.depth)
 
 
 def _expanded_windows(
@@ -852,7 +829,6 @@ def factor_closure(
     max_len: int,
     *,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-    prefix: WordPrefix | None = None,
 ) -> FactorSet:
     """The factors of the fixed point x up to ``max_len``, stored as F_L.
 
@@ -868,8 +844,7 @@ def factor_closure(
     the least image length of psi, let B = L when j = 1 and B = (L-2)//j + 2
     (within 1..L) otherwise.  F_B is the least fixpoint of "add the length-B
     windows of psi(v) for v already present", seeded with the length-B
-    windows of the first generation psi^g0(start) of at least B letters,
-    read off ``prefix`` (a held prefix of x) when it reaches far enough.
+    windows of the first generation psi^g0(start) of at least B letters.
     Descent argument: a factor at position p > 0 lies in psi(v) for the
     length-B factor v at the position p' < p whose image covers p, and that
     image reaches (B-1)j >= L-1 letters further.  So the fixpoint reaches
@@ -898,13 +873,13 @@ def factor_closure(
     if max_len == 0:
         return FactorSet(max_len=0, words=("",), closure_rounds=0)
 
-    psi, delete, layers = _delete_mortal(m)
+    psi, layers = _delete_mortal(m)
     if psi.min_image_len == 1:
         expand_bound = max_len
     else:
         expand_bound = max(1, min(max_len, (max_len - 2) // psi.min_image_len + 2))
 
-    seed = _prefix_through(psi, expand_bound, prefix, memory_budget_bytes, delete)
+    seed = fixed_point_prefix(psi, expand_bound, memory_budget_bytes=memory_budget_bytes)
     known = _windows(seed.word, expand_bound)
     frontier, ends = known, {seed.word[-expand_bound:]}
     rounds = seed.generation_level

@@ -12,7 +12,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from iteralg.cli import gallery_text
-from iteralg.deciders import DeciderOutputs, PropertyReport, Verdict
+from iteralg.deciders import DeciderOutputs, PropertyReport, Verdict, _verify_periodic_fixed_point
 from iteralg.errors import ContractError, InvariantError, NoSplitError
 from iteralg.graded import (
     ChainWitness,
@@ -248,7 +248,7 @@ def reference_closure(m: Morphism, max_len: int) -> tuple[tuple[str, ...], tuple
 
     if max_len == 0:
         return ("",), (1,), 0
-    psi, delete, layers = _delete_mortal(m)
+    psi, layers = _delete_mortal(m)
     j = psi.min_image_len
     size = max_len if j == 1 else max(1, min(max_len, (max_len - 2) // j + 2))
     seed = fixed_point_prefix(psi, size)
@@ -523,6 +523,35 @@ def periodic_candidates_reference(prefix: str, max_period: int):
             j -= 1
         if j + 2 * q <= n:
             yield prefix[:j], prefix[j : j + q]
+
+
+def periodicity_ladder_reference(m: Morphism, f: FactorSet) -> Verdict:
+    """Eventual periodicity as the retry ladder read it: candidates walked off
+    a 4^8-letter prefix, then off prefixes 4 and 16 times as long, the first
+    one ``_verify_periodic_fixed_point`` accepts taken as the period."""
+    bound = f.max_len
+    fired = [n for n in range(1, bound + 1) if f.counts[n] <= n]
+    if not fired:
+        if bound == 0:
+            return Verdict.unknown(bound=0)
+        return Verdict.no(
+            {"witness": "complexity-exceeds-n", "checked_up_to": bound},
+            conditional=True,
+            bound=bound,
+        )
+    for scale in (1, 4, 16):
+        prefix = fixed_point_prefix(m, scale * 4**8).word
+        for pre, per in periodic_candidates_reference(prefix, fired[0]):
+            verified = _verify_periodic_fixed_point(m, pre, per)
+            if verified is not None:
+                certificate = {
+                    "preperiod": m.decode(pre),
+                    "period": m.decode(per),
+                    "mh_length": fired[0],
+                    "verified_letters": verified,
+                }
+                return Verdict.yes(certificate, bound=bound)
+    raise InvariantError("no verified period on the longest prefix of the ladder")
 
 
 def block_cover_reference(m: Morphism, occurring, k_max: int) -> tuple[int, int] | None:

@@ -173,9 +173,7 @@ def test_c08_graded_nilpotency_evidence(paper12, periodic_ab):
 
 def test_c09_dictionary_regression(paper12, ba_example, periodic_ab, closure):
     def deciders(m, name, max_len, **kw):
-        return run_deciders(
-            m, classify_shape(m), closure(name, max_len), fixed_point_prefix(m, 4**8), **kw
-        )
+        return run_deciders(m, classify_shape(m), closure(name, max_len), **kw)
 
     deps = deciders(paper12, "paper12", 16)
     rep = ring_property_report(deps)

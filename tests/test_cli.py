@@ -17,11 +17,28 @@ from iteralg.config import AnalysisConfig
 from iteralg import report
 from iteralg.words import Morphism, parse_morphism
 
+# every b sits between two a's: not pushy, and no test decides uniform recurrence
 UNKNOWN_UR_SOURCE = """letters: a b
+start: a
+map a -> a a b a
+map b -> b
+"""
+
+# the runs of b grow without bound and never hold the start letter
+PUSHY_SOURCE = """letters: a b
 start: a
 map a -> a a b
 map b -> b
 """
+
+# a -> a c1, c_i -> c_(i+1), c40 -> p, p -> p: one letter a generation, so
+# the period p starts only after 41 letters
+CHAIN = [f"c{i}" for i in range(1, 41)]
+LATE_PERIOD_SOURCE = (
+    f"letters: a {' '.join(CHAIN)} p\nstart: a\nmap a -> a c1\n"
+    + "".join(f"map {c} -> {d}\n" for c, d in zip(CHAIN, CHAIN[1:] + ["p"]))
+    + "map p -> p\n"
+)
 
 
 GALLERY = ["ba-example", "fibonacci", "paper12", "periodic-ab", "thue-morse"]
@@ -259,6 +276,28 @@ def test_decide_unknown_exit(tmp_path, capsys):
     assert out.startswith("ur: Unknown")
 
 
+def test_decide_ur_pushy_is_no(tmp_path, capsys):
+    src = tmp_path / "pushy.morph"
+    src.write_text(PUSHY_SOURCE)
+    code, out, _ = run(capsys, "decide", str(src), "ur")
+    assert code == 1
+    assert out == 'ur: No\ncertificate: {"letter": "a", "witness": "pushy"}\n'
+
+
+def test_late_period_is_found_from_a_short_prefix(tmp_path, capsys):
+    # the period search reads 2n letters of its own, so a one-letter prefix
+    # budget cannot hide the period
+    src = tmp_path / "late.morph"
+    src.write_text(LATE_PERIOD_SOURCE)
+    code, out, err = run(
+        capsys, "analyze", str(src), "--prefix-letters", "1", "--max-len", "64", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    cert = json.loads(out)["properties"]["eventually_periodic"]["certificate"]
+    assert cert["preperiod"] == " ".join(["a", *CHAIN])
+    assert (cert["period"], cert["mh_length"]) == ("p", 42)
+
+
 def test_decide_parse_error(capsys, tmp_path):
     src = tmp_path / "broken.morph"
     src.write_text("letters: a\n")
@@ -468,6 +507,7 @@ def test_help_text_repeats(fresh_cli, capsys, argv):
         ["analyze", "gallery/fibonacci.morph", "--mh-bound", "8"],
         ["decide", "gallery/fibonacci.morph", "periodic", "--mh-bound", "8"],
         ["audit", "gallery/fibonacci.morph", "--mh-bound", "8"],
+        ["decide", "gallery/fibonacci.morph", "periodic", "--prefix-letters", "8"],
         ["decide", "gallery/fibonacci.morph", "prime", "--format", "json"],
         ["decide", "gallery/fibonacci.morph", "prime", "--d-max", "3"],
     ],

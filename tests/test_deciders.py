@@ -32,10 +32,11 @@ from conftest import (
     block_cover_reference,
     occurring_reference,
     periodic_candidates_reference,
+    periodicity_ladder_reference,
     ring_property_reference,
     small_morphisms,
 )
-from test_words import mk
+from test_words import mk, spy_prefixes
 
 
 def ur(m, *, k_max=6):
@@ -147,7 +148,7 @@ def test_periodic_candidates_match_the_walk_on_fixed_points(periodic_ab, ba_exam
 
 def test_periodic_ab(periodic_ab, closure):
     f = closure("periodic-ab", 8)
-    v = decide_eventual_periodicity(periodic_ab, f, prefix_of(periodic_ab))
+    v = decide_eventual_periodicity(periodic_ab, f)
     assert v.is_yes and not v.conditional
     assert v.certificate["preperiod"] == "" and v.certificate["period"] == "a b"
     assert v.certificate["mh_length"] == 2
@@ -155,20 +156,20 @@ def test_periodic_ab(periodic_ab, closure):
 
 def test_periodic_ba(ba_example, closure):
     f = closure("ba-example", 8)
-    v = decide_eventual_periodicity(ba_example, f, prefix_of(ba_example))
+    v = decide_eventual_periodicity(ba_example, f)
     assert v.is_yes
     assert v.certificate["preperiod"] == "b" and v.certificate["period"] == "a"
 
 
 def test_fibonacci_aperiodic_conditional(fibonacci, closure):
     f = closure("fibonacci", 64)
-    v = decide_eventual_periodicity(fibonacci, f, prefix_of(fibonacci))
+    v = decide_eventual_periodicity(fibonacci, f)
     assert v.is_no and v.conditional and v.bound == 64
 
 
 def test_periodicity_certificate_reproduces_prefix(periodic_ab, ba_example, closure):
     for m, name in ((periodic_ab, "periodic-ab"), (ba_example, "ba-example")):
-        v = decide_eventual_periodicity(m, closure(name, 8), prefix_of(m))
+        v = decide_eventual_periodicity(m, closure(name, 8))
         pre = m.encode(v.certificate["preperiod"])
         per = m.encode(v.certificate["period"])
         need = v.certificate["verified_letters"]
@@ -177,13 +178,38 @@ def test_periodicity_certificate_reproduces_prefix(periodic_ab, ba_example, clos
         assert prefix[:need] == reps[:need]
 
 
-def test_periodicity_retries_short_prefix(periodic_ab, ba_example, closure):
-    """A prefix too short to show a period is retried longer; the pair stays minimal."""
-    for m, name in ((periodic_ab, "periodic-ab"), (ba_example, "ba-example")):
-        f = closure(name, 8)
-        short = decide_eventual_periodicity(m, f, fixed_point_prefix(m, 1))
-        assert short.is_yes
-        assert short == decide_eventual_periodicity(m, f, prefix_of(m))
+def late_period():
+    """a -> a c1, c_i -> c_(i+1), c40 -> p, p -> p: one letter a generation,
+    so the period p starts only after 41 letters."""
+    chain = [f"c{i}" for i in range(1, 41)]
+    return mk(["a", *chain, "p"], ["a c1", *chain[1:], "p", "p"], "a")
+
+
+def test_periodicity_reads_a_2n_letter_prefix(monkeypatch, periodic_ab, ba_example, closure):
+    """Morse-Hedlund firing at n puts the minimal pair within 2n letters: the
+    decider builds only those and finds the pair of a 4^8-letter prefix."""
+    calls = spy_prefixes(monkeypatch, (deciders,))
+    late = late_period()
+    cases = [(periodic_ab, closure("periodic-ab", 8)), (ba_example, closure("ba-example", 8)),
+             (late, factor_closure(late, 64))]
+    for m, f in cases:
+        calls.clear()
+        v = decide_eventual_periodicity(m, f)
+        assert v.is_yes
+        assert calls == [(2 * v.certificate["mh_length"], False)]
+        assert v == periodicity_ladder_reference(m, f)
+    assert v.certificate["period"] == "p" and v.certificate["mh_length"] == 42  # late's
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.integers(min_value=0, max_value=12))
+def test_periodicity_matches_the_prefix_ladder(m, max_len):
+    f = factor_closure(m, max_len)
+    v = decide_eventual_periodicity(m, f)
+    assert v == periodicity_ladder_reference(m, f)
+    if v.is_yes:
+        pre, per = (len(m.encode(v.certificate[k])) for k in ("preperiod", "period"))
+        assert pre + 2 * per <= 2 * v.certificate["mh_length"]
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +242,23 @@ def test_ur_growing_start_free_branch():
 
 
 def test_ur_unknown_case():
-    m = mk(["a", "b"], ["a a b", "b"], "a")
+    # every b sits between two a's: not pushy, and no test decides it
+    m = mk(["a", "b"], ["a a b a", "b"], "a")
+    assert not classify_shape(m).pushy
     v = ur(m)
     assert v.is_unknown and v.bound == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_morphisms(allow_erasing=True))
+def test_pushy_never_meets_a_uniform_recurrence_yes(m):
+    """A block cover or primitivity makes every occurring letter produce the
+    growing start letter, so no bounded letter occurs and the word is not pushy."""
+    shape = classify_shape(m)
+    if shape.pushy:
+        assert block_cover_reference(m, shape.occurring, 6) is None
+        assert not shape.primitive
+        assert ur(m).is_no
 
 
 def test_ur_block_cover_witness_scans(paper12):
@@ -256,7 +296,7 @@ def test_block_cover_matches_word_expansion(m, k_max):
 
 def test_complexity_paper12(paper12, closure):
     f = closure("paper12", 16)
-    ep = decide_eventual_periodicity(paper12, f, prefix_of(paper12))
+    ep = decide_eventual_periodicity(paper12, f)
     r = classify_complexity(classify_shape(paper12), ep)
     assert r.complexity_class is ComplexityClass.LINEAR
     assert r.gk_dimension == 2 and r.conditional and r.method == "d-uniform-aperiodic"
@@ -264,7 +304,7 @@ def test_complexity_paper12(paper12, closure):
 
 def test_complexity_periodic(periodic_ab, closure):
     f = closure("periodic-ab", 8)
-    ep = decide_eventual_periodicity(periodic_ab, f, prefix_of(periodic_ab))
+    ep = decide_eventual_periodicity(periodic_ab, f)
     r = classify_complexity(classify_shape(periodic_ab), ep)
     assert r.complexity_class is ComplexityClass.CONSTANT
     assert r.gk_dimension == 1 and not r.conditional
@@ -272,7 +312,7 @@ def test_complexity_periodic(periodic_ab, closure):
 
 def test_complexity_fibonacci(fibonacci, closure):
     f = closure("fibonacci", 16)
-    ep = decide_eventual_periodicity(fibonacci, f, prefix_of(fibonacci))
+    ep = decide_eventual_periodicity(fibonacci, f)
     r = classify_complexity(classify_shape(fibonacci), ep)
     assert r.complexity_class is ComplexityClass.LINEAR
     assert r.gk_dimension == 2 and r.method == "primitive-aperiodic"
@@ -283,7 +323,7 @@ def test_complexity_heuristic_path():
     # each generation, so the word is pushy and p(n) = Theta(n^2)
     m = mk(["a", "b"], ["a a b", "b"], "a")
     f = factor_closure(m, 24)
-    ep = decide_eventual_periodicity(m, f, prefix_of(m))
+    ep = decide_eventual_periodicity(m, f)
     assert ep.is_no
     r = classify_complexity(classify_shape(m), ep)
     assert r.complexity_class is ComplexityClass.QUADRATIC
@@ -295,7 +335,7 @@ def test_complexity_not_pushy():
     # a -> a a b a, b -> b: each b sits between two a's, so no run of b is
     # longer than one letter
     m = mk(["a", "b"], ["a a b a", "b"], "a")
-    ep = decide_eventual_periodicity(m, factor_closure(m, 24), prefix_of(m))
+    ep = decide_eventual_periodicity(m, factor_closure(m, 24))
     assert ep.is_no
     r = classify_complexity(classify_shape(m), ep)
     assert r.complexity_class is ComplexityClass.AT_MOST_N_LOG_N
@@ -319,9 +359,7 @@ def test_gk_dimension_of_slowly_growing_bounded_runs(max_len):
 
 
 def test_report_paper12(paper12, closure):
-    deps = run_deciders(
-        paper12, classify_shape(paper12), closure("paper12", 16), prefix_of(paper12)
-    )
+    deps = run_deciders(paper12, classify_shape(paper12), closure("paper12", 16))
     rep = ring_property_report(deps)
     assert rep.prime.is_yes and not rep.prime.conditional
     assert rep.semiprime.value == rep.prime.value
@@ -334,9 +372,7 @@ def test_report_paper12(paper12, closure):
 
 
 def test_report_ba(ba_example, closure):
-    deps = run_deciders(
-        ba_example, classify_shape(ba_example), closure("ba-example", 8), prefix_of(ba_example)
-    )
+    deps = run_deciders(ba_example, classify_shape(ba_example), closure("ba-example", 8))
     rep = ring_property_report(deps)
     assert rep.prime.is_no
     assert rep.prime.certificate["witness"] == "nilpotent-ideal"
@@ -346,9 +382,7 @@ def test_report_ba(ba_example, closure):
 
 
 def test_report_fibonacci(fibonacci, closure):
-    deps = run_deciders(
-        fibonacci, classify_shape(fibonacci), closure("fibonacci", 16), prefix_of(fibonacci),
-    )
+    deps = run_deciders(fibonacci, classify_shape(fibonacci), closure("fibonacci", 16))
     rep = ring_property_report(deps)
     assert rep.prime.is_yes
     assert rep.just_infinite.is_yes
@@ -359,7 +393,7 @@ def test_report_fibonacci(fibonacci, closure):
 @given(small_morphisms(allow_erasing=True))
 def test_dictionary_coherence(m):
     f = factor_closure(m, 8)
-    deps = run_deciders(m, classify_shape(m), f, fixed_point_prefix(m, 512))
+    deps = run_deciders(m, classify_shape(m), f)
     rep = ring_property_report(deps)
     assert rep == ring_property_reference(deps)
     assert not deps.prime.conditional
@@ -407,9 +441,8 @@ def test_ring_table_reads_only_word_verdicts_and_earlier_properties():
 def test_budget_monotonicity(m):
     small = factor_closure(m, 6)
     large = factor_closure(m, 12)
-    prefix = fixed_point_prefix(m, 512)
-    ep_small = decide_eventual_periodicity(m, small, prefix)
-    ep_large = decide_eventual_periodicity(m, large, prefix)
+    ep_small = decide_eventual_periodicity(m, small)
+    ep_large = decide_eventual_periodicity(m, large)
     # unconditional verdicts never flip; conditional ones may only resolve
     if not ep_small.conditional and not ep_small.is_unknown:
         assert ep_small.value == ep_large.value

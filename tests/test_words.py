@@ -471,12 +471,13 @@ def test_erasing_closure_budget_error():
 def test_reduced_generations_expand_to_fixed_point_prefixes(m, j):
     # phi^k(psi^j(b)) is a prefix of phi^(j+k)(b): the reduction loses no letter
     mortal = mortal_letters(m)
-    psi, delete, layers = words._delete_mortal(m)
+    psi, layers = words._delete_mortal(m)
     b = chr(m.start)
     assert not mortal_letters(psi)
     if not mortal:
-        assert psi is m and delete is None and layers == 0
+        assert psi is m and layers == 0
         return
+    delete = ["" if c in mortal else chr(c) for c in range(m.size)]
     assert apply_n(psi, b, j) == apply_n(m, b, j).translate(delete)
     assert apply_n(m, b, j + layers).startswith(apply_n(m, apply_n(psi, b, j), layers))
     assert all(not apply_n(m, chr(c), layers) for c in mortal)
@@ -487,7 +488,7 @@ def test_reduced_generations_expand_to_fixed_point_prefixes(m, j):
 @given(small_morphisms(allow_erasing=True), st.integers(min_value=1, max_value=8))
 def test_erasing_closure_is_the_windows_of_expanded_reduced_factors(m, max_len):
     # F_L(x) is the set of length-L windows of phi^k(u) over u in F_L(y)
-    psi, _, layers = words._delete_mortal(m)
+    psi, layers = words._delete_mortal(m)
     reduced = factor_closure(psi, max_len)
     expected = {
         w for u in reduced.of_length(max_len) for w in words._windows(apply_n(m, u, layers), max_len)
@@ -500,7 +501,7 @@ def test_mortal_layers_counted_without_expanding_the_dying_letters():
     names = [f"d{i}" for i in range(1, 41)]
     images = ["a b d1", "b"] + [f"{d} {d}" for d in names[1:]] + [""]
     m = mk(["a", "b", *names], images, "a")
-    _, _, layers = words._delete_mortal(m)
+    _, layers = words._delete_mortal(m)
     assert layers == 40
     f = factor_closure(m, 8)
     assert m.encode("d40 " * 8) in f
@@ -622,20 +623,6 @@ def test_closure_budget_estimate_tracks_traced_peak_on_other_paths(m, max_len):
     factor_closure(m, max_len, memory_budget_bytes=2 * peak)
     with pytest.raises(ResourceBudgetError):
         factor_closure(m, max_len, memory_budget_bytes=peak // 2)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    small_morphisms(allow_erasing=True),
-    st.integers(min_value=0, max_value=12),
-    st.integers(min_value=1, max_value=600),
-)
-def test_closure_reads_a_held_prefix(m, max_len, held_letters):
-    # the held prefix is cut when it reaches far enough, else a prefix is generated
-    held = fixed_point_prefix(m, held_letters)
-    own = factor_closure(m, max_len)
-    cut = factor_closure(m, max_len, prefix=held)
-    assert cut == own
 
 
 @settings(max_examples=150, deadline=None)
@@ -806,7 +793,7 @@ def test_shape_record_matches_oracles(m):
     assert shape.start_recurs == (m.start in tail.union(*(reach[c] for c in tail)))
     assert shape.unreachable == unreachable_reference(m)
     assert mortal_letters(m) == mortal_reference(m)
-    assert words._delete_mortal(m)[2] == mortal_layers_reference(m)
+    assert words._delete_mortal(m)[1] == mortal_layers_reference(m)
 
 
 def test_shape_of_a_thousand_letters_within_five_seconds():
@@ -825,7 +812,7 @@ def test_mortal_chain_longer_than_the_recursion_limit():
     assert n > sys.getrecursionlimit()
     images = [chr(0) + chr(1) + chr(2), chr(1)] + [chr(i + 1) for i in range(2, n + 1)] + [""]
     m = Morphism(("a", "b", *(f"d{i}" for i in range(1, n + 1))), tuple(images), 0)
-    assert words._delete_mortal(m)[2] == n
+    assert words._delete_mortal(m)[1] == n
     shape = classify_shape(m)
     assert mortal_letters(m) == frozenset(range(2, n + 2))
     assert shape.occurring == frozenset(range(n + 2)) and shape.unreachable == (1, 0)
@@ -846,10 +833,13 @@ def spy_prefixes(monkeypatch, modules):
     return calls
 
 
-def assert_one_prefix_built(calls, n):
-    """The first call builds the prefix of n letters; every later one passes it."""
-    assert calls[0] == (n, False)
-    assert all(given for _, given in calls[1:])
+def assert_one_prefix_built(calls, n, max_len):
+    """Exactly one call builds the prefix of n letters without a held prefix;
+    every other such call, a closure seed or a period search, asks for at
+    most 2 * max_len letters."""
+    unheld = sorted(k for k, given in calls if not given)
+    assert n > 2 * max_len and unheld[-1] == n
+    assert all(k <= 2 * max_len for k in unheld[:-1])
 
 
 @pytest.mark.parametrize(
@@ -861,8 +851,8 @@ def assert_one_prefix_built(calls, n):
 )
 def test_analyze_builds_one_letter_record(monkeypatch, source):
     """One analyze: one classify_shape, one letter graph for phi and one for
-    psi when phi erases, one incidence matrix, and one prefix, which every
-    later expansion extends or cuts."""
+    psi when phi erases, one incidence matrix, and one held prefix, which
+    every later expansion extends or cuts."""
     calls = {"classify_shape": 0, "letter_graph": 0, "incidence_matrix": 0}
 
     def counted(key, fn):
@@ -885,22 +875,24 @@ def test_analyze_builds_one_letter_record(monkeypatch, source):
     doc, _ = report.analyze(m, AnalysisConfig(max_len=16), source)
     graphs = 1 if source == "paper12" else 2
     assert calls == {"classify_shape": 1, "letter_graph": graphs, "incidence_matrix": 1}
-    assert_one_prefix_built(prefix_calls, AnalysisConfig().prefix_letters)
+    assert_one_prefix_built(prefix_calls, AnalysisConfig().prefix_letters, 16)
     assert doc["shape"]["erasing"] == (source != "paper12")
 
 
 def test_audit_and_decide_build_one_prefix(monkeypatch, tmp_path):
-    # the factor closure of an erasing morphism reads the prefix its caller holds
-    calls = spy_prefixes(monkeypatch, (cli, report, words, matrices, deciders))
+    # audit holds one prefix; decide holds none: the closure seed and the
+    # period search build short prefixes of their own
+    calls = spy_prefixes(monkeypatch, (report, words, matrices, deciders))
     text = "letters: a b c\nstart: a\nmap a -> a b c\nmap b ->\nmap c -> a c\ndegree default = 1\n"
     m = parse_morphism(text)
     report.audit(m, AnalysisConfig(max_len=16), "erasing")
-    assert_one_prefix_built(calls, AnalysisConfig().prefix_letters)
+    assert_one_prefix_built(calls, AnalysisConfig().prefix_letters, 16)
     path = tmp_path / "erasing.morph"
     path.write_text(text)
-    calls.clear()
-    cli.main(["decide", str(path), "periodic"])
-    assert_one_prefix_built(calls, AnalysisConfig().prefix_letters)
+    for source in (str(path), "gallery/ba-example.morph"):
+        calls.clear()
+        cli.main(["decide", source, "periodic", "--max-len", "16"])
+        assert calls and all(not given and k <= 2 * 16 for k, given in calls)
 
 
 # ---------------------------------------------------------------------------
