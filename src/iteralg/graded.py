@@ -8,6 +8,7 @@ degree d, i.e. a nonzero r-fold product in the degree-d component.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count
@@ -385,17 +386,83 @@ def rotations(word: Word) -> list[Word]:
     return [word[i:] + word[:i] for i in range(1, len(word))]
 
 
+def _girth(edges: Sequence[Word], cap: int) -> int:
+    """The length of the shortest closed walk in the Rauzy graph whose edges
+    are ``edges``, words of one length k + 1, each going from its k-prefix to
+    its k-suffix; ``cap`` when no closed walk is shorter.
+
+    A chain of vertices with in- and out-degree 1 is contracted to one
+    weighted edge between the other vertices (in-degree 1 keeps a chain from
+    closing on itself), and a component made only of such vertices is one
+    cycle.  The sweep then keeps, for each length t and remaining vertex v,
+    the bitmask of the remaining vertices with a walk of length t to v; the
+    first t at which some v holds its own bit is the girth.
+    """
+    heads = list(map(itemgetter(slice(0, -1)), edges))
+    tails = list(map(itemgetter(slice(1, None)), edges))
+    outdegree, indegree = Counter(heads), Counter(tails)
+    succ = dict(zip(heads, tails))  # the one successor of a chain vertex
+    on_chain = {v for v, out in outdegree.items() if out == 1 and indegree[v] == 1}
+    index = {v: i for i, v in enumerate(v for v in {**outdegree, **indegree} if v not in on_chain)}
+    arcs = []  # (source, target, weight) between the vertices left
+    for v, w in zip(heads, tails):
+        if v in index:
+            weight = 1
+            while w in on_chain:
+                on_chain.remove(w)
+                w, weight = succ[w], weight + 1
+            arcs.append((index[v], index[w], weight))
+    best = cap
+    while on_chain:  # what no chain from a vertex left reached is cycles
+        v = w = on_chain.pop()
+        weight = 1
+        while (w := succ[w]) != v:
+            on_chain.remove(w)
+            weight += 1
+        best = min(best, weight)
+    arcs.sort(key=itemgetter(2))
+    reach = [[1 << i for i in range(len(index))]]
+    for t in range(1, best):
+        row = [0] * len(index)
+        for i, j, weight in arcs:
+            if weight > t:
+                break
+            row[j] |= reach[t - weight][i]
+        if any(bits >> j & 1 for j, bits in enumerate(row)):
+            return t
+        reach.append(row)
+    return best
+
+
 def cyclic_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
     """Check every factor of length 2..max_len has an absent rotation, and
     find the factors on which ``lie_decomposition`` raises NoSplitError.
 
-    Failure is a result (the first violating word), not an error.  One pass,
-    length by length: a decomposition takes the first cut whose rotation is
-    absent, so a factor fails when it has no absent rotation, or when either
-    part at that cut failed.  Both parts are shorter factors, already decided.
-    Cut 1 is tested for a whole length at once; its left part is one letter,
-    never failed, so there the word fails when its tail failed.  Only the
-    words whose first rotation is present try the later cuts one by one.
+    Failure is a result (the first violating word), not an error.  Length by
+    length: a decomposition takes the first cut whose rotation is absent, so
+    a factor fails when it has no absent rotation, or when either part at
+    that cut failed.  Both parts are shorter factors, already decided.  Cut 1
+    is tested for a whole length at once; its left part is one letter, never
+    failed, so there the word fails when its tail failed.  Only the words
+    whose first rotation is present try the later cuts one by one.
+
+    Until a word fails, whole lengths are ruled out without reading their
+    words, by the girth of the Rauzy graph G_k: its vertices are the factors
+    of length k and its edges those of length k + 1, from prefix to suffix.
+
+    Lemma: a factor w of length m >= k + 1 whose every rotation is a factor
+    has m cyclic windows of length k + 1; each is a prefix of a rotation, so
+    a factor, and each overlaps the next in k letters, so they form a closed
+    walk of length m in G_k and m >= girth(G_k).  This reads only prefixes of
+    the layers, so it holds for any ``FactorSet``.
+
+    While nothing has failed a word fails exactly when every rotation of it
+    is a factor, since its parts at any cut are shorter and did not fail.  So
+    a length n < girth(G_{n-1}) holds no failure and no counterexample, and
+    adds only (n, p(n)) to ``per_length``.  Length 2 is read word by word;
+    then, while nothing has failed, the girth g of G_{n-1}, capped at
+    max_len + 1, rules out n..g-1 and the next girth is taken at g.  From the
+    first length not ruled out, every length is read.
     """
     if max_len < 2:
         raise ContractError("rotation audit needs max_len >= 2")
@@ -404,9 +471,9 @@ def cyclic_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
     per_length: list[tuple[int, int]] = []
     counterexample: Word | None = None
     failed: dict[Word, None] = {}  # in scan order
-    # each layer is cut from the one above it, so ask from the top down
-    layers = [f.of_length(n) for n in range(max_len, 1, -1)]
-    for n, words in zip(range(2, max_len + 1), reversed(layers)):
+
+    def read(n: int, words: tuple[Word, ...]) -> None:
+        nonlocal counterexample
         present = frozenset(words)  # rotations keep the length
         tails = list(map(itemgetter(slice(1, None)), words))
         fails = list(map(failed.__contains__, tails))
@@ -424,6 +491,22 @@ def cyclic_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
         failed.update(dict.fromkeys(compress(words, fails)))
         if counterexample is None:
             per_length.append((n, len(words)))
+
+    # when max_len < f.max_len (analyze's embedded audit), holding F_max_len
+    # cuts each shorter layer from it instead of from the whole F_{f.max_len}
+    f.of_length(max_len)
+    read(2, f.of_length(2))
+    n = 3
+    while n <= max_len and counterexample is None:
+        girth = _girth(f.of_length(n), max_len + 1)
+        if girth <= n:
+            break
+        per_length.extend((k, f.counts[k]) for k in range(n, girth))
+        n = girth
+    # each layer is cut from the one above it, so ask from the top down
+    layers = [f.of_length(k) for k in range(max_len, n - 1, -1)]
+    for k, words in zip(range(n, max_len + 1), reversed(layers)):
+        read(k, words)
     return RotationAudit(
         max_len=max_len,
         per_length=tuple(per_length),

@@ -139,9 +139,9 @@ def _graded_audit(
     d_max: int,
     audit_len: int,
     levels: tuple[int, ...] = (),
-) -> tuple[dict, list[str], list[tuple[int, ...]]]:
-    """The s_prefix, chains, rotation_audit and lie entries, their counterexamples,
-    and each degree's chain ``level_lengths`` at ``levels`` for the nilpotency scan.
+) -> tuple[dict, list[tuple[int, ...]]]:
+    """The s_prefix, chains, rotation_audit and lie entries, and each degree's
+    chain ``level_lengths`` at ``levels`` for the nilpotency scan.
 
     Both audits read factors of length 2..audit_len; below 2 they are skipped.
     """
@@ -160,7 +160,6 @@ def _graded_audit(
                 },
             }
         )
-    counterexamples: list[str] = []
     if audit_len >= 2:
         rotation = graded.cyclic_rotation_audit(f, audit_len)
         rotation_doc = {
@@ -171,18 +170,12 @@ def _graded_audit(
             else None,
             "per_length": {str(l): n for l, n in rotation.per_length},
         }
-        if rotation.counterexample is not None:
-            counterexamples.append(
-                f"rotation audit: every rotation of '{m.decode(rotation.counterexample)}' is a factor"
-            )
         lie_failures = [m.decode(w) for w in rotation.lie_failures]
         lie_doc = {
             "max_len": audit_len,
             "pass": not lie_failures,
             "failures": lie_failures,
         }
-        for w in lie_failures:
-            counterexamples.append(f"bracket decomposition failed for '{w}'")
     else:
         rotation_doc = {"max_len": audit_len, "pass": None, "skipped": "factor bound below 2"}
         lie_doc = {"max_len": audit_len, "pass": None, "skipped": "factor bound below 2"}
@@ -192,15 +185,14 @@ def _graded_audit(
         "rotation_audit": rotation_doc,
         "lie": lie_doc,
     }
-    return doc, counterexamples, level_lengths
+    return doc, level_lengths
 
 
 def _graded_doc(m: Morphism, prefix: WordPrefix, f: FactorSet, cfg: AnalysisConfig) -> dict:
     audit_len = min(DEFAULT_EMBEDDED_AUDIT_LEN, f.max_len)
     s = graded.s_set(m, prefix)
-    # analyze shows failures inside the entries; only audit lists counterexamples
     levels = (prefix.generation_level - 1, prefix.generation_level)
-    doc, _, level_lengths = _graded_audit(m, s, f, cfg.d_max, audit_len, levels)
+    doc, level_lengths = _graded_audit(m, s, f, cfg.d_max, audit_len, levels)
     scan = graded.graded_nilpotency_scan(m, level_lengths, levels)
     scan_doc = {
         "levels": list(scan.levels),
@@ -295,8 +287,14 @@ def audit(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, bool, li
         raise ContractError("audit needs a factor bound of at least 2")
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
     f = factor_closure(m, cfg.max_len)
-    graded_doc, counterexamples, _ = _graded_audit(
-        m, graded.s_set(m, prefix), f, cfg.d_max, cfg.max_len
+    graded_doc, _ = _graded_audit(m, graded.s_set(m, prefix), f, cfg.d_max, cfg.max_len)
+    # analyze shows failures inside the entries; only audit lists counterexamples
+    rotation = graded_doc["rotation_audit"]["counterexample"]
+    counterexamples = [] if rotation is None else [
+        f"rotation audit: every rotation of '{rotation}' is a factor"
+    ]
+    counterexamples += (
+        f"bracket decomposition failed for '{w}'" for w in graded_doc["lie"]["failures"]
     )
 
     deps_ur = decide_uniform_recurrence(m, classify_shape(m), k_max=cfg.k_max)

@@ -602,6 +602,27 @@ def reference_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
     )
 
 
+def girth_reference(edges, cap: int) -> int:
+    """The shortest closed walk of the Rauzy graph with these edges, each
+    word e going from e[:-1] to e[1:], by a breadth-first search from every
+    vertex; ``cap`` when none is shorter."""
+    succ: dict[str, set[str]] = {}
+    for e in edges:
+        succ.setdefault(e[:-1], set()).add(e[1:])
+    best = cap
+    for source in succ:
+        seen, frontier, steps = {source}, [source], 0
+        while frontier and steps + 1 < best:
+            steps += 1
+            reached = {w for v in frontier for w in succ.get(v, ())}
+            if source in reached:
+                best = steps
+                break
+            frontier = [w for w in reached if w not in seen]
+            seen.update(frontier)
+    return best
+
+
 def lie_reference(m: Morphism, f: FactorSet, max_len: int) -> dict:
     """The full bracket loop: split every factor of length 2..max_len."""
     failures = []

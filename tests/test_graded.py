@@ -28,6 +28,7 @@ from conftest import (
     wide_morphism,
     degree_sums_reference,
     first_pieces_reference,
+    girth_reference,
     level_prefix,
     lie_reference,
     max_run_start,
@@ -488,10 +489,13 @@ def test_rotation_audit_periodic_fails(periodic_ab, closure):
 GALLERY = ["paper12", "fibonacci", "thue-morse", "ba-example", "periodic-ab"]
 
 
-@pytest.mark.parametrize("max_len", [2, 3, 5, 12, 20, 32])
-@pytest.mark.parametrize("name", GALLERY)
+@pytest.mark.parametrize(
+    "name, max_len",
+    [*itertools.product(GALLERY, [2, 3, 5, 12, 20, 32]), ("paper12", 48), ("paper12", 64)],
+)
 def test_rotation_audit_matches_the_reference_on_the_gallery(closure, name, max_len):
-    # paper12 passes at every length; the others fail at 2 and cascade
+    # paper12 passes at every length, most of them ruled out by a girth;
+    # the others fail at 2 and cascade
     f = closure(name, max_len)
     assert cyclic_rotation_audit(f, max_len) == reference_rotation_audit(replace(f), max_len)
 
@@ -520,6 +524,46 @@ def test_rotation_audit_matches_the_reference_on_any_word_set(f, data):
     # the drawn morphisms above all fail at length 2; sparse word sets also pass
     max_len = data.draw(st.integers(2, f.max_len))
     assert cyclic_rotation_audit(f, max_len) == reference_rotation_audit(replace(f), max_len)
+
+
+def test_rotation_audit_on_paper12_cuts_four_layers(closure, monkeypatch):
+    # the girths of G_2, G_3, G_11 and G_47 rule out 3..48 after length 2 is
+    # read, so only F_2, F_3, F_4 and F_12 are cut below F_48
+    f = replace(closure("paper12", 48))
+    asked = []
+    of_length = words.FactorSet.of_length
+
+    def counted(self, n):
+        asked.append(n)
+        return of_length(self, n)
+
+    monkeypatch.setattr(words.FactorSet, "of_length", counted)
+    audit = cyclic_rotation_audit(f, 48)
+    assert audit.passed and len(audit.per_length) == 47
+    assert len({n for n in asked if n < 48}) <= 4
+
+
+@st.composite
+def rauzy_edges(draw):
+    """Words of one length k + 1 over 1-5 letters, as Rauzy graph edges:
+    random words (sources, sinks and shared vertices among them), maybe a
+    self-loop, and maybe the windows of a periodic word, a cycle of its
+    period that may be a component of its own."""
+    letters = "abcde"[: draw(st.integers(1, 5))]
+    k = draw(st.integers(1, 5))
+    edges = draw(st.sets(st.text(letters, min_size=k + 1, max_size=k + 1), max_size=30))
+    if draw(st.booleans()):
+        edges.add(draw(st.sampled_from(letters)) * (k + 1))
+    if draw(st.booleans()):
+        word = draw(st.text(letters, min_size=1, max_size=12)) * (k + 2)
+        edges.update(word[i : i + k + 1] for i in range(len(word) - k))
+    return sorted(edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rauzy_edges(), st.integers(1, 30))
+def test_girth_matches_breadth_first_search(edges, cap):
+    assert graded._girth(edges, cap) == girth_reference(edges, cap)
 
 
 def test_rotation_audit_contract(closure):
