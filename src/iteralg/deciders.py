@@ -20,7 +20,6 @@ from .words import (
     ShapeRecord,
     Word,
     fixed_point_prefix,
-    subword_complexity,
 )
 
 
@@ -162,96 +161,64 @@ def _verify_periodic_fixed_point(m: Morphism, preperiod: Word, period: Word) -> 
     return need if lhs == rhs else None
 
 
-def _periodic_candidates(prefix: Word, max_period: int):
-    """(preperiod, period) pairs consistent with the prefix, smallest q first.
-
-    Candidates are only plausible; the caller must verify them against the
-    morphism before trusting one.
-    """
-    n = len(prefix)
-    for q in range(1, max_period + 1):
-        # first index from which prefix[i] == prefix[i+q] holds on
-        j = n - q - _common_suffix(prefix, q)
-        # require the periodic tail to be observed for at least two periods
-        if j + 2 * q <= n:
-            yield prefix[:j], prefix[j : j + q]
-
-
-def _common_suffix(word: Word, q: int) -> int:
-    """The longest l <= n - q, n = |word|, with word[n-q-l : n-q] == word[n-l :],
-    found by galloping and then bisecting over slice comparisons."""
-    n = len(word)
-
-    def agree(l: int) -> bool:
-        return word.startswith(word[n - l :], n - q - l)
-
-    hi = 1
-    while hi <= n - q and agree(hi):
-        hi *= 2
-    lo, hi = hi // 2, min(hi, n - q + 1)  # agree(lo), and not agree(hi) when hi <= n - q
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if agree(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def decide_eventual_periodicity(m: Morphism, f: FactorSet) -> Verdict:
-    """Morse-Hedlund positive test on the exact p(n), n <= ``f.max_len``, plus
-    verified period extraction from the first 2n letters of the fixed point x.
+    """Morse-Hedlund on the exact p(n), n <= L = ``f.max_len``: the fixed
+    point x is eventually periodic iff p(k+1) = p(k) for some k.  At the
+    least such k < L, the minimal pair is read off the first repeated
+    length-k window of x, so only p(k) + k letters of x are built.
 
-    When p(n) <= n fires at n, the minimal pair (i*, q*), x[i*:] = x[i*+q*:]
-    with i* and then q* least, has i* + 2q* <= 2n:
-    - p never decreases, p(0) = 1 and p(n) <= n, so some k < n has
-      p(k+1) = p(k);
-    - so every length-k factor has exactly one right extension, and x[i:]
-      is determined by x[i:i+k];
-    - two of the windows at positions 0..p(k), where p(k) <= n, are equal,
-      so x[i:] = x[j:] for some i < j <= n;
-    - so i* <= i and q* <= j - i (every period of the tail is a multiple
-      of the least), and i* + 2q* <= 2j - i <= 2n, which is what
-      ``_periodic_candidates`` needs in order to yield (i*, q*) from a
-      2n-letter prefix.
-    A verified pair is exact, so no shorter period passes: the pair found is
-    the minimal one, whatever prefix length shows it.
+    Lemma.  If p(k+1) = p(k), every length-k factor has exactly one right
+    extension, so x[i:] is determined by x[i:i+k], and p(n) = p(k) for
+    every n >= k.
+    - The p(k) + 1 windows at positions 0..p(k) take at most p(k) values,
+      so a first repeat exists at some j <= p(k), equal to the window at
+      some i < j, and x[i:] = x[j:].
+    - The least period of x[i:] is j - i: a shorter one would repeat
+      window i before position j.
+    - The preperiod is exactly i: were x[i':] periodic for some i' < i, its
+      least period would also be j - i, and windows i' and i' + j - i < j
+      would be equal, against j being the first repeat.
+    So (x[:i], x[i:j]) is the minimal (preperiod, period) pair.
 
-    Yes is unconditional: the extracted (preperiod, period) pair is checked
-    to reproduce a fixed point of the morphism starting with the start
-    letter.  No is conditional on the exhausted complexity bound.
+    Yes is unconditional: the pair is checked to reproduce a fixed point of
+    the morphism starting with the start letter.  Its ``mh_length`` is
+    p(k), the least n with p(n) <= n, which can exceed the bound when p
+    steps flat before reaching n.  No means p(n+1) > p(n) for every n < L
+    and is conditional on that bound.
     """
     bound = f.max_len
-    fired_at = None
-    for n in range(1, bound + 1):
-        if subword_complexity(f, n) <= n:
-            fired_at = n
-            break
-    if fired_at is not None:
-        prefix = fixed_point_prefix(m, 2 * fired_at).word
-        for pre, per in _periodic_candidates(prefix, fired_at):
-            verified = _verify_periodic_fixed_point(m, pre, per)
-            if verified is not None:
-                return Verdict.yes(
-                    {
-                        "preperiod": m.decode(pre),
-                        "period": m.decode(per),
-                        "mh_length": fired_at,
-                        "verified_letters": verified,
-                    },
-                    bound=bound,
-                )
-        raise InvariantError(
-            "complexity bound says eventually periodic but no verified "
-            "period was found; this contradicts Morse-Hedlund"
-        )
-    if bound >= 1:  # MH did not fire, so p(n) >= n + 1 for every n <= bound
+    p = f.counts
+    k = next((k for k in range(bound) if p[k + 1] == p[k]), None)
+    if k is None:
+        if bound == 0:
+            return Verdict.unknown(bound=bound)
         return Verdict.no(
             {"witness": "complexity-exceeds-n", "checked_up_to": bound},
             conditional=True,
             bound=bound,
         )
-    return Verdict.unknown(bound=bound)
+    x = fixed_point_prefix(m, p[k] + k).word
+    first: dict[Word, int] = {}
+    for j in range(p[k] + 1):
+        i = first.setdefault(x[j : j + k], j)
+        if i < j:
+            break
+    pre, per = x[:i], x[i:j]
+    verified = _verify_periodic_fixed_point(m, pre, per)
+    if verified is None:
+        raise InvariantError(
+            "complexity says eventually periodic but the first repeated window "
+            "gives no verified period; this contradicts Morse-Hedlund"
+        )
+    return Verdict.yes(
+        {
+            "preperiod": m.decode(pre),
+            "period": m.decode(per),
+            "mh_length": p[k],
+            "verified_letters": verified,
+        },
+        bound=bound,
+    )
 
 
 # ---------------------------------------------------------------------------

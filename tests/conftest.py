@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 
 import pytest
 from hypothesis import assume
@@ -526,12 +526,14 @@ def periodic_candidates_reference(prefix: str, max_period: int):
 
 
 def periodicity_ladder_reference(m: Morphism, f: FactorSet) -> Verdict:
-    """Eventual periodicity as the retry ladder read it: candidates walked off
-    a 4^8-letter prefix, then off prefixes 4 and 16 times as long, the first
-    one ``_verify_periodic_fixed_point`` accepts taken as the period."""
+    """Eventual periodicity as the retry ladder read it, fired by the first
+    flat step p(k+1) = p(k), k < L: candidates walked off a 4^8-letter
+    prefix, then off prefixes 4 and 16 times as long, the first one
+    ``_verify_periodic_fixed_point`` accepts taken as the period.
+    ``mh_length`` is the least n >= 1 with p(min(n, k)) <= n."""
     bound = f.max_len
-    fired = [n for n in range(1, bound + 1) if f.counts[n] <= n]
-    if not fired:
+    flat = [k for k in range(bound) if f.counts[k + 1] == f.counts[k]]
+    if not flat:
         if bound == 0:
             return Verdict.unknown(bound=0)
         return Verdict.no(
@@ -539,15 +541,16 @@ def periodicity_ladder_reference(m: Morphism, f: FactorSet) -> Verdict:
             conditional=True,
             bound=bound,
         )
+    mh_length = next(n for n in count(1) if f.counts[min(n, flat[0])] <= n)
     for scale in (1, 4, 16):
         prefix = fixed_point_prefix(m, scale * 4**8).word
-        for pre, per in periodic_candidates_reference(prefix, fired[0]):
+        for pre, per in periodic_candidates_reference(prefix, mh_length):
             verified = _verify_periodic_fixed_point(m, pre, per)
             if verified is not None:
                 certificate = {
                     "preperiod": m.decode(pre),
                     "period": m.decode(per),
-                    "mh_length": fired[0],
+                    "mh_length": mh_length,
                     "verified_letters": verified,
                 }
                 return Verdict.yes(certificate, bound=bound)

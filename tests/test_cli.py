@@ -285,8 +285,8 @@ def test_decide_ur_pushy_is_no(tmp_path, capsys):
 
 
 def test_late_period_is_found_from_a_short_prefix(tmp_path, capsys):
-    # the period search reads 2n letters of its own, so a one-letter prefix
-    # budget cannot hide the period
+    # the period search reads p(k) + k letters of its own, so a one-letter
+    # prefix budget cannot hide the period
     src = tmp_path / "late.morph"
     src.write_text(LATE_PERIOD_SOURCE)
     code, out, err = run(
@@ -296,6 +296,17 @@ def test_late_period_is_found_from_a_short_prefix(tmp_path, capsys):
     cert = json.loads(out)["properties"]["eventually_periodic"]["certificate"]
     assert cert["preperiod"] == " ".join(["a", *CHAIN])
     assert (cert["period"], cert["mh_length"]) == ("p", 42)
+
+
+@pytest.mark.parametrize("max_len", ["8", "41"])
+def test_decide_periodic_fires_on_a_flat_step(tmp_path, capsys, max_len):
+    # p(1) = p(2) = 42 > 8: the flat step decides Yes below the first n
+    # with p(n) <= n
+    src = tmp_path / "late.morph"
+    src.write_text(LATE_PERIOD_SOURCE)
+    code, out, _ = run(capsys, "decide", str(src), "periodic", "--max-len", max_len)
+    assert code == 0
+    assert out.startswith("periodic: Yes bound=") and '"mh_length": 42' in out
 
 
 def test_decide_parse_error(capsys, tmp_path):

@@ -18,7 +18,6 @@ from iteralg.deciders import (
     PropertyReport,
     Verdict,
     VerdictValue,
-    _periodic_candidates,
     classify_complexity,
     decide_eventual_periodicity,
     decide_primitive,
@@ -31,7 +30,6 @@ from iteralg.words import classify_shape, factor_closure, fixed_point_prefix
 from conftest import (
     block_cover_reference,
     occurring_reference,
-    periodic_candidates_reference,
     periodicity_ladder_reference,
     ring_property_reference,
     small_morphisms,
@@ -41,10 +39,6 @@ from test_words import mk, spy_prefixes
 
 def ur(m, *, k_max=6):
     return decide_uniform_recurrence(m, classify_shape(m), k_max=k_max)
-
-
-def prefix_of(m):
-    return fixed_point_prefix(m, 4**8)
 
 
 # ---------------------------------------------------------------------------
@@ -122,30 +116,6 @@ def test_every_primitivity_reader_runs_the_cross_check(monkeypatch, paper12, tmp
 # eventual periodicity
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.text(alphabet="abc", max_size=12),
-    st.text(alphabet="abc", min_size=1, max_size=6),
-    st.integers(0, 40),
-    st.text(alphabet="abc", max_size=3),
-    st.integers(1, 12),
-)
-def test_periodic_candidates_match_the_walk(pre, period, reps, tail, max_period):
-    # periodic words, with a preperiod and a ragged end, and random ones
-    for word in (pre + period * reps + tail, pre + tail, period * reps):
-        assert list(_periodic_candidates(word, max_period)) == list(
-            periodic_candidates_reference(word, max_period)
-        )
-
-
-def test_periodic_candidates_match_the_walk_on_fixed_points(periodic_ab, ba_example, fibonacci):
-    for m in (periodic_ab, ba_example, fibonacci):
-        word = prefix_of(m).word
-        assert list(_periodic_candidates(word, 16)) == list(
-            periodic_candidates_reference(word, 16)
-        )
-
-
 def test_periodic_ab(periodic_ab, closure):
     f = closure("periodic-ab", 8)
     v = decide_eventual_periodicity(periodic_ab, f)
@@ -185,9 +155,10 @@ def late_period():
     return mk(["a", *chain, "p"], ["a c1", *chain[1:], "p", "p"], "a")
 
 
-def test_periodicity_reads_a_2n_letter_prefix(monkeypatch, periodic_ab, ba_example, closure):
-    """Morse-Hedlund firing at n puts the minimal pair within 2n letters: the
-    decider builds only those and finds the pair of a 4^8-letter prefix."""
+def test_periodicity_reads_a_first_repeat_prefix(monkeypatch, periodic_ab, ba_example, closure):
+    """The first flat step p(k+1) = p(k) puts the minimal pair within p(k) + k
+    letters: the decider builds only those and finds the pair of a
+    4^8-letter prefix."""
     calls = spy_prefixes(monkeypatch, (deciders,))
     late = late_period()
     cases = [(periodic_ab, closure("periodic-ab", 8)), (ba_example, closure("ba-example", 8)),
@@ -196,9 +167,22 @@ def test_periodicity_reads_a_2n_letter_prefix(monkeypatch, periodic_ab, ba_examp
         calls.clear()
         v = decide_eventual_periodicity(m, f)
         assert v.is_yes
-        assert calls == [(2 * v.certificate["mh_length"], False)]
+        k = next(k for k in range(f.max_len) if f.counts[k + 1] == f.counts[k])
+        assert calls == [(f.counts[k] + k, False)]
         assert v == periodicity_ladder_reference(m, f)
     assert v.certificate["period"] == "p" and v.certificate["mh_length"] == 42  # late's
+
+
+def test_late_period_is_found_at_every_bound():
+    """late's p(1) = p(2) = 42: the flat step decides Yes at any bound L >= 2,
+    with mh_length past the bound, and the certificate of L = 64."""
+    late = late_period()
+    expected = decide_eventual_periodicity(late, factor_closure(late, 64)).certificate
+    assert (expected["mh_length"], expected["verified_letters"]) == (42, 44)
+    for max_len in (2, 8, 16, 32, 41, 64):
+        v = decide_eventual_periodicity(late, factor_closure(late, max_len))
+        assert v.is_yes and not v.conditional and v.bound == max_len
+        assert v.certificate == expected
 
 
 @settings(max_examples=120, deadline=None)
@@ -209,7 +193,17 @@ def test_periodicity_matches_the_prefix_ladder(m, max_len):
     assert v == periodicity_ladder_reference(m, f)
     if v.is_yes:
         pre, per = (len(m.encode(v.certificate[k])) for k in ("preperiod", "period"))
-        assert pre + 2 * per <= 2 * v.certificate["mh_length"]
+        assert pre + per <= v.certificate["mh_length"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.integers(min_value=1, max_value=6))
+def test_periodicity_yes_keeps_its_certificate_at_twice_the_bound(m, max_len):
+    # small bounds reach flat steps with p(k) > L, where mh_length passes L
+    v = decide_eventual_periodicity(m, factor_closure(m, max_len))
+    if v.is_yes:
+        wider = decide_eventual_periodicity(m, factor_closure(m, 2 * max_len))
+        assert wider.is_yes and wider.certificate == v.certificate
 
 
 # ---------------------------------------------------------------------------

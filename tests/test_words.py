@@ -835,8 +835,9 @@ def spy_prefixes(monkeypatch, modules):
 
 def assert_one_prefix_built(calls, n, max_len):
     """Exactly one call builds the prefix of n letters without a held prefix;
-    every other such call, a closure seed or a period search, asks for at
-    most 2 * max_len letters."""
+    every other such call, a closure seed of at most max_len letters or a
+    period search of p(k) + k letters, asks for at most 2 * max_len
+    letters on the inputs tested here."""
     unheld = sorted(k for k, given in calls if not given)
     assert n > 2 * max_len and unheld[-1] == n
     assert all(k <= 2 * max_len for k in unheld[:-1])
