@@ -460,9 +460,11 @@ def cyclic_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
     is a factor, since its parts at any cut are shorter and did not fail.  So
     a length n < girth(G_{n-1}) holds no failure and no counterexample, and
     adds only (n, p(n)) to ``per_length``.  Length 2 is read word by word;
-    then, while nothing has failed, the girth g of G_{n-1}, capped at
-    max_len + 1, rules out n..g-1 and the next girth is taken at g.  From the
-    first length not ruled out, every length is read.
+    then, while nothing has failed and n < max_len, the girth g of G_{n-1},
+    capped at max_len + 1, rules out n..g-1 and the next girth is taken at g.
+    From the first length not ruled out, every length is read.  Length
+    max_len itself is read, not ruled out: a girth there rules out one length
+    and costs more than reading it.
     """
     if max_len < 2:
         raise ContractError("rotation audit needs max_len >= 2")
@@ -497,7 +499,7 @@ def cyclic_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
     f.of_length(max_len)
     read(2, f.of_length(2))
     n = 3
-    while n <= max_len and counterexample is None:
+    while n < max_len and counterexample is None:
         girth = _girth(f.of_length(n), max_len + 1)
         if girth <= n:
             break

@@ -864,6 +864,22 @@ def factor_closure(
     begins, which gave it this round or before, by the same rule.  So every
     round adds the words that all windows would add, and ``closure_rounds``
     is the same.
+
+    Keys, when t = 1 + ceil((B-1)/j) < B (so j >= 2).  Fixpoint lemma: the
+    windows of psi(v) that start in psi(v[0]) lie in psi(v[:t]), since
+    |psi(v[1:t])| >= (t-1)j >= B-1; so a word not in ``ends`` gives the
+    windows of its key v[:t].  Each round translates only the keys of its
+    frontier not read before; a key read in an earlier round gave those
+    windows then, and a key of an ``ends`` word gives a subset of that
+    word's windows (|psi(v[1:])| > B-1), so every round adds the same words
+    and ``closure_rounds`` is unchanged.  The keys read are then F_t.
+    Harvest lemma: x = psi^2(x), and a window at position p of x lies in
+    psi^2(k) for the length-t factor k whose first letter's image under
+    psi^2 covers p, since |psi^2(k[1:])| >= (t-1)j^2 >= (B-1)j >= L-1.  So
+    F_L is the set of length-L windows of psi^2(k) that start in
+    psi^2(k[0]), over k in F_t; psi^2 is built only when a harvest runs.
+    When t = B (j = 1, every erasing phi, or B <= 2) both passes read whole
+    words as above.
     """
     reason = _prolongability_failure(m, m.start)
     if reason is not None:
@@ -874,18 +890,26 @@ def factor_closure(
         return FactorSet(max_len=0, words=("",), closure_rounds=0)
 
     psi, layers = _delete_mortal(m)
-    if psi.min_image_len == 1:
-        expand_bound = max_len
-    else:
-        expand_bound = max(1, min(max_len, (max_len - 2) // psi.min_image_len + 2))
+    j = psi.min_image_len
+    expand_bound = max_len if j == 1 else max(1, min(max_len, (max_len - 2) // j + 2))
+    key_len = 1 - (1 - expand_bound) // j
+    keyed = key_len < expand_bound
 
     seed = fixed_point_prefix(psi, expand_bound, memory_budget_bytes=memory_budget_bytes)
     known = _windows(seed.word, expand_bound)
     frontier, ends = known, {seed.word[-expand_bound:]}
+    read: set[Word] = set()  # the keys translated so far: F_t once the fixpoint ends
     rounds = seed.generation_level
     while True:
         last: set[Word] = set()
-        inner = set(_lead_windows(frontier, psi._table, expand_bound, ends, last)) - known
+        if keyed:
+            keys = {v[:key_len] for v in frontier} - read
+            read |= keys
+            inner = set(_lead_windows(keys, psi._table, expand_bound))
+            inner.update(_lead_windows(ends, psi._table, expand_bound, ends, last))
+        else:
+            inner = set(_lead_windows(frontier, psi._table, expand_bound, ends, last))
+        inner -= known
         ends = last - inner - known
         if not (frontier := inner | ends):
             break
@@ -893,12 +917,19 @@ def factor_closure(
         known |= frontier
         # a round's window set holds fresh copies of known words until
         # ``- known`` drops them, so two copies of the known words are charged
-        _check_budget(m, [(2 * len(known), expand_bound)], memory_budget_bytes)
+        _check_budget(
+            m, [(2 * len(known), expand_bound), (len(read), key_len)], memory_budget_bytes
+        )
     if max_len > expand_bound:
         rounds += 1
-        harvest = set(_lead_windows(known, psi._table, max_len))
+        if keyed:
+            harvest = set(_lead_windows(read, PowerTables(psi, (psi.start,)).table(2), max_len))
+        else:
+            harvest = set(_lead_windows(known, psi._table, max_len))
         _check_budget(
-            m, [(len(known), expand_bound), (len(harvest), max_len)], memory_budget_bytes
+            m,
+            [(len(known), expand_bound), (len(read), key_len), (len(harvest), max_len)],
+            memory_budget_bytes,
         )
         known = harvest
     if layers:

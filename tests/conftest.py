@@ -820,16 +820,18 @@ def small_morphisms(
     max_image: int = 3,
     allow_erasing: bool = False,
     graded: bool = False,
+    min_image: int = 1,
 ):
-    """Random morphisms prolongable on their start letter."""
+    """Random morphisms prolongable on their start letter, every image of
+    ``min_image`` to ``max_image`` letters (0 to ``max_image`` when erasing)."""
     n = draw(st.integers(min_value=1, max_value=max_letters))
     start = draw(st.integers(min_value=0, max_value=n - 1))
     letters = tuple(f"a{i}" for i in range(n))
-    low = 0 if allow_erasing else 1
+    low = 0 if allow_erasing else min_image
     images = []
     for i in range(n):
         if i == start:
-            tail_len = draw(st.integers(min_value=1, max_value=max_image - 1))
+            tail_len = draw(st.integers(min_value=max(1, low - 1), max_value=max_image - 1))
             tail = "".join(
                 chr(draw(st.integers(0, n - 1))) for _ in range(tail_len)
             )

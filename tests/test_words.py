@@ -644,6 +644,38 @@ def test_closure_matches_the_reference_on_a_wide_alphabet(max_len):
     assert (f.words, f.counts, f.closure_rounds) == reference_closure(m, max_len)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_morphisms(max_image=4, min_image=2), st.integers(min_value=1, max_value=64))
+def test_keyed_closure_matches_the_all_windows_reference(m, max_len):
+    # every image has j = 2..4 letters, so at every L >= j + 2 the fixpoint
+    # translates t-letter keys (t < B) and the harvest reads F_t under psi^2
+    f = factor_closure(m, max_len)
+    assert (f.words, f.counts, f.closure_rounds) == reference_closure(m, max_len)
+
+
+def test_paper12_closure_translates_keys_not_words(monkeypatch, closure):
+    # paper12 at L = 128: j = 4, B = 33 and t = 1 + ceil(32 / 4) = 9
+    expected, layers = closure("paper12", 128), closure("paper12", 33)
+    assert (layers.counts[9], layers.counts[33]) == (300, 1167)
+    calls = []
+    lead_windows = words._lead_windows
+
+    def spy(ws, table, size, *args):
+        ws = list(ws)
+        calls.append((size, ws))
+        return lead_windows(ws, table, size, *args)
+
+    monkeypatch.setattr(words, "_lead_windows", spy)
+    f = factor_closure(words.parse_morphism(cli.gallery_text("paper12")), 128)
+    assert (f.words, f.counts) == (expected.words, expected.counts)
+    keys = [w for size, ws in calls if size == 33 for w in ws if len(w) == 9]
+    ends = [w for size, ws in calls if size == 33 for w in ws if len(w) != 9]
+    harvest = [ws for size, ws in calls if size == 128]
+    # each key of F_9 is translated once; whole words only as the few ends
+    assert sorted(keys) == sorted(layers.of_length(9)) and len(ends) < 10
+    assert [sorted(ws) for ws in harvest] == [sorted(layers.of_length(9))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3 * COUNT_PASS_MAX_LETTERS), st.data())
 def test_letter_counts_match_a_tally(size, data):
