@@ -593,11 +593,16 @@ class PowerTables:
             self._sizes.append(sum(map(lengths.__getitem__, self._letters)))
         return self._sizes[h]
 
+    def entry_lengths(self, h: int) -> list[int]:
+        """|T_h[c]| for each letter c (0 for an unreachable c when h >= 1),
+        known without building T_h."""
+        self.size(h)
+        return self._entry_lengths[h]
+
     def length(self, word: Word, h: int) -> int:
         """|word translated under T_h|, known without building T_h."""
-        self.size(h)
         counts = letter_counts(word, len(self._images), 0, len(word))
-        return sum(map(mul, counts, self._entry_lengths[h]))
+        return sum(map(mul, counts, self.entry_lengths(h)))
 
     def table(self, h: int) -> list[str] | None:
         """T_h, with the tables below it built first; None is the identity."""
@@ -777,6 +782,20 @@ def _lead_windows(
         yield from [w[i : i + size] for i in range(end)]
 
 
+def _harvest_cost(lengths: Sequence[int], words: Collection[Word], n: int) -> int:
+    """|T(v)| + |T(v[0])| summed over ``words``, all of n letters, for a table
+    T whose entries have these ``lengths`` (0 only for letters no word
+    holds).  When each v gives all |T(v[0])| windows, this is what
+    ``_lead_windows`` writes, a window counted as one letter.  One count pass
+    per letter whose entry is longer than the shortest."""
+    text = "".join(words)
+    text += text[::n]
+    low = min(k for k in lengths if k)
+    return low * len(text) + sum(
+        (k - low) * text.count(chr(c)) for c, k in enumerate(lengths) if k > low
+    )
+
+
 def _delete_mortal(m: Morphism) -> tuple[Morphism, int]:
     """(psi, k) for the mortal letters D of m: psi = delta o phi with the
     letters of D mapped to themselves, where the map delta deletes D (psi is
@@ -877,9 +896,17 @@ def factor_closure(
     psi^2(k) for the length-t factor k whose first letter's image under
     psi^2 covers p, since |psi^2(k[1:])| >= (t-1)j^2 >= (B-1)j >= L-1.  So
     F_L is the set of length-L windows of psi^2(k) that start in
-    psi^2(k[0]), over k in F_t; psi^2 is built only when a harvest runs.
-    When t = B (j = 1, every erasing phi, or B <= 2) both passes read whole
-    words as above.
+    psi^2(k[0]), over k in F_t.  Either harvest gives F_L, and each word of
+    either gives all the windows that start in its first letter's image.
+    The one over F_t is taken when it writes fewer letters (its images,
+    their windows counted as one letter each, and psi^2's table) than the
+    one over F_B, read off entry lengths (``_harvest_cost``), and when
+    psi^2's table, one key's image and that image's windows fit the budget;
+    psi^2 is built only then.  A letter whose image is much longer than j
+    can make psi^2 of a key far longer than psi of its word (a -> ab,
+    b -> b^3000 at L = 64: 1.5e8 letters against 1e5), and there F_B is
+    read.  When t = B (j = 1, every erasing phi, or B <= 2) both passes read
+    whole words as above.
     """
     reason = _prolongability_failure(m, m.start)
     if reason is not None:
@@ -922,10 +949,22 @@ def factor_closure(
         )
     if max_len > expand_bound:
         rounds += 1
+        table, sources = psi._table, known
         if keyed:
-            harvest = set(_lead_windows(read, PowerTables(psi, (psi.start,)).table(2), max_len))
-        else:
-            harvest = set(_lead_windows(known, psi._table, max_len))
+            tables = PowerTables(psi, (psi.start,))
+            lengths = tables.entry_lengths(2)
+            longest = max(lengths)
+            # psi^2 holds its table, one key's image and that image's windows
+            held = _word_bytes(m, tables.size(2) + key_len * longest) + longest * (
+                _word_bytes(m, max_len) + 8
+            )
+            if (
+                _harvest_cost(lengths, read, key_len) + tables.size(2)
+                < _harvest_cost(tables.entry_lengths(1), known, expand_bound)
+                and held <= memory_budget_bytes
+            ):
+                table, sources = tables.table(2), read
+        harvest = set(_lead_windows(sources, table, max_len))
         _check_budget(
             m,
             [(len(known), expand_bound), (len(read), key_len), (len(harvest), max_len)],

@@ -653,10 +653,8 @@ def test_keyed_closure_matches_the_all_windows_reference(m, max_len):
     assert (f.words, f.counts, f.closure_rounds) == reference_closure(m, max_len)
 
 
-def test_paper12_closure_translates_keys_not_words(monkeypatch, closure):
-    # paper12 at L = 128: j = 4, B = 33 and t = 1 + ceil(32 / 4) = 9
-    expected, layers = closure("paper12", 128), closure("paper12", 33)
-    assert (layers.counts[9], layers.counts[33]) == (300, 1167)
+def spy_lead_windows(monkeypatch) -> list[tuple[int, list[str]]]:
+    """(size, words) of every later ``words._lead_windows`` call."""
     calls = []
     lead_windows = words._lead_windows
 
@@ -666,6 +664,14 @@ def test_paper12_closure_translates_keys_not_words(monkeypatch, closure):
         return lead_windows(ws, table, size, *args)
 
     monkeypatch.setattr(words, "_lead_windows", spy)
+    return calls
+
+
+def test_paper12_closure_translates_keys_not_words(monkeypatch, closure):
+    # paper12 at L = 128: j = 4, B = 33 and t = 1 + ceil(32 / 4) = 9
+    expected, layers = closure("paper12", 128), closure("paper12", 33)
+    assert (layers.counts[9], layers.counts[33]) == (300, 1167)
+    calls = spy_lead_windows(monkeypatch)
     f = factor_closure(words.parse_morphism(cli.gallery_text("paper12")), 128)
     assert (f.words, f.counts) == (expected.words, expected.counts)
     keys = [w for size, ws in calls if size == 33 for w in ws if len(w) == 9]
@@ -674,6 +680,43 @@ def test_paper12_closure_translates_keys_not_words(monkeypatch, closure):
     # each key of F_9 is translated once; whole words only as the few ends
     assert sorted(keys) == sorted(layers.of_length(9)) and len(ends) < 10
     assert [sorted(ws) for ws in harvest] == [sorted(layers.of_length(9))]
+
+
+def test_harvest_reads_f_b_where_psi_squared_of_a_key_is_long(monkeypatch):
+    # a -> ab, b -> b^300 at L = 64: j = 2, B = 33 and t = 17.  psi^2 of the
+    # key b^17 has 1.53e6 letters and 90,000 lead windows (about 12 MB),
+    # psi of b^33 has 9,900 letters and 300 lead windows.  At a 2 MB budget
+    # and at the default one, F_B is read and nothing near 2 MB is held
+    m = parse_morphism("letters: a b\nstart: a\nmap a -> a b\nmap b -> " + "b " * 300)
+    expected = reference_closure(m, 64)
+    for budget in (2_000_000, words.DEFAULT_MEMORY_BUDGET_BYTES):
+        calls = spy_lead_windows(monkeypatch)
+        tracemalloc.start()
+        try:
+            f = factor_closure(m, 64, memory_budget_bytes=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+        assert (f.words, f.counts, f.closure_rounds) == expected
+        harvest = [sorted(ws) for size, ws in calls if size == 64]
+        assert harvest == [["\0" + "\1" * 32, "\1" * 33]]
+
+
+def test_harvest_reads_f_b_when_psi_squared_exceeds_the_budget(monkeypatch):
+    # L = 32: j = 4, B = 9 and t = 3.  The F_t harvest writes fewer letters,
+    # but psi^2 (152 letters), one key's image (3 * 120) and its 120 windows
+    # need about 11.2 KB, and the whole closure about 10.3 KB: at 10.5 KB
+    # F_B is read and psi^2 is never built; at the default budget F_t is read
+    m = parse_morphism(
+        "letters: a b\nstart: a\nmap a -> a a a b a a b a a a b a\nmap b -> b a b a\n"
+    )
+    expected = reference_closure(m, 32)
+    for budget, key_len in [(10_500, 9), (words.DEFAULT_MEMORY_BUDGET_BYTES, 3)]:
+        calls = spy_lead_windows(monkeypatch)
+        f = factor_closure(m, 32, memory_budget_bytes=budget)
+        assert (f.words, f.counts, f.closure_rounds) == expected
+        assert {len(w) for size, ws in calls if size == 32 for w in ws} == {key_len}
 
 
 @settings(max_examples=60, deadline=None)
