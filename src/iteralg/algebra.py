@@ -23,7 +23,7 @@ def hilbert_function(f: FactorSet, n: int) -> int:
 
 def graded_dimensions(f: FactorSet, degrees: tuple[int, ...], top: int) -> list[int]:
     """Number of factors of each grading degree 0..top, from one pass over
-    F_top down to F_1."""
+    F_1..F_top."""
     if top < 0:
         raise ContractError("degree must be nonnegative")
     if top > f.max_len:
@@ -35,7 +35,7 @@ def graded_dimensions(f: FactorSet, degrees: tuple[int, ...], top: int) -> list[
     # degree is the length of its translation; capped at top + 1, a word
     # holding a letter of larger degree still lies above top and is dropped
     table = ["." * min(g, top + 1) for g in degrees]
-    tally = Counter(len(w.translate(table)) for n in range(top, 0, -1) for w in f.of_length(n))
+    tally = Counter(len(w.translate(table)) for n in range(1, top + 1) for w in f.of_length(n))
     return [1] + [tally[d] for d in range(1, top + 1)]
 
 

@@ -494,9 +494,6 @@ def cyclic_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
         if counterexample is None:
             per_length.append((n, len(words)))
 
-    # when max_len < f.max_len (analyze's embedded audit), holding F_max_len
-    # cuts each shorter layer from it instead of from the whole F_{f.max_len}
-    f.of_length(max_len)
     read(2, f.of_length(2))
     n = 3
     while n < max_len and counterexample is None:
@@ -505,10 +502,8 @@ def cyclic_rotation_audit(f: FactorSet, max_len: int) -> RotationAudit:
             break
         per_length.extend((k, f.counts[k]) for k in range(n, girth))
         n = girth
-    # each layer is cut from the one above it, so ask from the top down
-    layers = [f.of_length(k) for k in range(max_len, n - 1, -1)]
-    for k, words in zip(range(n, max_len + 1), reversed(layers)):
-        read(k, words)
+    for k in range(n, max_len + 1):
+        read(k, f.of_length(k))
     return RotationAudit(
         max_len=max_len,
         per_length=tuple(per_length),

@@ -9,8 +9,8 @@ arithmetic are banned in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial, reduce
-from itertools import accumulate
+from functools import cache
+from itertools import accumulate, repeat
 from math import comb, isqrt
 from operator import add, mul
 
@@ -152,14 +152,21 @@ def _char_poly_mod(M: IncidenceMatrix, q: int) -> list[int]:
 
 def _annihilates(coeffs: tuple[int, ...], M: IncidenceMatrix) -> bool:
     """Is p(M) = 0?  Every column p(M) e_j at once, as the rows of p(M^T), by
-    Horner's rule over Z: row x of M^T V is the sum of the rows V_i over the
-    sparse column x of M, i counted M[i][x] times, so a step costs n * nnz."""
+    Horner's rule over Z: row x of M^T V is the sum of the rows V_i times
+    M[i][x] over the nonzero entries of column x of M, added one row at a
+    time into a new list, so a step costs n * nnz however long phi(x) is."""
     n = M.size
-    columns = _sparse(zip(*M.rows))
-    vector_sum = partial(map, add)
+    columns = [[(i, a) for i, a in enumerate(col) if a] for col in zip(*M.rows)]
     V = [[int(i == x) for i in range(n)] for x in range(n)]
     for c in reversed(coeffs[:-1]):
-        V = [list(reduce(vector_sum, map(V.__getitem__, col))) if col else [0] * n for col in columns]
+        W = []
+        for col in columns:
+            row = None
+            for i, a in col:
+                term = V[i] if a == 1 else map(mul, V[i], repeat(a))
+                row = list(term) if row is None else list(map(add, row, term))
+            W.append([0] * n if row is None else row)
+        V = W
         for x, row in enumerate(V):
             row[x] += c
     return not any(map(any, V))

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, count, cycle, islice, pairwise, starmap
+from itertools import accumulate, compress, count, cycle, islice, pairwise, repeat, starmap
 from operator import itemgetter, mul, or_, xor
 from typing import ClassVar, Collection, Iterable, Iterator, NamedTuple, Sequence
 
@@ -223,10 +223,12 @@ class ShapeRecord:
 class FactorSet:
     """The factors of the fixed point up to ``max_len``, held as F_L.
 
-    ``words`` is the sorted tuple of factors of length exactly L = ``max_len``.
-    Every factor of an infinite word is a prefix of a length-L factor, so
-    membership, the counts p(n) and the shorter factors are all read off
-    ``words`` by prefixes.
+    ``words`` is the sorted tuple of factors of length exactly L = ``max_len``,
+    never empty.  Every factor of an infinite word is a prefix of a length-L
+    factor, so membership, the counts p(n) and the shorter factors are all
+    read off ``words`` by prefixes.  Code point i - 1 of ``lcps`` is the
+    longest common prefix length of ``words[i - 1]`` and ``words[i]``: word i
+    brings a new n-prefix exactly when that lcp is below n.
     """
 
     # every closure is exact; reports still print the flag
@@ -236,26 +238,20 @@ class FactorSet:
     words: tuple[Word, ...]
     closure_rounds: int
     counts: tuple[int, ...] = field(init=False)
-    _by_length: dict[int, tuple[Word, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    lcps: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # p(n) = #{i : lcp(s_{i-1}, s_i) < n}: word i adds one new n-prefix
-        # for each n in (lcp, L], tallied as a difference array.  Read as
-        # integers at ``bits`` bits a letter, two length-L words differ in
-        # the last ceil(bit_length(xor) / bits) = L - lcp letters.
-        n = self.max_len
-        diff = [0] * (n + 2)
-        if self.words:
-            diff[1] = 1
-            try:
-                bits, lengths = 8, _xor_lengths(self.words, "latin-1")
-            except UnicodeEncodeError:  # a letter id past 255
-                bits, lengths = 32, _xor_lengths(self.words, "utf-32-be")
-            for length, count in lengths.items():
-                diff[n + 1 - (length + bits - 1) // bits] += count
-        object.__setattr__(self, "counts", (1, *accumulate(diff[1 : n + 1])))
+        if not self.words:
+            raise ValueError("an infinite word has factors of every length")
+        try:
+            lcps = _lcps(self.words, self.max_len, 8, "latin-1")
+        except UnicodeEncodeError:  # a letter id past 255
+            lcps = _lcps(self.words, self.max_len, 32, "utf-32-be")
+        # p(n) = 1 + #{i : lcp_i < n}, the 1 for words[0]
+        tally = Counter(lcps)
+        counts = accumulate(map(tally.__getitem__, map(chr, range(self.max_len))), initial=1)
+        object.__setattr__(self, "lcps", lcps)
+        object.__setattr__(self, "counts", tuple(counts))
 
     def __contains__(self, word: Word) -> bool:
         if len(word) > self.max_len:
@@ -264,36 +260,29 @@ class FactorSet:
         return i < len(self.words) and self.words[i].startswith(word)
 
     def of_length(self, n: int) -> tuple[Word, ...]:
-        """The factors of length ``n``, sorted: the distinct n-prefixes of the
-        shortest layer held above n, or of ``words`` when none is held.
-
-        Only the layer asked for is kept, so a caller that reads many layers
-        asks for them from the longest down and each is cut from the last.
-        """
+        """The factors of length ``n``, sorted: the n-prefix of ``words[0]``
+        and of each later word whose lcp with the word before it is below n."""
         if n < 0 or n > self.max_len:
             raise ContractError(f"length {n} outside the computed range 0..{self.max_len}")
         if n == self.max_len:
             return self.words
-        found = self._by_length.get(n)
-        if found is None:
-            above = min((k for k in self._by_length if k > n), default=None)
-            source = self.words if above is None else self._by_length[above]
-            # prefixes of a sorted tuple come out sorted, equal ones adjacent
-            found = tuple(dict.fromkeys(map(itemgetter(slice(0, n)), source)))
-            self._by_length[n] = found
-        return found
+        below = self.lcps.translate("\1" * n + "\0" * (self.max_len - n)).encode("latin-1")
+        return tuple(map(itemgetter(slice(0, n)), compress(self.words, b"\1" + below)))
 
     @cached_property
     def factors(self) -> frozenset[Word]:
         """Every factor of length <= ``max_len`` as one set, built on first use."""
-        return frozenset().union(*map(self.of_length, range(self.max_len, -1, -1)))
+        return frozenset().union(*map(self.of_length, range(self.max_len + 1)))
 
 
-def _xor_lengths(words: Iterable[Word], codec: str) -> Counter[int]:
-    """How often each bit length occurs among the XORs of neighbouring
-    words, each read as one integer in ``codec``, with no list of them built."""
-    keys = (int.from_bytes(s.encode(codec), "big") for s in words)
-    return Counter(map(int.bit_length, starmap(xor, pairwise(keys))))
+def _lcps(words: Iterable[Word], n: int, bits: int, codec: str) -> str:
+    """The lcps of neighbouring length-n words, one code point each.  Read as
+    integers in ``codec`` at ``bits`` bits a letter, two words differ in their
+    last ceil(bit_length(xor) / bits) = n - lcp letters, so code point b of
+    ``by_bits`` is the lcp of a pair whose XOR has b bits."""
+    by_bits = chr(n) + "".join(chr(n - k) * bits for k in range(1, n + 1))
+    keys = map(int.from_bytes, map(str.encode, words, repeat(codec)), repeat("big"))
+    return "".join(map(by_bits.__getitem__, map(int.bit_length, starmap(xor, pairwise(keys)))))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +313,6 @@ def parse_morphism(source: str, *, filename: str | None = None) -> Morphism:
         if text.startswith("letters:"):
             if letters is not None:
                 fail("duplicate 'letters:' line", lineno)
-            if start_name is not None or maps or degree_lines:
-                fail("'letters:' must be the first declaration", lineno)
             names = text[len("letters:"):].split()
             if not names:
                 fail("empty alphabet", lineno)

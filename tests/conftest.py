@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count
@@ -68,10 +69,8 @@ def max_image_len(m: Morphism) -> int:
 
 
 def sorted_factors(f: FactorSet) -> list[str]:
-    """Every factor, shortest first, each length in canonical order; the
-    layers are asked for from the longest down, each cut from the one above."""
-    layers = [f.of_length(n) for n in range(f.max_len, -1, -1)]
-    return [w for layer in reversed(layers) for w in layer]
+    """Every factor, shortest first, each length in canonical order."""
+    return [w for n in range(f.max_len + 1) for w in f.of_length(n)]
 
 
 def holds_at(rec: LinearRecurrence, seq, n: int) -> bool:
@@ -287,6 +286,14 @@ def reference_closure(m: Morphism, max_len: int) -> tuple[tuple[str, ...], tuple
         diff[lcp(prev, s) + 1] += 1
         prev = s
     return words, (1, *accumulate(diff[1 : max_len + 1])), rounds
+
+
+def right_special_excess(f: FactorSet, n: int) -> Counter[str]:
+    """Each right special factor w of length n < L, counted d+(w) - 1 times,
+    where d+(w) is the number of letters a with wa a factor: F_{n+1} grouped
+    by its n-prefixes."""
+    extensions = Counter(w[:n] for w in f.of_length(n + 1))
+    return Counter({w: d - 1 for w, d in extensions.items() if d > 1})
 
 
 def brute_factor_count(word: str, n: int) -> int:

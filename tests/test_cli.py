@@ -139,6 +139,15 @@ def test_unreadable_path_is_a_parse_error(tmp_path, command, kind):
     assert line.startswith(f"error: cannot read {path}: ")
 
 
+def test_analyze_of_a_hundred_thousand_letter_image_exits_cleanly(tmp_path):
+    # char_poly's Cayley-Hamilton check once chained one lazy sum per letter
+    # of phi(b), and 10^5 of them overflowed the C stack (exit -11)
+    path = tmp_path / "long.morph"
+    path.write_text("letters: a b\nstart: a\nmap a -> a b\nmap b ->" + " b" * 10**5 + "\n")
+    proc = run_module("analyze", str(path))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_analyze_strict_unknown(tmp_path, capsys):
     src = tmp_path / "u.morph"
     src.write_text(UNKNOWN_UR_SOURCE)

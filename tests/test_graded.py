@@ -528,7 +528,7 @@ def test_rotation_audit_matches_the_reference_on_any_word_set(f, data):
 
 def test_rotation_audit_on_paper12_cuts_four_layers(closure, monkeypatch):
     # the girths of G_2, G_3, G_11 and G_47 rule out 3..48 after length 2 is
-    # read, so only F_2, F_3, F_4 and F_12 are cut below F_48
+    # read, so only F_2, F_3, F_4 and F_12 are read off F_48
     f = replace(closure("paper12", 48))
     asked = []
     of_length = words.FactorSet.of_length

@@ -1,8 +1,10 @@
 import itertools
 import json
+import os
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,6 +50,7 @@ from conftest import (
     prefix_reference,
     proven_factors,
     reference_closure,
+    right_special_excess,
     small_morphisms,
     support_reach,
     unreachable_reference,
@@ -108,6 +111,34 @@ def test_parse_paper12(paper12):
         ("letters: a b\nstart: a\nmap a -> a b\n", "missing map"),
         ("start: a\nletters: a\nmap a -> a a\n", "must come before"),
         ("letters: a\nstart: a\nmap a -> a a\nbogus line\n", "unrecognized"),
+        ("# a comment only\n", "line 1: missing 'letters:' line"),
+        ("letters: a\nletters: a\n", "line 2: duplicate 'letters:' line"),
+        ("letters:\n", "line 1: empty alphabet"),
+        ("letters: a\nstart: a\nstart: a\nmap a -> a a\n", "line 3: duplicate 'start:' line"),
+        ("letters: a b\nstart: a b\n", "line 2: 'start:' takes exactly one letter"),
+        ("letters: a\nstart: b\nmap a -> a a\n", "line 2: start letter 'b' not declared"),
+        ("map a -> a a\nletters: a\n", "line 1: 'letters:' must come before 'map'"),
+        ("letters: a\nstart: a\nmap a a a\n", "line 3: map line needs '->'"),
+        ("letters: a b\nstart: a\nmap a b -> a\n", "line 3: map line needs exactly one source letter"),
+        ("letters: a\nstart: a\nmap c -> a\n", "line 3: map for undeclared letter 'c'"),
+        ("degree a = 1\nletters: a\n", "line 1: 'letters:' must come before 'degree'"),
+        ("letters: a\nstart: a\nmap a -> a a\ndegree a 2\n", "line 4: degree line needs '='"),
+        (
+            "letters: a\nstart: a\nmap a -> a a\ndegree a = x\n",
+            "line 4: degree value 'x' is not an integer",
+        ),
+        (
+            "letters: a\nstart: a\nmap a -> a a\ndegree default = 2\ndegree default = 3\n",
+            "line 5: duplicate 'degree default' line",
+        ),
+        (
+            "letters: a\nstart: a\nmap a -> a a\ndegree q = 2\n",
+            "line 4: degree for undeclared letter 'q'",
+        ),
+        (
+            "letters: a\nstart: a\nmap a -> a a\ndegree a = 2\ndegree a = 3\n",
+            "line 5: duplicate degree for letter 'a'",
+        ),
     ],
 )
 def test_parse_errors(source, fragment):
@@ -559,10 +590,15 @@ def test_closure_rounds_and_counts_pinned(closure):
 
 def test_closure_holds_only_length_L_words(paper12):
     f = factor_closure(paper12, 128)
-    assert "factors" not in vars(f) and not f._by_length
+    assert set(vars(f)) == {"max_len", "words", "closure_rounds", "counts", "lcps"}
     assert all(len(w) == 128 for w in f.words)
     assert list(f.words) == sorted(set(f.words))
     assert len(f.words) == f.counts[128]
+
+
+def test_an_empty_factor_set_is_rejected():
+    with pytest.raises(ValueError, match="every length"):
+        words.FactorSet(max_len=3, words=(), closure_rounds=0)
 
 
 def test_fibonacci_complexity_at_256(closure):
@@ -764,11 +800,33 @@ def test_layers_do_not_depend_on_the_order_they_are_asked_in(m, max_len, data):
 
 
 def test_a_short_layer_is_cut_without_the_layers_between(closure):
-    # asking for F_1 of F_64 builds and keeps F_1 alone, not F_63..F_1
+    # each layer is one filter of F_64 by the lcp array, and none is kept
     f = replace(closure("paper12", 64))
+    held = dict(vars(f))
     assert len(f.of_length(1)) == 12
-    assert list(f._by_length) == [1]
-    assert f.of_length(64) is f.words and list(f._by_length) == [1]
+    for n in (*range(65), *range(64, -1, -1)):
+        f.of_length(n)
+    assert vars(f) == held
+    assert f.of_length(64) is f.words
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.integers(0, 12))
+@example(wide_morphism(300), 12)
+def test_lcps_are_those_of_neighbouring_words(m, max_len):
+    f = factor_closure(m, max_len)
+    brute = [len(os.path.commonprefix(pair)) for pair in itertools.pairwise(f.words)]
+    assert list(map(ord, f.lcps)) == brute
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_morphisms(allow_erasing=True), st.integers(1, 12))
+@example(wide_morphism(300), 12)
+def test_lcps_count_each_right_special_factor_once_per_extra_extension(m, max_len):
+    f = factor_closure(m, max_len)
+    for n in range(max_len):
+        at_n = Counter(s[:n] for s, lcp in zip(f.words[1:], f.lcps) if ord(lcp) == n)
+        assert at_n == right_special_excess(f, n), n
 
 
 def test_complexity_counts(fibonacci, periodic_ab, closure):
