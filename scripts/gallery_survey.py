@@ -33,10 +33,9 @@ def main() -> None:
         rep = ring_property_report(deps)
         elapsed = time.perf_counter() - t0
         shape_txt = f"{shape.d_uniform}-uniform" if shape.d_uniform else "general"
-        gk = rep.gk_dimension if rep.gk_dimension is not None else "?"
         print(
             f"{name:<14}{shape_txt:<12}{fmt(rep.prime):<8}{fmt(rep.just_infinite):<8}"
-            f"{fmt(rep.pi):<8}{gk!s:<5}{rep.complexity_class.value:<22}{elapsed:6.2f}s"
+            f"{fmt(rep.pi):<8}{rep.gk_dimension:<5}{rep.complexity_class.value:<22}{elapsed:6.2f}s"
         )
     print("\n(* = verdict rests on a bounded search)")
 

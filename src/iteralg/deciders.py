@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_K_MAX
-from .errors import InvariantError
+from .errors import ContractError, InvariantError
 from .words import (
     FactorSet,
     Morphism,
@@ -67,13 +67,12 @@ class ComplexityClass(enum.Enum):
     LINEAR = "Theta(n)"
     AT_MOST_N_LOG_N = "O(n log n)"
     QUADRATIC = "Theta(n^2)"
-    UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)
 class ComplexityResult:
     complexity_class: ComplexityClass
-    gk_dimension: int | None  # None = Unknown
+    gk_dimension: int
     conditional: bool
     method: str
 
@@ -87,12 +86,12 @@ class PropertyReport:
     noetherian: Verdict
     jacobson_trivial: Verdict
     primitive_algebra: Verdict
-    gk_dimension: int | None
+    gk_dimension: int
     complexity_class: ComplexityClass
 
     @property
     def has_unknown(self) -> bool:
-        return any(getattr(self, p).is_unknown for p in RING_PROPERTIES) or self.gk_dimension is None
+        return any(getattr(self, p).is_unknown for p in RING_PROPERTIES)
 
 
 @dataclass(frozen=True)
@@ -133,32 +132,8 @@ def decide_primitive(m: Morphism, shape: ShapeRecord) -> Verdict:
 
 
 def _periodic_stream(preperiod: Word, period: Word, length: int) -> Word:
-    if length <= len(preperiod):
-        return preperiod[:length]
-    reps = (length - len(preperiod)) // len(period) + 1
-    return (preperiod + period * reps)[:length]
-
-
-def _verify_periodic_fixed_point(m: Morphism, preperiod: Word, period: Word) -> int | None:
-    """Length over which u v^omega was certified equal to phi(u v^omega).
-
-    A word starting with the prolongable start letter and fixed by phi is the
-    fixed point; equality of two eventually periodic words follows from
-    agreement over preperiod + lcm of periods + slack.
-    """
-    if not period:
-        return None
-    img_pre = m.apply(preperiod)
-    img_per = m.apply(period)
-    if not img_per:
-        return None
-    stream = preperiod + period
-    if not stream or ord(stream[0]) != m.start:
-        return None
-    need = max(len(preperiod), len(img_pre)) + math.lcm(len(period), len(img_per)) + len(period)
-    lhs = _periodic_stream(preperiod, period, need)
-    rhs = _periodic_stream(img_pre, img_per, need)
-    return need if lhs == rhs else None
+    """The first ``length`` > |preperiod| letters of preperiod period^omega."""
+    return (preperiod + period * ((length - len(preperiod)) // len(period) + 1))[:length]
 
 
 def decide_eventual_periodicity(m: Morphism, f: FactorSet) -> Verdict:
@@ -180,18 +155,20 @@ def decide_eventual_periodicity(m: Morphism, f: FactorSet) -> Verdict:
       would be equal, against j being the first repeat.
     So (x[:i], x[i:j]) is the minimal (preperiod, period) pair.
 
-    Yes is unconditional: the pair is checked to reproduce a fixed point of
-    the morphism starting with the start letter.  Its ``mh_length`` is
-    p(k), the least n with p(n) <= n, which can exceed the bound when p
-    steps flat before reaching n.  No means p(n+1) > p(n) for every n < L
-    and is conditional on that bound.
+    Yes is unconditional: u v^omega = x[:i] x[i:j]^omega starts with the
+    start letter and is checked to equal phi(u) phi(v)^omega, as two
+    eventually periodic words, over max(|u|, |phi(u)|) + lcm(|v|, |phi(v)|)
+    + |v| letters.  Its ``mh_length`` is p(k), the least n with p(n) <= n,
+    which can exceed the bound when p steps flat before reaching n.  No
+    means p(n+1) > p(n) for every n < L and is conditional on L.  L = 0 is
+    rejected.
     """
     bound = f.max_len
+    if bound < 1:
+        raise ContractError("eventual periodicity needs a factor bound of at least 1")
     p = f.counts
     k = next((k for k in range(bound) if p[k + 1] == p[k]), None)
     if k is None:
-        if bound == 0:
-            return Verdict.unknown(bound=bound)
         return Verdict.no(
             {"witness": "complexity-exceeds-n", "checked_up_to": bound},
             conditional=True,
@@ -204,8 +181,9 @@ def decide_eventual_periodicity(m: Morphism, f: FactorSet) -> Verdict:
         if i < j:
             break
     pre, per = x[:i], x[i:j]
-    verified = _verify_periodic_fixed_point(m, pre, per)
-    if verified is None:
+    img_pre, img_per = m.apply(pre), m.apply(per)
+    need = max(len(pre), len(img_pre)) + math.lcm(len(per), len(img_per)) + len(per)
+    if _periodic_stream(pre, per, need) != _periodic_stream(img_pre, img_per, need):
         raise InvariantError(
             "complexity says eventually periodic but the first repeated window "
             "gives no verified period; this contradicts Morse-Hedlund"
@@ -215,7 +193,7 @@ def decide_eventual_periodicity(m: Morphism, f: FactorSet) -> Verdict:
             "preperiod": m.decode(pre),
             "period": m.decode(per),
             "mh_length": p[k],
-            "verified_letters": verified,
+            "verified_letters": need,
         },
         bound=bound,
     )
@@ -293,7 +271,7 @@ def decide_uniform_recurrence(
 
 
 def classify_complexity(shape: ShapeRecord, ep: Verdict) -> ComplexityResult:
-    """Complexity class and GK dimension from the periodicity verdict.
+    """Complexity class and GK dimension from the periodicity Yes or No.
 
     Eventually periodic words have bounded complexity and dimension one.
     Aperiodic primitive or uniform morphisms have linear complexity and
@@ -305,9 +283,6 @@ def classify_complexity(shape: ShapeRecord, ep: Verdict) -> ComplexityResult:
         return ComplexityResult(
             ComplexityClass.CONSTANT, 1, ep.conditional, "eventually-periodic"
         )
-    if ep.is_unknown:
-        return ComplexityResult(ComplexityClass.UNKNOWN, None, True, "periodicity-unresolved")
-
     if shape.d_uniform is not None and shape.d_uniform >= 2:
         return ComplexityResult(
             ComplexityClass.LINEAR, 2, ep.conditional, "d-uniform-aperiodic"

@@ -117,7 +117,7 @@ def _complexity_doc(result: ComplexityResult, f: FactorSet) -> dict:
     hilbert = [_s(algebra.hilbert_function(f, n)) for n in range(top + 1)]
     return {
         "class": result.complexity_class.value,
-        "gk_dimension": result.gk_dimension if result.gk_dimension is not None else "Unknown",
+        "gk_dimension": result.gk_dimension,
         "conditional": result.conditional,
         "method": result.method,
         "hilbert": hilbert,
@@ -127,7 +127,7 @@ def _complexity_doc(result: ComplexityResult, f: FactorSet) -> dict:
 def _properties_doc(report: PropertyReport) -> dict:
     return {
         **{p: verdict_doc(getattr(report, p)) for p in RING_PROPERTIES},
-        "gk_dimension": report.gk_dimension if report.gk_dimension is not None else "Unknown",
+        "gk_dimension": report.gk_dimension,
         "complexity_class": report.complexity_class.value,
     }
 

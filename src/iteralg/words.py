@@ -847,10 +847,10 @@ def factor_closure(
     read without building phi^k (``_expanded_windows``).
 
     F_L(y) (y = x when phi erases nothing) comes from a fixpoint.  With j
-    the least image length of psi, let B = L when j = 1 and B = (L-2)//j + 2
-    (within 1..L) otherwise.  F_B is the least fixpoint of "add the length-B
-    windows of psi(v) for v already present", seeded with the length-B
-    windows of the first generation psi^g0(start) of at least B letters.
+    the least image length of psi, let B = (L-2)//j + 2 within 1..L.  F_B
+    is the least fixpoint of "add the length-B windows of psi(v) for v
+    already present", seeded with the length-B windows of the first
+    generation psi^g0(start) of at least B letters.
     Descent argument: a factor at position p > 0 lies in psi(v) for the
     length-B factor v at the position p' < p whose image covers p, and that
     image reaches (B-1)j >= L-1 letters further.  So the fixpoint reaches
@@ -905,7 +905,7 @@ def factor_closure(
 
     psi, layers = _delete_mortal(m)
     j = psi.min_image_len
-    expand_bound = max_len if j == 1 else max(1, min(max_len, (max_len - 2) // j + 2))
+    expand_bound = max(1, min(max_len, (max_len - 2) // j + 2))
     key_len = 1 - (1 - expand_bound) // j
     keyed = key_len < expand_bound
 

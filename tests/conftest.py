@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from iteralg.cli import gallery_text
-from iteralg.deciders import DeciderOutputs, PropertyReport, Verdict, _verify_periodic_fixed_point
+from iteralg.deciders import DeciderOutputs, PropertyReport, Verdict
 from iteralg.errors import ContractError, InvariantError, NoSplitError
 from iteralg.graded import (
     ChainWitness,
@@ -532,17 +533,34 @@ def periodic_candidates_reference(prefix: str, max_period: int):
             yield prefix[:j], prefix[j : j + q]
 
 
+def periodic_fixed_point_reference(m: Morphism, preperiod: str, period: str) -> int | None:
+    """The length over which u v^omega, u = preperiod and v = period, was
+    found equal to phi(u) phi(v)^omega, or None when v or phi(v) is empty,
+    u v does not start with the start letter, or the two differ there.
+    Two eventually periodic words that agree over max(|u|, |phi(u)|) +
+    lcm(|v|, |phi(v)|) + |v| letters are equal."""
+    img_pre, img_per = m.apply(preperiod), m.apply(period)
+    if not period or not img_per or ord((preperiod + period)[0]) != m.start:
+        return None
+    need = max(len(preperiod), len(img_pre)) + math.lcm(len(period), len(img_per)) + len(period)
+
+    def stream(u: str, v: str) -> str:
+        while len(u) < need:
+            u += v
+        return u[:need]
+
+    return need if stream(preperiod, period) == stream(img_pre, img_per) else None
+
+
 def periodicity_ladder_reference(m: Morphism, f: FactorSet) -> Verdict:
     """Eventual periodicity as the retry ladder read it, fired by the first
     flat step p(k+1) = p(k), k < L: candidates walked off a 4^8-letter
     prefix, then off prefixes 4 and 16 times as long, the first one
-    ``_verify_periodic_fixed_point`` accepts taken as the period.
+    ``periodic_fixed_point_reference`` accepts taken as the period.
     ``mh_length`` is the least n >= 1 with p(min(n, k)) <= n."""
     bound = f.max_len
     flat = [k for k in range(bound) if f.counts[k + 1] == f.counts[k]]
     if not flat:
-        if bound == 0:
-            return Verdict.unknown(bound=0)
         return Verdict.no(
             {"witness": "complexity-exceeds-n", "checked_up_to": bound},
             conditional=True,
@@ -552,7 +570,7 @@ def periodicity_ladder_reference(m: Morphism, f: FactorSet) -> Verdict:
     for scale in (1, 4, 16):
         prefix = fixed_point_prefix(m, scale * 4**8).word
         for pre, per in periodic_candidates_reference(prefix, mh_length):
-            verified = _verify_periodic_fixed_point(m, pre, per)
+            verified = periodic_fixed_point_reference(m, pre, per)
             if verified is not None:
                 certificate = {
                     "preperiod": m.decode(pre),

@@ -318,6 +318,20 @@ def test_decide_periodic_fires_on_a_flat_step(tmp_path, capsys, max_len):
     assert out.startswith("periodic: Yes bound=") and '"mh_length": 42' in out
 
 
+def test_commands_at_a_factor_bound_of_one(capsys):
+    # the graded audits skip below length 2; periodicity reads p(0) < p(1)
+    code, out, err = run(capsys, "analyze", "gallery/paper12.morph", "--max-len", "1",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    graded_doc = json.loads(out)["graded"]
+    skipped = {"max_len": 1, "pass": None, "skipped": "factor bound below 2"}
+    assert graded_doc["rotation_audit"] == skipped and graded_doc["lie"] == skipped
+    assert graded_doc["graded_dims"] == ["1", "1"]
+    code, out, _ = run(capsys, "decide", "gallery/paper12.morph", "periodic", "--max-len", "1")
+    assert code == 1
+    assert out.startswith("periodic: No (conditional) bound=1\n")
+
+
 def test_decide_parse_error(capsys, tmp_path):
     src = tmp_path / "broken.morph"
     src.write_text("letters: a\n")

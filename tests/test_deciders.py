@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from iteralg import cli, deciders, report, words
 from iteralg.config import AnalysisConfig
-from iteralg.errors import InvariantError
+from iteralg.errors import ContractError, InvariantError
 from iteralg.deciders import (
     RING_IMPLICATIONS,
     RING_PROPERTIES,
@@ -137,6 +137,22 @@ def test_fibonacci_aperiodic_conditional(fibonacci, closure):
     assert v.is_no and v.conditional and v.bound == 64
 
 
+def test_periodicity_needs_a_factor_bound_of_at_least_one(paper12):
+    f = factor_closure(paper12, 0)
+    with pytest.raises(ContractError):
+        decide_eventual_periodicity(paper12, f)
+    with pytest.raises(ContractError):
+        run_deciders(paper12, classify_shape(paper12), f)
+
+
+def test_periodicity_rejects_a_flat_step_that_no_period_reproduces(fibonacci):
+    # a factor set with p(0) = p(1) = 1 claims x = a^omega, and phi(a) = a b
+    f = words.FactorSet(max_len=2, words=(fibonacci.encode("a a"), fibonacci.encode("a b")),
+                        closure_rounds=0)
+    with pytest.raises(InvariantError, match="Morse-Hedlund"):
+        decide_eventual_periodicity(fibonacci, f)
+
+
 def test_periodicity_certificate_reproduces_prefix(periodic_ab, ba_example, closure):
     for m, name in ((periodic_ab, "periodic-ab"), (ba_example, "ba-example")):
         v = decide_eventual_periodicity(m, closure(name, 8))
@@ -186,7 +202,7 @@ def test_late_period_is_found_at_every_bound():
 
 
 @settings(max_examples=120, deadline=None)
-@given(small_morphisms(allow_erasing=True), st.integers(min_value=0, max_value=12))
+@given(small_morphisms(allow_erasing=True), st.integers(min_value=1, max_value=12))
 def test_periodicity_matches_the_prefix_ladder(m, max_len):
     f = factor_closure(m, max_len)
     v = decide_eventual_periodicity(m, f)
@@ -438,7 +454,7 @@ def test_budget_monotonicity(m):
     ep_small = decide_eventual_periodicity(m, small)
     ep_large = decide_eventual_periodicity(m, large)
     # unconditional verdicts never flip; conditional ones may only resolve
-    if not ep_small.conditional and not ep_small.is_unknown:
+    if not ep_small.conditional:
         assert ep_small.value == ep_large.value
     ur_small = ur(m, k_max=3)
     ur_large = ur(m, k_max=6)

@@ -543,6 +543,22 @@ def test_rotation_audit_on_paper12_cuts_four_layers(closure, monkeypatch):
     assert len({n for n in asked if n < 48}) <= 4
 
 
+@pytest.mark.parametrize("max_len, lie_failures", [(12, 39), (24, 87)])
+def test_rotation_audit_reads_every_length_from_a_short_girth(max_len, lie_failures):
+    # x = a c b d c b d ...: G_2 has the 3-cycle c b -> b d -> d c, so the
+    # girth at n = 3 rules out nothing and lengths 3..L are read
+    m = words.parse_morphism(
+        "letters: a b c d\nstart: a\nmap a -> a c\nmap b -> d\nmap c -> b\nmap d -> c\n"
+    )
+    f = factor_closure(m, max_len)
+    assert graded._girth(f.of_length(3), max_len + 1) == 3
+    audit = cyclic_rotation_audit(f, max_len)
+    assert audit == reference_rotation_audit(replace(f), max_len)
+    assert m.decode(audit.counterexample) == "b d c"
+    assert audit.per_length == ((2, 4),)
+    assert len(audit.lie_failures) == lie_failures
+
+
 @st.composite
 def rauzy_edges(draw):
     """Words of one length k + 1 over 1-5 letters, as Rauzy graph edges:

@@ -1,5 +1,5 @@
-"""Smoke tests: the scripts under scripts/ and the benchmark's tracer hooks
-still fit this checkout's package."""
+"""Smoke tests: the scripts under scripts/, the README's library sketch and
+the benchmark's tracer hooks still fit this checkout's package."""
 
 import ast
 import importlib
@@ -31,6 +31,13 @@ def test_script_exits_zero(argv, fragment):
     )
     assert proc.returncode == 0, proc.stderr
     assert fragment in proc.stdout
+
+
+def test_readme_library_sketch_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("\n## Library sketch\n") :]
+    start = section.index("```python\n") + len("```python\n")
+    exec(compile(section[start : section.index("\n```", start)], "README.md", "exec"), {})
 
 
 def test_tracer_wraps_public_functions():
