@@ -159,14 +159,6 @@ class ChainWitness:
                 acc, cut = 0, j + 1
         return tuple(out)
 
-    @property
-    def pieces(self) -> tuple[Word, ...]:
-        return self.first_pieces(self.length)
-
-    def concatenation(self) -> Word:
-        i0, ir = self.span
-        return self.s.word[i0:ir]
-
 
 @dataclass(frozen=True)
 class LieNode:
@@ -176,16 +168,6 @@ class LieNode:
     left: "LieNode | None" = None
     right: "LieNode | None" = None
     absent_rotation: Word | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        assert self.left is not None and self.right is not None
-        return 1 + max(self.left.depth(), self.right.depth())
 
 
 @dataclass(frozen=True)
@@ -216,18 +198,6 @@ def s_set(m: Morphism, prefix: WordPrefix | Word) -> PositionDegreeSet:
     if isinstance(prefix, WordPrefix):
         return PositionDegreeSet(prefix.word, prefix.gen_lengths, m)
     return PositionDegreeSet(prefix, (), m)
-
-
-_LOW_WORD = (1 << 64) - 1
-
-
-def _lowest(bits: int) -> int:
-    """The index of the lowest set bit, -1 for none; a bit in the low 64
-    is found without negating the whole int."""
-    low = bits & _LOW_WORD
-    if low:
-        bits = low
-    return (bits & -bits).bit_length() - 1
 
 
 def _longest_run(
@@ -261,14 +231,14 @@ def _equal_width_run(width: int, letters: int, d: int) -> int:
 
 
 def max_homogeneous_chain(
-    m: Morphism,
     s: PositionDegreeSet,
     f: FactorSet | None,
     d: int,
     levels: Sequence[int] = (),
 ) -> ChainWitness:
     """Longest chain of consecutive degree-d pieces within the sampled prefix,
-    and the longest inside phi^k(start) for each generation k of ``levels``.
+    and the longest inside phi^k(start) for each generation k of ``levels``,
+    under the grading of the set's own phi, ``s.morphism``.
 
     Letters count at their degree capped at d + 1: a letter of larger degree
     lies in no degree-d piece either way, so the runs v, v+d, ..., v+rd of the
@@ -302,6 +272,7 @@ def max_homogeneous_chain(
         raise ContractError(
             f"scan levels must lie in 0..{generations - 1}, the prefix's generations"
         )
+    m = s.morphism
     cap = min(max(m.degrees), d + 1)
     table = ["0" * (min(g, cap) - 1) + "1" for g in m.degrees]
     # a generated prefix holds only the letters reachable from the start
@@ -319,7 +290,7 @@ def max_homogeneous_chain(
             runs &= runs >> shift
             shift *= 2
         r, starts = _longest_run(bits, powers, d)
-        low = _lowest(starts)
+        low = (starts & -starts).bit_length() - 1
         i0 = (bits & ((1 << low) - 1)).bit_count()
         ir = i0 + ((bits >> low) & ((2 << (r * d)) - 1)).bit_count() - 1
     counts = s.span_counts(i0, ir)
@@ -380,10 +351,6 @@ def graded_nilpotency_scan(
             )
         )
     return NilpotencyScan(levels=lv, rows=tuple(rows), degenerate_grading=degenerate)
-
-
-def rotations(word: Word) -> list[Word]:
-    return [word[i:] + word[:i] for i in range(1, len(word))]
 
 
 def _girth(edges: Sequence[Word], cap: int) -> int:
@@ -517,6 +484,7 @@ def lie_decomposition(f: FactorSet, u: Word) -> LieNode:
     """Bracket certificate: split u = ab with ba not a factor, recursively.
 
     Tie-break is shortest left part, so certificates are deterministic.
+    Membership is ``u in f``, a prefix search of F_L.
     Raises NoSplitError when every rotation of some subword is a factor,
     which is exactly a rotation-audit counterexample at that length.
     """
@@ -524,8 +492,7 @@ def lie_decomposition(f: FactorSet, u: Word) -> LieNode:
         raise ContractError("single letters are generators; nothing to decompose")
     if len(u) > f.max_len:
         raise ContractError("word exceeds the factor bound")
-    known = f.factors
-    if u not in known:
+    if u not in f:
         raise ContractError("word is not a known factor")
 
     def split(w: Word) -> LieNode:
@@ -533,7 +500,7 @@ def lie_decomposition(f: FactorSet, u: Word) -> LieNode:
             return LieNode(word=w)
         for cut in range(1, len(w)):
             a, b = w[:cut], w[cut:]
-            if b + a not in known:
+            if b + a not in f:
                 return LieNode(
                     word=w,
                     left=split(a),
@@ -570,7 +537,6 @@ __all__ = [
     "s_set",
     "max_homogeneous_chain",
     "graded_nilpotency_scan",
-    "rotations",
     "cyclic_rotation_audit",
     "lie_decomposition",
     "every_window_contains",

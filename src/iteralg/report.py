@@ -133,7 +133,6 @@ def _properties_doc(report: PropertyReport) -> dict:
 
 
 def _graded_audit(
-    m: Morphism,
     s: graded.PositionDegreeSet,
     f: FactorSet,
     d_max: int,
@@ -145,10 +144,11 @@ def _graded_audit(
 
     Both audits read factors of length 2..audit_len; below 2 they are skipped.
     """
+    m = s.morphism
     chains = []
     level_lengths = []
     for d in range(1, d_max + 1):
-        witness = graded.max_homogeneous_chain(m, s, f, d, levels=levels)
+        witness = graded.max_homogeneous_chain(s, f, d, levels=levels)
         level_lengths.append(witness.level_lengths)
         chains.append(
             {
@@ -192,7 +192,7 @@ def _graded_doc(m: Morphism, prefix: WordPrefix, f: FactorSet, cfg: AnalysisConf
     audit_len = min(DEFAULT_EMBEDDED_AUDIT_LEN, f.max_len)
     s = graded.s_set(m, prefix)
     levels = (prefix.generation_level - 1, prefix.generation_level)
-    doc, level_lengths = _graded_audit(m, s, f, cfg.d_max, audit_len, levels)
+    doc, level_lengths = _graded_audit(s, f, cfg.d_max, audit_len, levels)
     scan = graded.graded_nilpotency_scan(m, level_lengths, levels)
     scan_doc = {
         "levels": list(scan.levels),
@@ -287,7 +287,7 @@ def audit(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, bool, li
         raise ContractError("audit needs a factor bound of at least 2")
     prefix = fixed_point_prefix(m, cfg.prefix_letters)
     f = factor_closure(m, cfg.max_len)
-    graded_doc, _ = _graded_audit(m, graded.s_set(m, prefix), f, cfg.d_max, cfg.max_len)
+    graded_doc, _ = _graded_audit(graded.s_set(m, prefix), f, cfg.d_max, cfg.max_len)
     # analyze shows failures inside the entries; only audit lists counterexamples
     rotation = graded_doc["rotation_audit"]["counterexample"]
     counterexamples = [] if rotation is None else [
@@ -302,7 +302,7 @@ def audit(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, bool, li
     if deps_ur.is_yes and deps_ur.certificate.get("witness") == "block-cover":
         gap = deps_ur.certificate["start_gap_bound"]
         max_block = deps_ur.certificate["max_block"]
-        needed = max(4 * max_block * 16, min(cfg.prefix_letters, len(prefix.word)))
+        needed = max(64 * max_block, cfg.prefix_letters)
         try:
             scan_prefix = fixed_point_prefix(m, needed, prefix=prefix).word[:needed]
         except ResourceBudgetError:  # the scan stops at the prefix budget

@@ -269,11 +269,6 @@ class FactorSet:
         below = self.lcps.translate("\1" * n + "\0" * (self.max_len - n)).encode("latin-1")
         return tuple(map(itemgetter(slice(0, n)), compress(self.words, b"\1" + below)))
 
-    @cached_property
-    def factors(self) -> frozenset[Word]:
-        """Every factor of length <= ``max_len`` as one set, built on first use."""
-        return frozenset().union(*map(self.of_length, range(self.max_len + 1)))
-
 
 def _lcps(words: Iterable[Word], n: int, bits: int, codec: str) -> str:
     """The lcps of neighbouring length-n words, one code point each.  Read as

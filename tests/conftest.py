@@ -74,6 +74,12 @@ def sorted_factors(f: FactorSet) -> list[str]:
     return [w for n in range(f.max_len + 1) for w in f.of_length(n)]
 
 
+def all_factors(f: FactorSet) -> frozenset[str]:
+    """Every factor of length <= ``f.max_len`` as one set: the union of the
+    layers ``f.of_length(n)``."""
+    return frozenset().union(*map(f.of_length, range(f.max_len + 1)))
+
+
 def holds_at(rec: LinearRecurrence, seq, n: int) -> bool:
     """Does seq[n] follow from the rec.order terms before it?"""
     return seq[n] == sum(c * seq[n - k] for k, c in enumerate(rec.coeffs, start=1))
@@ -481,7 +487,7 @@ def chain_level_lengths(
     analyze passes them."""
     s = s_set(m, prefix)
     return [
-        max_homogeneous_chain(m, s, None, d, levels=levels).level_lengths
+        max_homogeneous_chain(s, None, d, levels=levels).level_lengths
         for d in range(1, d_max + 1)
     ]
 
@@ -764,7 +770,7 @@ def multiply(f: FactorSet, x: MonomialElement, y: MonomialElement) -> MonomialEl
     Concatenations longer than the computed bound are a contract error: the
     caller must enlarge the factor set first.
     """
-    known = f.factors
+    known = all_factors(f)
     for e in (x, y):
         for w in e.terms:
             if len(w) > f.max_len:

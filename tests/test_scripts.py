@@ -24,13 +24,36 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_exits_zero(argv, fragment):
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    proc = subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_script(argv)
     assert proc.returncode == 0, proc.stderr
     assert fragment in proc.stdout
+
+
+GOLDEN = "perfbench/golden/analyze-fibonacci.json"
+
+
+@pytest.mark.parametrize(
+    "argv, code, first_line",
+    [
+        ([GOLDEN, GOLDEN], 0, None),
+        ([GOLDEN, "perfbench/golden/analyze-thue-morse.json"], 1, "morphism.source"),
+        ([GOLDEN, "perfbench/golden/analyze-thue-morse.json", "--allow", "morphism",
+          "shape", "matrix", "word", "complexity", "properties", "graded",
+          "diagnostics"], 0, "morphism.source"),
+    ],
+)
+def test_golden_diff_lists_paths_and_exits_one_outside_the_allowlist(argv, code, first_line):
+    proc = run_script(["scripts/golden_diff.py", *argv])
+    assert proc.returncode == code, proc.stderr
+    assert (proc.stdout.splitlines() or [None])[0] == first_line
+
+
+def run_script(argv: list[str]) -> subprocess.CompletedProcess:
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def test_readme_library_sketch_runs():

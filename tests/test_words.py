@@ -37,6 +37,7 @@ from iteralg.words import (
 )
 
 from conftest import (
+    all_factors,
     apply_n,
     brute_factor_set,
     growing_reference,
@@ -435,7 +436,7 @@ def test_occurring_one_round():
 def test_factors_fibonacci_len2(fibonacci):
     f = factor_closure(fibonacci, 2)
     assert f.exact
-    assert f.factors == {
+    assert all_factors(f) == {
         "",
         chr(0),
         chr(1),
@@ -454,7 +455,7 @@ def test_factors_paper12_len2(paper12, closure):
 
 def test_factors_len0(fibonacci):
     f = factor_closure(fibonacci, 0)
-    assert f.factors == {""} and f.exact
+    assert all_factors(f) == {""} and f.exact
 
 
 def test_is_factor_examples(paper12, closure):
@@ -474,7 +475,7 @@ def test_erasing_morphism_closure_is_exact():
     f = factor_closure(m, 4)
     assert f.exact
     prefix = fixed_point_prefix(m, 500).word
-    assert f.factors == frozenset(brute_factor_set(prefix, 4))
+    assert all_factors(f) == frozenset(brute_factor_set(prefix, 4))
 
 
 ERASING_RUNS = "letters: a b c\nstart: a\nmap a -> a a a b\nmap b -> c b\nmap c ->\n"
@@ -561,9 +562,10 @@ def test_every_window_of_a_generated_prefix_is_a_factor(m, max_len):
     f = factor_closure(m, max_len)
     prefix = fixed_point_prefix(m, 2000).word
     oracle = brute_factor_set(prefix, max_len)
-    assert oracle <= f.factors
+    factors = all_factors(f)
+    assert oracle <= factors
     # soundness: a factor beyond the window still occurs, possibly much later
-    unproven = f.factors - proven_factors(m, prefix, max_len)
+    unproven = factors - proven_factors(m, prefix, max_len)
     assert not unproven, f"factors not proved: {[[ord(c) for c in w] for w in unproven]}"
 
 
@@ -775,16 +777,18 @@ def test_factor_views_agree(m):
     max_len = 5
     f = factor_closure(m, max_len)
     prefix = fixed_point_prefix(m, 400).word
-    assert brute_factor_set(prefix, max_len) <= f.factors
+    # every factor is a prefix of a word of F_L
+    factors = {w[:n] for w in f.words for n in range(max_len + 1)}
+    assert brute_factor_set(prefix, max_len) <= factors
     for n in range(max_len + 1):
         of_n = f.of_length(n)
-        assert of_n == tuple(sorted(w for w in f.factors if len(w) == n))
+        assert of_n == tuple(sorted(w for w in factors if len(w) == n))
         assert len(of_n) == f.counts[n]
     alphabet = [chr(i) for i in range(m.size)]
     for n in range(4):
         for letters in itertools.product(alphabet, repeat=n):
             u = "".join(letters)
-            assert (u in f) == is_factor(f, u) == (u in f.factors)
+            assert (u in f) == is_factor(f, u) == (u in factors)
     assert chr(0) * (max_len + 1) not in f
 
 
@@ -1042,10 +1046,11 @@ def test_factor_closure_equals_brute_force(m):
     horizon = 4 * max_len * max(max_image_len(m), 1)
     prefix = fixed_point_prefix(m, max(horizon, 64)).word
     oracle = brute_factor_set(prefix, max_len)
+    factors = all_factors(f)
     # completeness on the sampled window
-    assert oracle <= f.factors
+    assert oracle <= factors
     # soundness: anything beyond the window still occurs, possibly much later
-    for w in f.factors - oracle:
+    for w in factors - oracle:
         n = 2**14
         while w not in fixed_point_prefix(m, n).word:
             n *= 8
@@ -1066,5 +1071,5 @@ def test_complexity_monotonicity(m):
 def test_closure_is_deterministic(m):
     f1 = factor_closure(m, 7)
     f2 = factor_closure(m, 7)
-    assert f1.factors == f2.factors
+    assert f1.words == f2.words
     assert f1.closure_rounds == f2.closure_rounds
