@@ -1,8 +1,11 @@
 """Command-line front end: analyze, decide, audit, gallery.
 
 Exit codes: 0 success / Yes / audit pass, 1 No / counterexample found,
-2 parse or validation failure, 3 Unknown (and `analyze --strict` with any
-Unknown verdict).  Verdicts go to stdout; diagnostics go to stderr.
+2 parse or validation failure, budget error or failed internal check,
+3 Unknown (and `analyze --strict` with any Unknown verdict).  Verdicts go to
+stdout; diagnostics go to stderr, one line each: ``error:`` for parse and
+validation errors, ``fatal:`` for budget errors and ``internal error:`` for a
+failed self-check, whose results cannot be trusted.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .deciders import (
     decide_primitive,
     decide_uniform_recurrence,
 )
-from .errors import ContractError, IterAlgError, MorphismParseError
+from .errors import ContractError, InvariantError, IterAlgError, MorphismParseError
 from .words import Morphism, classify_shape, factor_closure, load_morphism, parse_morphism
 
 EXIT_OK = 0
@@ -207,6 +210,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        sys.stderr.write(f"internal error: {exc} (results cannot be trusted)\n")
+        return EXIT_PARSE
     except (MorphismParseError, ContractError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

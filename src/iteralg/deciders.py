@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import DEFAULT_K_MAX
 from .errors import ContractError, InvariantError
@@ -29,11 +29,10 @@ class VerdictValue(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     value: VerdictValue
-    conditional: bool = False
-    certificate: dict = field(default_factory=dict)
+    conditional: bool
+    certificate: dict
     bound: int | None = None
 
     @staticmethod
@@ -69,16 +68,14 @@ class ComplexityClass(enum.Enum):
     QUADRATIC = "Theta(n^2)"
 
 
-@dataclass(frozen=True)
-class ComplexityResult:
+class ComplexityResult(NamedTuple):
     complexity_class: ComplexityClass
     gk_dimension: int
     conditional: bool
     method: str
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     prime: Verdict
     semiprime: Verdict
     just_infinite: Verdict
@@ -94,8 +91,7 @@ class PropertyReport:
         return any(getattr(self, p).is_unknown for p in RING_PROPERTIES)
 
 
-@dataclass(frozen=True)
-class DeciderOutputs:
+class DeciderOutputs(NamedTuple):
     primitive: Verdict
     eventually_periodic: Verdict
     uniformly_recurrent: Verdict
@@ -376,7 +372,7 @@ def ring_property_report(deps: DeciderOutputs) -> PropertyReport:
     Prime is the exact decider's verdict; the rules relabel a word verdict,
     and the implications leave a property Unknown outside their premises.
     """
-    known = dict(vars(deps))
+    known = deps._asdict()
     for name, (source, rule) in RING_RULES.items():
         known[name] = _via(known[source], rule)
     for name, (note, implications) in RING_IMPLICATIONS.items():

@@ -13,6 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count
 from operator import add, itemgetter, mul, sub
+from typing import NamedTuple
 
 from .errors import ContractError, InvariantError, NoSplitError
 from .words import FactorSet, Morphism, PowerTables, Word, WordPrefix, letter_counts
@@ -160,8 +161,7 @@ class ChainWitness:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class LieNode:
+class LieNode(NamedTuple):
     """One bracket split u = left(u) right(u) with the reversed product absent."""
 
     word: Word
@@ -170,8 +170,7 @@ class LieNode:
     absent_rotation: Word | None = None
 
 
-@dataclass(frozen=True)
-class RotationAudit:
+class RotationAudit(NamedTuple):
     max_len: int
     per_length: tuple[tuple[int, int], ...]  # (length, words) before the counterexample's length
     passed: bool
@@ -179,16 +178,14 @@ class RotationAudit:
     lie_failures: tuple[Word, ...] = ()  # where lie_decomposition raises NoSplitError
 
 
-@dataclass(frozen=True)
-class DegreeScanRow:
+class DegreeScanRow(NamedTuple):
     degree: int
     values: tuple[int, ...]  # max chain length per generation level
     stabilized: bool
     unbounded_within_sample: bool
 
 
-@dataclass(frozen=True)
-class NilpotencyScan:
+class NilpotencyScan(NamedTuple):
     levels: tuple[int, ...]
     rows: tuple[DegreeScanRow, ...]
     degenerate_grading: bool

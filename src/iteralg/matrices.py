@@ -13,6 +13,7 @@ from functools import cache
 from itertools import accumulate, repeat
 from math import comb, isqrt
 from operator import add, mul
+from typing import NamedTuple
 
 from .errors import ContractError, InvariantError, RecurrenceValidationError
 from .words import Morphism, WordPrefix, fixed_point_prefix, letter_counts
@@ -194,8 +195,7 @@ def char_poly(M: IncidenceMatrix) -> CharPoly:
     return poly
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
+class LinearRecurrence(NamedTuple):
     """s_n = c_1 s_{n-1} + ... + c_r s_{n-r}, with validated initial terms."""
 
     coeffs: tuple[int, ...]
@@ -220,8 +220,7 @@ def recurrence_from_charpoly(p: CharPoly, initial: list[int] | tuple[int, ...]) 
     return rec
 
 
-@dataclass(frozen=True)
-class WeightSequences:
+class WeightSequences(NamedTuple):
     """u^T M^n theta(start) under both index conventions.
 
     ``direct`` is cross-checked against the literal degree of phi^n(start);

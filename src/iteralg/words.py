@@ -189,8 +189,7 @@ class WordPrefix:
         return len(self.word)
 
 
-@dataclass(frozen=True)
-class ShapeRecord:
+class ShapeRecord(NamedTuple):
     """The letter structure of a morphism; ``classify_shape`` builds it.
 
     ``occurring`` is the start and every letter it reaches, the letters of

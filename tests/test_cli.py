@@ -14,6 +14,7 @@ import pytest
 import iteralg
 from iteralg.cli import _config_from_args, build_parser, main
 from iteralg.config import AnalysisConfig
+from iteralg.errors import InvariantError
 from iteralg import report
 from iteralg.words import Morphism, parse_morphism
 
@@ -337,6 +338,36 @@ def test_decide_parse_error(capsys, tmp_path):
     src.write_text("letters: a\n")
     code, _, err = run(capsys, "decide", str(src), "prime")
     assert code == 2
+
+
+def test_invariant_failure_has_its_own_stderr_line(monkeypatch, capsys):
+    """A failed self-check is not a budget error: it says the results cannot
+    be trusted, on its own line, with the same exit code."""
+
+    def failing(*args):
+        raise InvariantError("Cayley-Hamilton check failed for computed polynomial")
+
+    monkeypatch.setattr(report, "analyze", failing)
+    code, out, err = run(capsys, "analyze", "gallery/fibonacci.morph")
+    assert (code, out) == (2, "")
+    assert err == (
+        "internal error: Cayley-Hamilton check failed for computed polynomial"
+        " (results cannot be trusted)\n"
+    )
+
+
+def test_prefix_budget_stops_analyze_but_not_decide(tmp_path, capsys):
+    """The README's budget example: for a -> a b, b -> b^30000 the held prefix
+    would be phi^3(a), about 9·10^8 letters, so analyze stops with one fatal
+    line; decide holds no prefix and answers."""
+    src = tmp_path / "long.morph"
+    src.write_text("letters: a b\nstart: a\nmap a -> a b\nmap b ->" + " b" * 30000 + "\n")
+    code, out, err = run(capsys, "analyze", str(src))
+    assert (code, out) == (2, "")
+    assert err == "fatal: prefix generation exceeds the 536870912-byte budget\n"
+    code, out, err = run(capsys, "decide", str(src), "periodic")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "periodic: Yes bound=64"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-from dataclasses import fields, replace
 from itertools import product
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -417,7 +417,7 @@ def test_dictionary_coherence(m):
 def test_ring_table_matches_reference_on_every_premise_combination():
     states = [(v, c) for v in VerdictValue for c in (False, True)]
     complexity = ComplexityResult(ComplexityClass.LINEAR, 2, True, "d-uniform-aperiodic")
-    verdict_fields = [f.name for f in fields(PropertyReport) if f.type == "Verdict"]
+    verdict_fields = [n for n, t in get_type_hints(PropertyReport).items() if t is Verdict]
     for (pv, pc), (uv, uc), (ev, ec) in product(states, repeat=3):
         prime = Verdict(pv, pc, {"witness": "p"}, 3)
         ur_ = Verdict(uv, uc, {"witness": "u"}, 5)
@@ -428,13 +428,13 @@ def test_ring_table_matches_reference_on_every_premise_combination():
             # "not prime" inherits prime's flag in the table; decide_prime is
             # exact, so no input reaches this (test_dictionary_coherence)
             assert rep.primitive_algebra.conditional and not ref.primitive_algebra.conditional
-            ref = replace(ref, primitive_algebra=replace(ref.primitive_algebra, conditional=True))
+            ref = ref._replace(primitive_algebra=ref.primitive_algebra._replace(conditional=True))
         assert rep == ref, (prime, ur_, ep)
         assert rep.has_unknown == any(getattr(rep, p).is_unknown for p in verdict_fields)
 
 
 def test_ring_table_reads_only_word_verdicts_and_earlier_properties():
-    word_verdicts = [f.name for f in fields(DeciderOutputs) if f.type == "Verdict"]
+    word_verdicts = [n for n, t in get_type_hints(DeciderOutputs).items() if t is Verdict]
     reads = {name: [source] for name, (source, _) in RING_RULES.items()}
     for name, (_, implications) in RING_IMPLICATIONS.items():
         reads[name] = [p for _, premises, _ in implications for p in premises]
@@ -442,7 +442,7 @@ def test_ring_table_reads_only_word_verdicts_and_earlier_properties():
     for name, sources in reads.items():
         earlier = RING_PROPERTIES[: RING_PROPERTIES.index(name)]
         assert all(s in word_verdicts or s in earlier for s in sources), name
-    report_verdicts = [f.name for f in fields(PropertyReport) if f.type == "Verdict"]
+    report_verdicts = [n for n, t in get_type_hints(PropertyReport).items() if t is Verdict]
     assert report_verdicts == list(RING_PROPERTIES)
 
 
