@@ -21,6 +21,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-len", type=int, default=32)
     args = ap.parse_args()
+    if args.max_len < 1:
+        ap.error("--max-len must be at least 1")
 
     header = f"{'name':<14}{'shape':<12}{'prime':<8}{'j.inf':<8}{'pi':<8}{'gk':<5}{'class':<22}{'time':<8}"
     print(header)

@@ -22,6 +22,8 @@ def main() -> None:
     ap.add_argument("path")
     ap.add_argument("--n-max", type=int, default=16)
     args = ap.parse_args()
+    if args.n_max < 0:
+        ap.error("--n-max must be nonnegative")
 
     try:
         m, label = _resolve_morphism(args.path)

@@ -9,6 +9,7 @@ grading degree.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate, islice
 
 from .errors import ContractError
 from .words import FactorSet
@@ -23,7 +24,9 @@ def hilbert_function(f: FactorSet, n: int) -> int:
 
 def graded_dimensions(f: FactorSet, degrees: tuple[int, ...], top: int) -> list[int]:
     """Number of factors of each grading degree 0..top, from one pass over
-    F_1..F_top."""
+    F_L: word i brings exactly its prefixes longer than its lcp with word
+    i - 1 (0 for word 0), so the degree sums along ``w[:top]`` from that lcp
+    on count each factor of length <= top once."""
     if top < 0:
         raise ContractError("degree must be nonnegative")
     if top > f.max_len:
@@ -31,11 +34,13 @@ def graded_dimensions(f: FactorSet, degrees: tuple[int, ...], top: int) -> list[
         raise ContractError(
             f"degree {top} needs factors up to length {top}, computed bound is {f.max_len}"
         )
-    # a letter of degree g becomes g copies of one character, so a word's
-    # degree is the length of its translation; capped at top + 1, a word
-    # holding a letter of larger degree still lies above top and is dropped
-    table = ["." * min(g, top + 1) for g in degrees]
-    tally = Counter(len(w.translate(table)) for n in range(1, top + 1) for w in f.of_length(n))
+    # capped at top + 1, a prefix holding a letter of larger degree still
+    # lies above top and is dropped
+    capped = [min(g, top + 1) for g in degrees]
+    tally = Counter()
+    for w, lcp in zip(f.words, map(ord, "\0" + f.lcps)):
+        if lcp < top:
+            tally.update(islice(accumulate(map(capped.__getitem__, map(ord, w[:top]))), lcp, None))
     return [1] + [tally[d] for d in range(1, top + 1)]
 
 

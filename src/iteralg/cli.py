@@ -140,12 +140,7 @@ def cmd_gallery(args: argparse.Namespace) -> int:
         for name in GALLERY_NAMES:
             sys.stdout.write(name + "\n")
         return EXIT_OK
-    try:
-        text = gallery_text(args.name)
-    except ContractError as exc:
-        sys.stderr.write(f"gallery: {exc}\n")
-        return EXIT_PARSE
-    sys.stdout.write(text)
+    sys.stdout.write(gallery_text(args.name))
     return EXIT_OK
 
 

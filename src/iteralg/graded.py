@@ -23,7 +23,7 @@ from .words import FactorSet, Morphism, PowerTables, Word, WordPrefix, letter_co
 class PositionDegreeSet:
     """The partial degree sums s_0 = 0, s_i = s_{i-1} + deg(word[i-1]) of a
     prefix under phi's grading, the prefix's generation ends |phi^k(start)|
-    (``()`` for a bare word) and phi.
+    and phi.  The prefix spans at least two generations and ends at its last.
 
     The sums are not stored: s_i is read off the letter counts of
     ``word[:i]``.  Positive degrees make them strictly increasing.  The chain
@@ -44,8 +44,8 @@ class PositionDegreeSet:
     _marks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.gen_lengths and self.gen_lengths[-1] != len(self.word):
-            raise ValueError("a prefix must end at its last generation")
+        if len(self.gen_lengths) < 2 or self.gen_lengths[-1] != len(self.word):
+            raise ContractError("a prefix must span two generations and end at its last")
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -114,41 +114,24 @@ class PositionDegreeSet:
         """The int whose bit p is set when p = 0 or the word translated under
         ``table`` has a "1" at p - 1; built once per table.
 
-        A prefix is phi^G(start), so its translation is phi^{G-h}(start)
-        translated under table o phi^h (``PowerTables``); a bare word is
-        translated directly.
+        The word is phi^G(start), so its translation is phi^{G-h}(start)
+        translated under table o phi^h (``PowerTables``).
         """
         key = tuple(table)
         bits = self._bitsets.get(key)
         if bits is None:
-            ends = self.gen_lengths or (len(self.word),)
+            ends = self.gen_lengths
             tables = PowerTables(self.morphism, map(ord, self.word[:1]), table)
             i, h = tables.pick(ends, 0)
             bits = int(("1" + tables.apply(self.word[: ends[i]], h))[::-1], 2)
             self._bitsets[key] = bits
         return bits
 
-
-@dataclass(frozen=True)
-class ChainWitness:
-    """The longest run of ``length`` consecutive degree-``degree`` pieces in
-    ``s.word``: the letters ``s.word[i0:ir]`` for ``span == (i0, ir)``, whose
-    partial degree sums start at ``start_value``.  ``level_lengths[j]`` is the
-    longest such run inside phi^k(start) for the j-th requested level k.
-    """
-
-    degree: int
-    length: int
-    start_value: int
-    span: tuple[int, int]
-    level_lengths: tuple[int, ...]
-    s: PositionDegreeSet = field(repr=False, compare=False)
-
-    def first_pieces(self, count: int) -> tuple[Word, ...]:
-        """The first ``count`` pieces, cut where the degrees of the span's
-        letters add up to d."""
-        degrees, word, d = self.s.degrees, self.s.word, self.degree
-        i, end = self.span
+    def pieces(self, w: ChainWitness, count: int) -> tuple[Word, ...]:
+        """The first ``count`` pieces of the chain ``w`` over this set's word,
+        cut where the degrees of the span's letters add up to its degree."""
+        degrees, word, d = self.degrees, self.word, w.degree
+        i, end = w.span
         out: list[Word] = []
         acc, cut = 0, i
         for j in range(i, end):
@@ -159,6 +142,21 @@ class ChainWitness:
                 out.append(word[cut : j + 1])
                 acc, cut = 0, j + 1
         return tuple(out)
+
+
+class ChainWitness(NamedTuple):
+    """The longest run of ``length`` consecutive degree-``degree`` pieces in a
+    set's word: the letters ``word[i0:ir]`` for ``span == (i0, ir)``, whose
+    partial degree sums start at ``start_value``.  ``previous`` is the longest
+    such run inside phi^(G-1)(start), the generation before the word's last,
+    when the chain was asked for it, and None otherwise.
+    """
+
+    degree: int
+    length: int
+    start_value: int
+    span: tuple[int, int]
+    previous: int | None
 
 
 class LieNode(NamedTuple):
@@ -180,21 +178,21 @@ class RotationAudit(NamedTuple):
 
 class DegreeScanRow(NamedTuple):
     degree: int
-    values: tuple[int, ...]  # max chain length per generation level
+    values: tuple[int, int]  # max chain length inside phi^(G-1)(start), phi^G(start)
     stabilized: bool
     unbounded_within_sample: bool
 
 
 class NilpotencyScan(NamedTuple):
-    levels: tuple[int, ...]
+    levels: tuple[int, int]  # (G - 1, G)
     rows: tuple[DegreeScanRow, ...]
     degenerate_grading: bool
 
 
-def s_set(m: Morphism, prefix: WordPrefix | Word) -> PositionDegreeSet:
-    if isinstance(prefix, WordPrefix):
-        return PositionDegreeSet(prefix.word, prefix.gen_lengths, m)
-    return PositionDegreeSet(prefix, (), m)
+def s_set(m: Morphism, prefix: WordPrefix) -> PositionDegreeSet:
+    if not isinstance(prefix, WordPrefix):
+        raise ContractError(f"s_set takes a WordPrefix, not {type(prefix).__name__}")
+    return PositionDegreeSet(prefix.word, prefix.gen_lengths, m)
 
 
 def _longest_run(
@@ -228,13 +226,10 @@ def _equal_width_run(width: int, letters: int, d: int) -> int:
 
 
 def max_homogeneous_chain(
-    s: PositionDegreeSet,
-    f: FactorSet | None,
-    d: int,
-    levels: Sequence[int] = (),
+    s: PositionDegreeSet, f: FactorSet, d: int, previous: bool = False
 ) -> ChainWitness:
-    """Longest chain of consecutive degree-d pieces within the sampled prefix,
-    and the longest inside phi^k(start) for each generation k of ``levels``,
+    """Longest chain of consecutive degree-d pieces within the sampled prefix
+    phi^G(start), and with ``previous`` the longest inside phi^(G-1)(start),
     under the grading of the set's own phi, ``s.morphism``.
 
     Letters count at their degree capped at d + 1: a letter of larger degree
@@ -242,39 +237,32 @@ def max_homogeneous_chain(
     capped sums cut the word at the same indices as the sums of ``s``, and a
     huge degree cannot blow up the bitset of capped sums.
 
-    When every letter the word can hold (those reachable from the start, for
-    a generated prefix) has the same capped width g (all degrees equal, or
-    all above d), the capped sums are 0, g, ..., g*|word|, and the longest run
-    and each level's are read off the lengths (``_equal_width_run``), with
-    the smallest start, 0.  Otherwise the capped sums are a bitset.
-    Doubling, A_{2k} = A_k & (A_k >> kd), marks the starts of 2^j-piece
-    runs, and a binary descent finds the longest; its lowest set bit is the
-    smallest start, the tie rule.  A level runs the descent again on the
-    ints cut at its generation's capped sum, except the last generation: the
-    prefix ends there, so its chain is the witness's.
+    When every letter the word can hold (those reachable from the start) has
+    the same capped width g (all degrees equal, or all above d), the capped
+    sums are 0, g, ..., g*|word|, and the longest run and the previous
+    generation's are read off the lengths (``_equal_width_run``), with the
+    smallest start, 0.  Otherwise the capped sums are a bitset.  Doubling,
+    A_{2k} = A_k & (A_k >> kd), marks the starts of 2^j-piece runs, and a
+    binary descent finds the longest; its lowest set bit is the smallest
+    start, the tie rule.  The previous generation runs the descent again on
+    the ints cut at its capped sum.
 
     The witness is checked on its letters only, on either path: its letter
     counts give degree r*d under the set's own degrees and r*d marks under
     the capped ones, and a letter ends at every d-th mark, which holds
-    exactly when the span splits into r pieces of degree d.  The counts and
-    marks are the set's (``span_counts``, ``marks``), so a span that several
-    degrees share is read once; the marks of a longer span from the same
-    start, cut to r*d, are this span's.  The sums at the start and at the
-    levels' cuts are read off letter counts too.
+    exactly when the span splits into r pieces of degree d, and its letters
+    must be a factor in ``f`` when it is no longer than ``f.max_len``.  The
+    counts and marks are the set's (``span_counts``, ``marks``), so a span
+    that several degrees share is read once; the marks of a longer span from
+    the same start, cut to r*d, are this span's.  The sums at the start and
+    at the previous generation's cut are read off letter counts too.
     """
     if d < 1:
         raise ContractError("chain degree must be positive")
-    generations = len(s.gen_lengths)
-    if any(not 0 <= k < generations for k in levels):
-        raise ContractError(
-            f"scan levels must lie in 0..{generations - 1}, the prefix's generations"
-        )
     m = s.morphism
     cap = min(max(m.degrees), d + 1)
     table = ["0" * (min(g, cap) - 1) + "1" for g in m.degrees]
-    # a generated prefix holds only the letters reachable from the start
-    held = m.letter_graph.reachable((m.start,)) if s.gen_lengths else range(m.size)
-    width, *other_widths = {len(table[c]) for c in held}
+    width, *other_widths = {len(table[c]) for c in m.letter_graph.reachable((m.start,))}
     if not other_widths:
         r = _equal_width_run(width, len(s.word), d)
         i0, ir = 0, r * d // width
@@ -297,57 +285,46 @@ def max_homogeneous_chain(
         or s.marks(table, i0, ir)[d - 1 : r * d : d] != "1" * r
     ):
         raise InvariantError("chain piece has the wrong degree")
-    if f is not None and 0 < ir - i0 <= f.max_len and s.word[i0:ir] not in f:
+    if 0 < ir - i0 <= f.max_len and s.word[i0:ir] not in f:
         raise InvariantError("chain concatenation is not a known factor")
     start_value = s.sum_at(i0)
-    level_lengths = tuple(
-        r
-        if k == generations - 1
-        else _equal_width_run(width, s.gen_lengths[k], d)
-        if not other_widths
-        else _longest_run(bits, powers, d, s.sum_at(s.gen_lengths[k], cap))[0]
-        for k in levels
-    )
-    return ChainWitness(d, r, start_value, (i0, ir), level_lengths, s)
+    if not previous:
+        before = None
+    elif not other_widths:
+        before = _equal_width_run(width, s.gen_lengths[-2], d)
+    else:
+        before = _longest_run(bits, powers, d, s.sum_at(s.gen_lengths[-2], cap))[0]
+    return ChainWitness(d, r, start_value, (i0, ir), before)
 
 
 def graded_nilpotency_scan(
-    m: Morphism,
-    level_lengths: list[tuple[int, ...]],
-    levels: list[int] | tuple[int, ...],
+    m: Morphism, witnesses: Sequence[ChainWitness], level: int
 ) -> NilpotencyScan:
-    """Max chain length per degree inside phi^k(start), for each level k.
+    """Max chain length per degree inside phi^(level-1)(start) and
+    phi^level(start), read off chain witnesses over a prefix whose last
+    generation is ``level``, each taken with ``previous``.
 
-    ``level_lengths[d - 1]`` is the degree-d chain witness's
-    ``level_lengths`` for these ``levels``, so the scan reads the descents
-    the chains already made; the chain checked that each level is a
-    generation of the prefix.
-
-    Equal values across the last two levels are stabilization evidence, not
-    a proof.  A degenerate grading (all letters the same degree) makes S an
+    Equal values across the two levels are stabilization evidence, not a
+    proof.  A degenerate grading (all letters the same degree) makes S an
     arithmetic progression, so chains only ever stop at the prefix boundary;
     those rows are flagged unbounded-within-sample instead of stabilized.
     """
-    order = sorted(range(len(levels)), key=lambda i: levels[i])
-    lv = tuple(levels[i] for i in order)
     degenerate = len(set(m.degrees)) == 1
     common = m.degrees[0] if degenerate else None
     rows = []
-    for d, lengths in enumerate(level_lengths, start=1):
-        if len(lengths) != len(levels):
-            raise ContractError("each degree needs one chain length per scan level")
-        values = tuple(lengths[i] for i in order)
-        unbounded = common is not None and d % common == 0
-        stabilized = len(values) >= 2 and values[-1] == values[-2] and not unbounded
+    for w in witnesses:
+        if w.previous is None:
+            raise ContractError("the scan needs each chain's previous-generation length")
+        unbounded = common is not None and w.degree % common == 0
         rows.append(
             DegreeScanRow(
-                degree=d,
-                values=values,
-                stabilized=stabilized,
+                degree=w.degree,
+                values=(w.previous, w.length),
+                stabilized=w.previous == w.length and not unbounded,
                 unbounded_within_sample=unbounded,
             )
         )
-    return NilpotencyScan(levels=lv, rows=tuple(rows), degenerate_grading=degenerate)
+    return NilpotencyScan((level - 1, level), tuple(rows), degenerate)
 
 
 def _girth(edges: Sequence[Word], cap: int) -> int:

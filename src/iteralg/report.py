@@ -137,26 +137,26 @@ def _graded_audit(
     f: FactorSet,
     d_max: int,
     audit_len: int,
-    levels: tuple[int, ...] = (),
-) -> tuple[dict, list[tuple[int, ...]]]:
+    previous: bool = False,
+) -> tuple[dict, list[graded.ChainWitness]]:
     """The s_prefix, chains, rotation_audit and lie entries, and each degree's
-    chain ``level_lengths`` at ``levels`` for the nilpotency scan.
+    chain witness, taken with ``previous`` for the nilpotency scan.
 
     Both audits read factors of length 2..audit_len; below 2 they are skipped.
     """
     m = s.morphism
     chains = []
-    level_lengths = []
+    witnesses = []
     for d in range(1, d_max + 1):
-        witness = graded.max_homogeneous_chain(s, f, d, levels=levels)
-        level_lengths.append(witness.level_lengths)
+        witness = graded.max_homogeneous_chain(s, f, d, previous)
+        witnesses.append(witness)
         chains.append(
             {
                 "d": d,
                 "max_r": witness.length,
                 "witness": {
                     "start": _s(witness.start_value),
-                    "pieces": [m.decode(p) for p in witness.first_pieces(8)],
+                    "pieces": [m.decode(p) for p in s.pieces(witness, 8)],
                 },
             }
         )
@@ -185,15 +185,14 @@ def _graded_audit(
         "rotation_audit": rotation_doc,
         "lie": lie_doc,
     }
-    return doc, level_lengths
+    return doc, witnesses
 
 
 def _graded_doc(m: Morphism, prefix: WordPrefix, f: FactorSet, cfg: AnalysisConfig) -> dict:
     audit_len = min(DEFAULT_EMBEDDED_AUDIT_LEN, f.max_len)
     s = graded.s_set(m, prefix)
-    levels = (prefix.generation_level - 1, prefix.generation_level)
-    doc, level_lengths = _graded_audit(s, f, cfg.d_max, audit_len, levels)
-    scan = graded.graded_nilpotency_scan(m, level_lengths, levels)
+    doc, witnesses = _graded_audit(s, f, cfg.d_max, audit_len, previous=True)
+    scan = graded.graded_nilpotency_scan(m, witnesses, prefix.generation_level)
     scan_doc = {
         "levels": list(scan.levels),
         "degenerate_grading": scan.degenerate_grading,

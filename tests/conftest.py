@@ -18,6 +18,7 @@ from iteralg.deciders import DeciderOutputs, PropertyReport, Verdict
 from iteralg.errors import ContractError, InvariantError, NoSplitError
 from iteralg.graded import (
     ChainWitness,
+    PositionDegreeSet,
     RotationAudit,
     lie_decomposition,
     max_homogeneous_chain,
@@ -340,11 +341,11 @@ def degree_sums_reference(
     return [0, *accumulate(capped[ord(ch)] for ch in word)]
 
 
-def first_pieces_reference(w: ChainWitness, count: int) -> tuple[str, ...]:
-    """The witness's first ``count`` pieces, cut by bisecting the accumulated
-    degree sums for the next multiple of d."""
-    word = w.s.word
-    sums = degree_sums_reference(w.s.degrees, word)
+def first_pieces_reference(s: PositionDegreeSet, w: ChainWitness, count: int) -> tuple[str, ...]:
+    """The first ``count`` pieces of the witness over the set's word, cut by
+    bisecting the accumulated degree sums for the next multiple of d."""
+    word = s.word
+    sums = degree_sums_reference(s.degrees, word)
     i, end = w.span
     out = []
     for _ in range(min(count, w.length)):
@@ -480,16 +481,16 @@ def level_prefix(m: Morphism, k: int) -> WordPrefix:
     return fixed_point_prefix(m, len(naive_power(m, k)))
 
 
-def chain_level_lengths(
-    m: Morphism, prefix: WordPrefix, d_max: int, levels: list[int]
-) -> list[tuple[int, ...]]:
-    """Each degree's chain ``level_lengths`` at ``levels`` over ``prefix``, as
-    analyze passes them."""
+# the factor bound of the closures the chain tests check their witnesses against
+CHAIN_CHECK_LEN = 8
+
+
+def scan_witnesses(m: Morphism, prefix: WordPrefix, d_max: int) -> list[ChainWitness]:
+    """Each degree's chain witness over ``prefix`` with its previous
+    generation's length, as analyze passes them to the nilpotency scan."""
     s = s_set(m, prefix)
-    return [
-        max_homogeneous_chain(s, None, d, levels=levels).level_lengths
-        for d in range(1, d_max + 1)
-    ]
+    f = factor_closure(m, CHAIN_CHECK_LEN)
+    return [max_homogeneous_chain(s, f, d, previous=True) for d in range(1, d_max + 1)]
 
 
 def weight_crosscheck_reference(m: Morphism, n_max: int) -> WeightSequences:

@@ -37,13 +37,13 @@ from conftest import (
     MonomialElement,
     apply_n,
     brute_factor_count,
-    chain_level_lengths,
     evaluate_matrix,
     holds_at,
     is_zero,
     level_prefix,
     multiply,
     naive_power,
+    scan_witnesses,
     sorted_factors,
 )
 
@@ -109,7 +109,7 @@ def test_c04_weight_convention_diagnostic(paper12):
 
 def test_c05_s_set_regression(paper12):
     prefix = fixed_point_prefix(paper12, 8)
-    s = s_set(paper12, prefix.word[:8])
+    s = s_set(paper12, prefix)
     assert s.head(9) == S_SET_HEAD
     ok(5, "position-degree set begins 0,1,3,5,7,8,10,12,14")
 
@@ -155,14 +155,12 @@ def test_c07_rotation_and_lie_audit(paper12, periodic_ab):
 def test_c08_graded_nilpotency_evidence(paper12, periodic_ab):
     t0 = time.perf_counter()
     prefix = level_prefix(paper12, 8)
-    lengths = chain_level_lengths(paper12, prefix, 6, [7, 8])
-    scan = graded_nilpotency_scan(paper12, lengths, [7, 8])
+    scan = graded_nilpotency_scan(paper12, scan_witnesses(paper12, prefix, 6), 8)
     for row in scan.rows:
         assert row.values[0] == row.values[1], f"degree {row.degree} not stabilized"
         assert row.stabilized
     prefix = level_prefix(periodic_ab, 8)
-    lengths = chain_level_lengths(periodic_ab, prefix, 2, [4, 8])
-    growth = graded_nilpotency_scan(periodic_ab, lengths, [4, 8])
+    growth = graded_nilpotency_scan(periodic_ab, scan_witnesses(periodic_ab, prefix, 2), 8)
     row2 = next(r for r in growth.rows if r.degree == 2)
     assert row2.values[1] > row2.values[0]
     assert row2.unbounded_within_sample

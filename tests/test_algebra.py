@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from iteralg.algebra import graded_dimension, graded_dimensions, hilbert_function
 from iteralg.errors import ContractError
-from iteralg.words import factor_closure
+from iteralg.words import FactorSet, factor_closure
 
 from conftest import (
     MonomialElement,
@@ -129,6 +129,21 @@ def test_one_pass_matches_the_per_degree_rescan(m, max_len, d_max, data):
     assert [graded_dimension(f, degrees, d) for d in range(top + 1)] == dims
     with pytest.raises(ContractError):
         graded_dimension(f, degrees, max_len + 1)
+
+
+def test_graded_dimensions_read_f_l_without_filtering_layers(paper12, closure, monkeypatch):
+    f = closure("paper12", 16)
+    expected = [graded_dimension_reference(f, paper12.degrees, d) for d in range(9)]
+    calls = []
+    of_length = FactorSet.of_length
+
+    def spy(self, n):
+        calls.append(n)
+        return of_length(self, n)
+
+    monkeypatch.setattr(FactorSet, "of_length", spy)
+    assert graded_dimensions(f, paper12.degrees, 8) == expected
+    assert calls == []
 
 
 def test_associativity_random_triples(paper12, closure):

@@ -480,9 +480,10 @@ def test_gallery_show_paper12(capsys):
 
 
 def test_gallery_show_unknown(capsys):
-    code, _, err = run(capsys, "gallery", "show", "zeta")
-    assert code == 2
-    assert "zeta" in err
+    # main reports the ContractError with the same prefix as the other commands
+    assert run(capsys, "gallery", "show", "nope") == (
+        2, "", "error: no gallery entry named 'nope'\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ from iteralg.graded import (
     s_set,
 )
 from iteralg.report import _graded_audit
-from iteralg.words import Morphism, factor_closure, fixed_point_prefix
+from iteralg.words import Morphism, WordPrefix, factor_closure, fixed_point_prefix
 
 from conftest import (
+    CHAIN_CHECK_LEN,
     all_factors,
     apply_n,
-    chain_level_lengths,
     degree_of,
     wide_morphism,
     degree_sums_reference,
@@ -36,6 +36,7 @@ from conftest import (
     naive_power,
     prefix_identity_reference,
     reference_rotation_audit,
+    scan_witnesses,
     small_morphisms,
     window_reference,
 )
@@ -50,28 +51,27 @@ PAPER12_CHAIN_TABLE = {1: 1, 2: 15, 3: 1, 4: 7, 5: 2, 6: 5}
 
 
 def test_s_set_paper12_head(paper12):
-    prefix = fixed_point_prefix(paper12, 8)
-    s = s_set(paper12, prefix.word[:8])
+    s = s_set(paper12, fixed_point_prefix(paper12, 8))
     assert tuple(s.sum_at(i) for i in range(9)) == s.head(9) == PAPER12_S_HEAD
 
 
 def test_s_set_degree_one(fibonacci):
-    prefix = fixed_point_prefix(fibonacci, 10)
-    s = s_set(fibonacci, prefix.word[:10])
+    s = s_set(fibonacci, fixed_point_prefix(fibonacci, 10))
     assert tuple(s.sum_at(i) for i in range(11)) == s.head(11) == tuple(range(11))
 
 
 def test_s_set_fibonacci_mixed_degrees():
     m = mk(["a", "b"], ["a b", "a"], "a", degrees=(1, 2))
-    s = s_set(m, m.encode("a b a a b"))
+    s = s_set(m, level_prefix(m, 3))
+    assert s.word == m.encode("a b a a b")
     assert tuple(s.sum_at(i) for i in range(6)) == s.head(6) == (0, 1, 3, 4, 5, 7)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_morphisms(graded=True), st.integers(min_value=0, max_value=200))
 def test_s_set_matches_accumulate(m, n):
-    prefix = fixed_point_prefix(m, max(n, 1)).word[: max(n, 1)]
-    s = s_set(m, prefix)
+    s = s_set(m, fixed_point_prefix(m, max(n, 1)))
+    prefix = s.word
     oracle = [0] + list(
         itertools.accumulate(m.degrees[ord(ch)] for ch in prefix)
     )
@@ -90,8 +90,8 @@ DEGREES = st.integers(min_value=1, max_value=3) | st.integers(min_value=4, max_v
 )
 def test_sums_from_letter_counts_match_accumulate(m, n, data):
     m = replace(m, degrees=tuple(data.draw(DEGREES) for _ in m.degrees))
-    word = fixed_point_prefix(m, max(n, 1)).word[:n]
-    s = s_set(m, word)
+    s = s_set(m, fixed_point_prefix(m, max(n, 1)))
+    word = s.word
     for cap in (None, 1, 2, 3, 5):
         oracle = degree_sums_reference(m.degrees, word, cap)
         assert [s.sum_at(i, cap) for i in range(len(word) + 1)] == oracle
@@ -110,8 +110,8 @@ def test_sums_from_letter_counts_match_accumulate(m, n, data):
 )
 def test_shared_span_reads_match_accumulate(m, n, data):
     # queries in any order extend a start's span, cut it back or open a new start
-    word = fixed_point_prefix(m, max(n, 1)).word[:n]
-    s = s_set(m, word)
+    s = s_set(m, fixed_point_prefix(m, max(n, 1)))
+    word = s.word
     sums = {cap: degree_sums_reference(m.degrees, word, cap) for cap in (None, 1, 2, 3)}
     position = st.integers(0, len(word))
     for _ in range(data.draw(st.integers(1, 12))):
@@ -142,10 +142,10 @@ def test_chains_count_each_gallery_prefix_at_most_twice(monkeypatch):
         m = words.parse_morphism(cli.gallery_text(name))
         prefix = fixed_point_prefix(m, AnalysisConfig().prefix_letters)
         s = s_set(m, prefix)
-        levels = (prefix.generation_level - 1, prefix.generation_level)
+        f = factor_closure(m, CHAIN_CHECK_LEN)
         counted.clear()
         for d in range(1, 9):
-            max_homogeneous_chain(s, None, d, levels=levels)
+            max_homogeneous_chain(s, f, d, previous=True)
         assert sum(counted) <= 2 * len(prefix.word), name
 
 
@@ -156,10 +156,10 @@ def test_chain_check_rejects_one_piece_too_many(name, monkeypatch):
     # and on one whose spans the true chains already read
     m = words.parse_morphism(cli.gallery_text(name))
     prefix = fixed_point_prefix(m, 4**6)
-    levels = (prefix.generation_level - 1, prefix.generation_level)
+    f = factor_closure(m, CHAIN_CHECK_LEN)
     filled = s_set(m, prefix)
     for d in range(1, 9):
-        max_homogeneous_chain(filled, None, d, levels=levels)
+        max_homogeneous_chain(filled, f, d, previous=True)
     longest, equal_width = graded._longest_run, graded._equal_width_run
 
     def one_more(*args):
@@ -171,7 +171,7 @@ def test_chain_check_rejects_one_piece_too_many(name, monkeypatch):
     for s in (filled, s_set(m, prefix)):
         for d in range(1, 9):
             with pytest.raises(InvariantError, match="wrong degree"):
-                max_homogeneous_chain(s, None, d, levels=levels)
+                max_homogeneous_chain(s, f, d, previous=True)
 
 
 @pytest.mark.parametrize("size", [20, 100])
@@ -184,15 +184,16 @@ def test_sums_and_chains_on_large_alphabets(size):
     capped = degree_sums_reference(m.degrees, prefix.word, 2)
     for i in range(0, len(prefix.word) + 1, 97):
         assert (s.sum_at(i), s.sum_at(i, 2)) == (sums[i], capped[i])
-    levels = [prefix.generation_level - 1, prefix.generation_level]
-    for d in range(1, 5):
-        w = max_homogeneous_chain(s, None, d, levels=levels)
-        r, start = max_run_start(sums, d)
-        assert (w.length, w.start_value) == (r, start)
-        assert w.span == (sums.index(start), sums.index(start + r * d))
-        assert w.level_lengths == tuple(
-            max_run_start(sums[: prefix.gen_lengths[k] + 1], d)[0] for k in levels
-        )
+    f = factor_closure(m, CHAIN_CHECK_LEN)
+    for k in range(1, prefix.generation_level + 1):
+        s = s_set(m, level_prefix(m, k))
+        ends = s.gen_lengths
+        for d in range(1, 5):
+            w = max_homogeneous_chain(s, f, d, previous=True)
+            r, start = max_run_start(sums[: ends[-1] + 1], d)
+            assert (w.length, w.start_value) == (r, start)
+            assert w.span == (sums.index(start), sums.index(start + r * d))
+            assert w.previous == max_run_start(sums[: ends[-2] + 1], d)[0]
 
 
 def test_position_degree_set_needs_positive_degrees(paper12):
@@ -203,10 +204,23 @@ def test_position_degree_set_needs_positive_degrees(paper12):
 
 def test_position_degree_set_needs_a_whole_last_generation(paper12):
     s = s_set(paper12, fixed_point_prefix(paper12, 16))
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError):
         replace(s, word=s.word[:-1])
     with pytest.raises(TypeError):  # phi is a required field
         graded.PositionDegreeSet(s.word, s.gen_lengths)
+
+
+def test_s_set_takes_only_a_prefix_of_two_whole_generations(paper12):
+    prefix = fixed_point_prefix(paper12, 16)
+    with pytest.raises(ContractError, match="WordPrefix"):
+        s_set(paper12, prefix.word)
+    for word, ends in [
+        (prefix.word[:1], (1,)),  # generation 0 alone
+        (prefix.word[:-1], prefix.gen_lengths),  # cut inside the last generation
+        (prefix.word, prefix.gen_lengths[:-1]),  # past its last generation
+    ]:
+        with pytest.raises(ContractError, match="two generations"):
+            s_set(paper12, WordPrefix(word, ends))
 
 
 def _mark_table(degrees, cap):
@@ -224,7 +238,7 @@ def test_bitset_matches_direct_translation(name):
     m = EXPANSION_CASES[name]
     prefix = fixed_point_prefix(m, 4**6 + 3)
     _assert_bitsets_match_direct_translation(s_set(m, prefix), m.degrees)
-    _assert_bitsets_match_direct_translation(s_set(m, prefix.word[:1000]), m.degrees)
+    _assert_bitsets_match_direct_translation(s_set(m, fixed_point_prefix(m, 1000)), m.degrees)
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,33 +270,37 @@ def test_analyze_builds_no_sums_tuple(name, monkeypatch):
 
 
 def test_chain_paper12_d2_small_window(paper12, closure):
-    s = s_set(paper12, fixed_point_prefix(paper12, 8).word[:8])
-    w = max_homogeneous_chain(s, closure("paper12", 8), 2)
-    assert w.length == 3
-    assert w.start_value == 1
-    assert tuple(paper12.decode(p) for p in w.first_pieces(w.length)) == ("x2", "y1", "y2")
+    s = s_set(paper12, level_prefix(paper12, 2))
+    w = max_homogeneous_chain(s, closure("paper12", 8), 2, previous=True)
+    # phi(x1) = x1 x2 y1 y2 holds three pieces, x2, y1 and y2, from sum 1
+    assert (w.length, w.previous) == (11, 3)
+    assert w.start_value == 8
+    assert tuple(paper12.decode(p) for p in s.pieces(w, 3)) == ("x3", "y1", "y3")
 
 
 def test_chain_paper12_d1(paper12, closure):
-    s = s_set(paper12, fixed_point_prefix(paper12, 64).word[:64])
+    s = s_set(paper12, level_prefix(paper12, 3))
     w = max_homogeneous_chain(s, closure("paper12", 8), 1)
-    assert w.length == 1
-
-
-def test_chain_empty_prefix(paper12):
-    s = s_set(paper12, "")
-    w = max_homogeneous_chain(s, None, 2)
-    assert w.length == 0 and w.first_pieces(w.length) == ()
+    assert (w.length, w.previous) == (1, None)
 
 
 def test_chain_witness_verifies(paper12, closure):
-    prefix = fixed_point_prefix(paper12, 1024).word
-    s = s_set(paper12, prefix)
+    s = s_set(paper12, fixed_point_prefix(paper12, 1024))
     for d in range(1, 7):
-        w = max_homogeneous_chain(s, None, d)
-        pieces = w.first_pieces(w.length)
+        w = max_homogeneous_chain(s, closure("paper12", 8), d)
+        pieces = s.pieces(w, w.length)
         assert all(degree_of(paper12, p) == d for p in pieces)
-        assert "".join(pieces) == prefix[slice(*w.span)]
+        assert "".join(pieces) == s.word[slice(*w.span)]
+
+
+def test_chain_checks_its_letters_are_a_factor(paper12, closure):
+    # the same chain over a closure that lacks its letters fails the check
+    s = s_set(paper12, level_prefix(paper12, 2))
+    f = closure("paper12", 8)
+    chain = s.word[slice(*max_homogeneous_chain(s, f, 1).span)]
+    lacking = replace(f, words=tuple(u for u in f.words if not u.startswith(chain)))
+    with pytest.raises(InvariantError, match="not a known factor"):
+        max_homogeneous_chain(s, lacking, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +309,7 @@ def test_chain_witness_verifies(paper12, closure):
 
 def test_scan_paper12_stabilizes(paper12):
     prefix = level_prefix(paper12, 8)
-    lengths = chain_level_lengths(paper12, prefix, 6, [7, 8])
-    scan = graded_nilpotency_scan(paper12, lengths, [7, 8])
+    scan = graded_nilpotency_scan(paper12, scan_witnesses(paper12, prefix, 6), 8)
     assert scan.levels == (7, 8)
     assert not scan.degenerate_grading
     for row in scan.rows:
@@ -302,8 +319,8 @@ def test_scan_paper12_stabilizes(paper12):
 
 def test_scan_periodic_degree_one_grows(periodic_ab):
     prefix = level_prefix(periodic_ab, 6)
-    lengths = chain_level_lengths(periodic_ab, prefix, 2, [4, 6])
-    scan = graded_nilpotency_scan(periodic_ab, lengths, [4, 6])
+    scan = graded_nilpotency_scan(periodic_ab, scan_witnesses(periodic_ab, prefix, 2), 6)
+    assert scan.levels == (5, 6)
     assert scan.degenerate_grading
     row = next(r for r in scan.rows if r.degree == 2)
     assert row.unbounded_within_sample and not row.stabilized
@@ -312,15 +329,17 @@ def test_scan_periodic_degree_one_grows(periodic_ab):
 
 def test_scan_empty(paper12):
     prefix = level_prefix(paper12, 4)
-    scan = graded_nilpotency_scan(paper12, chain_level_lengths(paper12, prefix, 0, [3, 4]), [3, 4])
+    scan = graded_nilpotency_scan(paper12, scan_witnesses(paper12, prefix, 0), 4)
     assert scan.rows == ()
 
 
-def test_scan_contract(paper12):
-    prefix = level_prefix(paper12, 4)
-    assert prefix.generation_level == 4
-    with pytest.raises(ContractError):
-        graded_nilpotency_scan(paper12, chain_level_lengths(paper12, prefix, 6, [4, 5]), [4, 5])
+def test_scan_contract(paper12, closure):
+    # a chain taken without its previous generation cannot fill a row
+    s = s_set(paper12, level_prefix(paper12, 4))
+    witnesses = [max_homogeneous_chain(s, closure("paper12", 8), d) for d in range(1, 7)]
+    assert all(w.previous is None for w in witnesses)
+    with pytest.raises(ContractError, match="previous"):
+        graded_nilpotency_scan(paper12, witnesses, 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,33 +349,23 @@ def test_scan_contract(paper12):
     st.integers(min_value=1, max_value=6),
 )
 def test_forward_runs_match_backward_reference(m, top, d_max):
-    prefix = level_prefix(m, top)
-    s = s_set(m, prefix)
-    sums = tuple(degree_sums_reference(s.degrees, s.word))
-    levels = list(range(top + 1))
-    lengths = chain_level_lengths(m, prefix, d_max, levels)
-    scan = graded_nilpotency_scan(m, lengths, levels)
-    ends = [len(naive_power(m, k)) for k in scan.levels]
-    for row in scan.rows:
-        for end, value in zip(ends, row.values):
-            assert value == max_run_start(sums[: end + 1], row.degree)[0]
-    for d in range(1, d_max + 1):
-        w = max_homogeneous_chain(s, None, d, levels=range(len(prefix.gen_lengths)))
-        r, start = max_run_start(sums, d)
-        cuts = [sums.index(start + i * d) for i in range(r + 1)]
-        pieces = tuple(prefix.word[a:b] for a, b in zip(cuts, cuts[1:]))
-        assert (w.length, w.start_value, w.first_pieces(w.length)) == (r, start, pieces)
-        assert w.level_lengths == tuple(
-            max_run_start(sums[: e + 1], d)[0] for e in prefix.gen_lengths
-        )
-
-
-def test_bare_word_has_no_level_lengths(paper12):
-    s = s_set(paper12, fixed_point_prefix(paper12, 64).word)
-    assert s.gen_lengths == ()
-    assert max_homogeneous_chain(s, None, 2).level_lengths == ()
-    with pytest.raises(ContractError):
-        max_homogeneous_chain(s, None, 2, levels=[0])
+    # every generation k, as the last of its own prefix, against the oracle
+    sums = tuple(degree_sums_reference(m.degrees, level_prefix(m, top).word))
+    for k in range(1, top + 1):
+        prefix = level_prefix(m, k)
+        witnesses = scan_witnesses(m, prefix, d_max)
+        scan = graded_nilpotency_scan(m, witnesses, k)
+        assert scan.levels == (k - 1, k)
+        ends = [len(naive_power(m, j)) for j in scan.levels]
+        for row in scan.rows:
+            for end, value in zip(ends, row.values):
+                assert value == max_run_start(sums[: end + 1], row.degree)[0]
+        s = s_set(m, prefix)
+        for d, w in enumerate(witnesses, start=1):
+            r, start = max_run_start(sums[: ends[-1] + 1], d)
+            cuts = [sums.index(start + i * d) for i in range(r + 1)]
+            pieces = tuple(prefix.word[a:b] for a, b in zip(cuts, cuts[1:]))
+            assert (w.length, w.start_value, s.pieces(w, w.length)) == (r, start, pieces)
 
 
 # a -> a b c, b -> c a, c -> b: every letter occurs, and level 5 ends at letter 48
@@ -368,7 +377,7 @@ UNREACHED = mk(["a", "b", "c"], ["a b", "a", "c"], "a")
 @settings(max_examples=80, deadline=None)
 @given(
     small_morphisms(allow_erasing=True, graded=True),
-    st.integers(0, 5),
+    st.integers(1, 5),
     st.lists(DEGREES, min_size=4, max_size=4),
 )
 @example(PINNED, 5, [1, 1, 1])  # equal widths: the chain runs from 0 in steps of d letters
@@ -378,27 +387,24 @@ UNREACHED = mk(["a", "b", "c"], ["a b", "a", "c"], "a")
 @example(UNREACHED, 5, [1, 1, 2])  # the letters that occur have equal widths
 def test_chain_witness_matches_run_oracle(m, top, degrees):
     m = replace(m, degrees=tuple(degrees[: m.size]))
-    prefix = level_prefix(m, top)
-    s = s_set(m, prefix)
-    sums = tuple(degree_sums_reference(s.degrees, s.word))
-    levels = list(range(len(prefix.gen_lengths)))
-    for d in range(1, 9):
-        w = max_homogeneous_chain(s, None, d, levels=levels[::-1])
-        r, start = max_run_start(sums, d)
-        cuts = [sums.index(start + i * d) for i in range(r + 1)]
-        assert (w.length, w.start_value, w.span) == (r, start, (cuts[0], cuts[-1]))
-        pieces = w.first_pieces(w.length)
-        assert pieces == tuple(prefix.word[a:b] for a, b in zip(cuts, cuts[1:]))
-        assert w.first_pieces(2) == pieces[:2]
-        for count in (0, 1, 2, 8, w.length):
-            assert w.first_pieces(count) == first_pieces_reference(w, count)
-        assert s.word[cuts[0] : cuts[-1]] == "".join(pieces)
-        assert w.level_lengths == tuple(
-            max_run_start(sums[: prefix.gen_lengths[k] + 1], d)[0] for k in levels[::-1]
-        )
-    for bad in (-1, len(levels)):
-        with pytest.raises(ContractError):
-            max_homogeneous_chain(s, None, 1, levels=[0, bad])
+    sums = tuple(degree_sums_reference(m.degrees, level_prefix(m, top).word))
+    f = factor_closure(m, CHAIN_CHECK_LEN)
+    for k in range(1, top + 1):
+        s = s_set(m, level_prefix(m, k))
+        ends = s.gen_lengths
+        for d in range(1, 9):
+            w = max_homogeneous_chain(s, f, d, previous=True)
+            r, start = max_run_start(sums[: ends[-1] + 1], d)
+            cuts = [sums.index(start + i * d) for i in range(r + 1)]
+            assert (w.length, w.start_value, w.span) == (r, start, (cuts[0], cuts[-1]))
+            assert w.previous == max_run_start(sums[: ends[-2] + 1], d)[0]
+            assert max_homogeneous_chain(s, f, d) == w._replace(previous=None)
+            pieces = s.pieces(w, w.length)
+            assert pieces == tuple(s.word[a:b] for a, b in zip(cuts, cuts[1:]))
+            assert s.pieces(w, 2) == pieces[:2]
+            for count in (0, 1, 2, 8, w.length):
+                assert s.pieces(w, count) == first_pieces_reference(s, w, count)
+            assert s.word[cuts[0] : cuts[-1]] == "".join(pieces)
 
 
 @pytest.mark.parametrize("name, built", [("fibonacci", 0), ("paper12", 8)])
@@ -423,37 +429,38 @@ def test_chain_levels_deep_in_a_linear_prefix():
     m = mk(["a", "b", "c"], ["a b c", "b", "c"], "a", degrees=(1, 2, 3))
     prefix = fixed_point_prefix(m, 4**6)
     assert prefix.generation_level > 2000
-    s = s_set(m, prefix)
     sums = tuple(degree_sums_reference(m.degrees, prefix.word))
+    f = factor_closure(m, CHAIN_CHECK_LEN)
     top = prefix.generation_level
-    levels = (top - 1, top)
-    for d in range(1, 9):
-        w = max_homogeneous_chain(s, None, d, levels=levels)
-        r, start = max_run_start(sums, d)
-        assert (w.length, w.start_value) == (r, start)
-        assert w.span == (sums.index(start), sums.index(start + r * d))
-        assert w.level_lengths == tuple(
-            max_run_start(sums[: prefix.gen_lengths[k] + 1], d)[0] for k in levels
-        )
+    for k in (1, 2, top // 2, top):
+        ends = prefix.gen_lengths[: k + 1]
+        s = s_set(m, WordPrefix(prefix.word[: ends[-1]], ends))
+        for d in range(1, 9):
+            w = max_homogeneous_chain(s, f, d, previous=True)
+            r, start = max_run_start(sums[: ends[-1] + 1], d)
+            assert (w.length, w.start_value) == (r, start)
+            assert w.span == (sums.index(start), sums.index(start + r * d))
+            assert w.previous == max_run_start(sums[: ends[-2] + 1], d)[0]
 
 
 def test_chain_level_requests(paper12, monkeypatch):
-    # audit asks for no level lengths; analyze for the scan's two per degree
+    # audit asks for no previous generation; analyze asks for it per degree
     calls = []
     chain = graded.max_homogeneous_chain
 
-    def spy(s, f, d, levels=()):
-        calls.append((d, tuple(levels)))
-        return chain(s, f, d, levels=levels)
+    def spy(s, f, d, previous=False):
+        calls.append((d, previous))
+        return chain(s, f, d, previous)
 
     monkeypatch.setattr(graded, "max_homogeneous_chain", spy)
     cfg = AnalysisConfig(prefix_letters=4**5, max_len=8, d_max=4)
     report.audit(paper12, cfg, "paper12")
-    assert calls == [(d, ()) for d in range(1, 5)]
+    assert calls == [(d, False) for d in range(1, 5)]
     calls.clear()
     doc, _ = report.analyze(paper12, cfg, "paper12")
+    assert calls == [(d, True) for d in range(1, 5)]
     top = doc["word"]["generation_level"]
-    assert calls == [(d, (top - 1, top)) for d in range(1, 5)]
+    assert doc["graded"]["nilpotency_scan"]["levels"] == [top - 1, top]
 
 
 # ---------------------------------------------------------------------------

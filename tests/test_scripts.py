@@ -29,6 +29,20 @@ def test_script_exits_zero(argv, fragment):
     assert fragment in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scripts/gallery_survey.py", "--max-len", "0"],
+        ["scripts/weight_table.py", "fibonacci", "--n-max", "-3"],
+    ],
+)
+def test_script_rejects_a_bad_number_as_a_usage_error(argv):
+    proc = run_script(argv)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 GOLDEN = "perfbench/golden/analyze-fibonacci.json"
 
 
