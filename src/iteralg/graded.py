@@ -38,8 +38,6 @@ class PositionDegreeSet:
     _bitsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # start -> (end, letter counts of word[start:end]) for the longest span read
     _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (start, end) -> letter counts of a span shorter than the longest read
-    _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (table, start) -> (end, word[start:end] translated under table), the longest read
     _marks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -55,8 +53,8 @@ class PositionDegreeSet:
         """|word[i:j]|_x for each letter x.
 
         A span longer than the longest read from i extends its counts by the
-        new letters; a shorter one is cut back, by counting its own letters
-        or the tail past j, whichever is fewer, and kept.
+        new letters and is kept; a shorter one is cut back, by counting its
+        own letters or the tail past j, whichever is fewer.
         """
         size = len(self.degrees)
         end, counts = self._spans.get(i, (i, (0,) * size))
@@ -65,14 +63,9 @@ class PositionDegreeSet:
                 counts = tuple(map(add, counts, letter_counts(self.word, size, end, j)))
                 self._spans[i] = (j, counts)
             return counts
-        cut = self._cuts.get((i, j))
-        if cut is None:
-            if end - j < j - i:
-                cut = tuple(map(sub, counts, letter_counts(self.word, size, j, end)))
-            else:
-                cut = letter_counts(self.word, size, i, j)
-            self._cuts[i, j] = cut
-        return cut
+        if end - j < j - i:
+            return tuple(map(sub, counts, letter_counts(self.word, size, j, end)))
+        return letter_counts(self.word, size, i, j)
 
     def marks(self, table: list[str], i: int, j: int) -> str:
         """``word[i:j]`` translated under ``table``, followed by the marks of
@@ -101,18 +94,15 @@ class PositionDegreeSet:
         degrees = self.degrees if cap is None else [min(g, cap) for g in self.degrees]
         return sum(map(mul, degrees, self.span_counts(0, i)))
 
-    def span_degree(self, i: int, j: int) -> int:
-        """The degree of ``word[i:j]``, from its letter counts."""
-        return sum(map(mul, self.degrees, self.span_counts(i, j)))
-
     def head(self, n: int) -> tuple[int, ...]:
         """s_0, ..., s_{n-1} for n >= 1, as far as the word reaches."""
         degrees = self.degrees
         return (0, *accumulate(degrees[ord(ch)] for ch in self.word[: n - 1]))
 
     def bitset(self, table: list[str]) -> int:
-        """The int whose bit p is set when p = 0 or the word translated under
-        ``table`` has a "1" at p - 1; built once per table.
+        """The int "1" followed by the word translated under ``table``, read
+        in binary; built once per table.  With N its bit length less one, bit
+        N - p is set when p = 0 or the translation has a "1" at p - 1.
 
         The word is phi^G(start), so its translation is phi^{G-h}(start)
         translated under table o phi^h (``PowerTables``).
@@ -123,7 +113,7 @@ class PositionDegreeSet:
             ends = self.gen_lengths
             tables = PowerTables(self.morphism, map(ord, self.word[:1]), table)
             i, h = tables.pick(ends, 0)
-            bits = int(("1" + tables.apply(self.word[: ends[i]], h))[::-1], 2)
+            bits = int("1" + tables.apply(self.word[: ends[i]], h), 2)
             self._bitsets[key] = bits
         return bits
 
@@ -195,25 +185,16 @@ def s_set(m: Morphism, prefix: WordPrefix) -> PositionDegreeSet:
     return PositionDegreeSet(prefix.word, prefix.gen_lengths, m)
 
 
-def _longest_run(
-    bits: int, powers: list[int], d: int, cut: int | None = None
-) -> tuple[int, int]:
+def _longest_run(bits: int, powers: list[int], d: int) -> tuple[int, int]:
     """(r, A_r) for the largest r with a run of r steps of d inside the set
-    bits; A_k marks the starts of the k-step runs and ``powers[j]`` is
+    bits; A_k marks the lowest bit of each k-step run and ``powers[j]`` is
     A_{2^j}.  A nonzero A_r holds a whole run, so a step is taken whenever
-    its starts are not empty.  With a ``cut`` only bits up to it count:
-    ``bits`` is cut there and each A_k at cut - kd, the last start whose run
-    ends by the cut, before it is shifted."""
-    if cut is not None:
-        mask = (2 << cut) - 1
-        bits &= mask
+    its marks are not empty."""
     r, starts = 0, bits
     for j in reversed(range(len(powers))):
-        k = 1 << j
-        runs = powers[j] if cut is None else powers[j] & (mask >> (k * d))
-        nxt = starts & (runs >> (r * d))
+        nxt = starts & (powers[j] >> (r * d))
         if nxt:
-            r, starts = r + k, nxt
+            r, starts = r + (1 << j), nxt
     return r, starts
 
 
@@ -241,11 +222,16 @@ def max_homogeneous_chain(
     the same capped width g (all degrees equal, or all above d), the capped
     sums are 0, g, ..., g*|word|, and the longest run and the previous
     generation's are read off the lengths (``_equal_width_run``), with the
-    smallest start, 0.  Otherwise the capped sums are a bitset.  Doubling,
-    A_{2k} = A_k & (A_k >> kd), marks the starts of 2^j-piece runs, and a
-    binary descent finds the longest; its lowest set bit is the smallest
-    start, the tie rule.  The previous generation runs the descent again on
-    the ints cut at its capped sum.
+    smallest start, 0.  Otherwise the capped sums are a mirrored bitset: bit
+    N - p stands for sum p (``PositionDegreeSet.bitset``).  Doubling,
+    A_{2k} = A_k & (A_k >> kd), marks the lowest bit of each 2^j-piece run,
+    and a binary descent finds the longest; its highest mark is the run with
+    the smallest start, the tie rule.
+
+    A witness that ends inside phi^(G-1)(start) is that generation's longest
+    run too, as no longer run fits in a shorter word.  Otherwise the previous
+    generation is the top of the bitset: the descent runs again on the ints
+    shifted right past its capped sum, or the closed form on its length.
 
     The witness is checked on its letters only, on either path: its letter
     counts give degree r*d under the set's own degrees and r*d marks under
@@ -255,7 +241,7 @@ def max_homogeneous_chain(
     counts and marks are the set's (``span_counts``, ``marks``), so a span
     that several degrees share is read once; the marks of a longer span from
     the same start, cut to r*d, are this span's.  The sums at the start and
-    at the previous generation's cut are read off letter counts too.
+    at the previous generation's end are read off letter counts too.
     """
     if d < 1:
         raise ContractError("chain degree must be positive")
@@ -267,7 +253,7 @@ def max_homogeneous_chain(
         r = _equal_width_run(width, len(s.word), d)
         i0, ir = 0, r * d // width
     else:
-        bits = s.bitset(table)  # bit p: some prefix has capped degree p
+        bits = s.bitset(table)  # bit N - p: some prefix has capped degree p
         powers = []
         runs, shift = bits & (bits >> d), d
         while runs:
@@ -275,12 +261,12 @@ def max_homogeneous_chain(
             runs &= runs >> shift
             shift *= 2
         r, starts = _longest_run(bits, powers, d)
-        low = (starts & -starts).bit_length() - 1
-        i0 = (bits & ((1 << low) - 1)).bit_count()
-        ir = i0 + ((bits >> low) & ((2 << (r * d)) - 1)).bit_count() - 1
+        q = starts.bit_length() - 1
+        i0 = (bits >> (q + r * d + 1)).bit_count()
+        ir = i0 + ((bits >> q) & ((2 << (r * d)) - 1)).bit_count() - 1
     counts = s.span_counts(i0, ir)
     if (
-        s.span_degree(i0, ir) != r * d
+        sum(map(mul, m.degrees, counts)) != r * d
         or sum(len(v) * n for v, n in zip(table, counts)) != r * d
         or s.marks(table, i0, ir)[d - 1 : r * d : d] != "1" * r
     ):
@@ -288,12 +274,16 @@ def max_homogeneous_chain(
     if 0 < ir - i0 <= f.max_len and s.word[i0:ir] not in f:
         raise InvariantError("chain concatenation is not a known factor")
     start_value = s.sum_at(i0)
+    before_end = s.gen_lengths[-2]
     if not previous:
         before = None
+    elif ir <= before_end:
+        before = r
     elif not other_widths:
-        before = _equal_width_run(width, s.gen_lengths[-2], d)
+        before = _equal_width_run(width, before_end, d)
     else:
-        before = _longest_run(bits, powers, d, s.sum_at(s.gen_lengths[-2], cap))[0]
+        t = bits.bit_length() - 1 - s.sum_at(before_end, cap)
+        before = _longest_run(bits >> t, [p >> t for p in powers], d)[0]
     return ChainWitness(d, r, start_value, (i0, ir), before)
 
 
@@ -486,11 +476,14 @@ def lie_decomposition(f: FactorSet, u: Word) -> LieNode:
     return split(u)
 
 
-def every_window_contains(word: Word, letter: int, window: int) -> bool:
-    """True when each length-``window`` block of ``word`` contains the letter:
-    every gap between occurrences, and before the first and after the last,
-    is shorter than the window."""
-    return max(map(len, word.split(chr(letter)))) < window
+def every_window_contains(word: Word, letter: int, window: int, size: int) -> bool:
+    """True when each length-``window`` block of ``word``, a word over ``size``
+    letters, contains the letter: no ``window`` letters in a row miss it.
+    The word is read once, translated to one mark per letter, chr(0) at the
+    letter and chr(1) elsewhere."""
+    table = ["\1"] * size
+    table[letter] = "\0"
+    return "\1" * window not in word.translate(table)
 
 
 def prefix_identity_holds(prefix: WordPrefix, n: int) -> bool:

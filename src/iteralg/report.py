@@ -21,7 +21,12 @@ from .deciders import (
     ring_property_report,
     run_deciders,
 )
-from .errors import ContractError, InvariantError, ResourceBudgetError
+from .errors import (
+    ContractError,
+    InvariantError,
+    RecurrenceValidationError,
+    ResourceBudgetError,
+)
 from .matrices import (
     CharPoly,
     IncidenceMatrix,
@@ -211,7 +216,12 @@ def _graded_doc(m: Morphism, prefix: WordPrefix, f: FactorSet, cfg: AnalysisConf
 
 
 def _diagnostics_doc(poly: CharPoly, weights: WeightSequences) -> dict:
-    rec = recurrence_from_charpoly(poly, weights.direct)
+    # the weights are checked literally and the polynomial by Cayley-Hamilton,
+    # so a violated recurrence means the program is wrong
+    try:
+        rec = recurrence_from_charpoly(poly, weights.direct)
+    except RecurrenceValidationError as exc:
+        raise InvariantError(f"checked weights violate the recurrence: {exc}") from exc
     mismatch = weights.first_divergence is not None
     warnings: list[str] = []
     if mismatch:
@@ -309,7 +319,7 @@ def audit(m: Morphism, cfg: AnalysisConfig, source: str) -> tuple[dict, bool, li
         window_doc = {"applicable": True, "window": gap, "scanned_letters": len(scan_prefix)}
         if len(scan_prefix) < gap:  # every window check passes on a shorter word
             window_doc |= {"pass": None, "skipped": "scanned prefix is shorter than the window"}
-        elif graded.every_window_contains(scan_prefix, m.start, gap):
+        elif graded.every_window_contains(scan_prefix, m.start, gap, m.size):
             window_doc["pass"] = True
         else:
             raise InvariantError(

@@ -117,7 +117,7 @@ def test_c05_s_set_regression(paper12):
 def test_c06_window_and_prefix_checks(paper12):
     t0 = time.perf_counter()
     w6 = apply_n(paper12, chr(paper12.start), 6)
-    assert every_window_contains(w6, paper12.start, 16)
+    assert every_window_contains(w6, paper12.start, 16, paper12.size)
     for a in range(12):
         assert apply_n(paper12, chr(a), 2)[0] == chr(paper12.start)
     prefix = fixed_point_prefix(paper12, 4**6 + 4**5).word

@@ -14,7 +14,7 @@ import pytest
 import iteralg
 from iteralg.cli import _config_from_args, build_parser, main
 from iteralg.config import AnalysisConfig
-from iteralg.errors import InvariantError
+from iteralg.errors import InvariantError, RecurrenceValidationError
 from iteralg import report
 from iteralg.words import Morphism, parse_morphism
 
@@ -354,6 +354,20 @@ def test_invariant_failure_has_its_own_stderr_line(monkeypatch, capsys):
         "internal error: Cayley-Hamilton check failed for computed polynomial"
         " (results cannot be trusted)\n"
     )
+
+
+def test_recurrence_violation_in_analyze_is_an_internal_error(monkeypatch, capsys):
+    """analyze validates checked weights against a checked polynomial, so a
+    violated recurrence there is the program's fault, not a budget's."""
+
+    def failing(poly, initial):
+        raise RecurrenceValidationError(3, 5, 6)
+
+    monkeypatch.setattr(report, "recurrence_from_charpoly", failing)
+    code, out, err = run(capsys, "analyze", "gallery/fibonacci.morph")
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert err.endswith(" (results cannot be trusted)\n")
 
 
 def test_prefix_budget_stops_analyze_but_not_decide(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from dataclasses import replace
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -99,7 +100,7 @@ def test_sums_from_letter_counts_match_accumulate(m, n, data):
     assert s.head(32) == tuple(oracle[:32])
     i = data.draw(st.integers(0, len(word)))
     j = data.draw(st.integers(i, len(word)))
-    assert s.span_degree(i, j) == oracle[j] - oracle[i]
+    assert sum(map(mul, m.degrees, s.span_counts(i, j))) == oracle[j] - oracle[i]
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,7 +120,7 @@ def test_shared_span_reads_match_accumulate(m, n, data):
         i = min(i, len(word))
         j = data.draw(st.integers(i, len(word)))
         cap = data.draw(st.sampled_from(sorted(sums, key=str)))
-        assert s.span_degree(i, j) == sums[None][j] - sums[None][i]
+        assert sum(map(mul, m.degrees, s.span_counts(i, j))) == sums[None][j] - sums[None][i]
         assert s.sum_at(j, cap) == sums[cap][j]
         table = _mark_table(m.degrees, 3 if cap is None else cap)
         assert s.marks(table, i, j).startswith(word[i:j].translate(table))
@@ -230,7 +231,7 @@ def _mark_table(degrees, cap):
 def _assert_bitsets_match_direct_translation(s, degrees):
     for cap in range(1, 5):
         table = _mark_table(degrees, cap)
-        assert s.bitset(table) == int(("1" + s.word.translate(table))[::-1], 2)
+        assert s.bitset(table) == int("1" + s.word.translate(table), 2)
 
 
 @pytest.mark.parametrize("name", sorted(EXPANSION_CASES))
@@ -463,6 +464,39 @@ def test_chain_level_requests(paper12, monkeypatch):
     assert doc["graded"]["nilpotency_scan"]["levels"] == [top - 1, top]
 
 
+def test_previous_generation_inside_and_across_its_end():
+    # the odd degrees' witnesses end inside phi^(G-1)(a), so their runs are
+    # the previous generation's; the even ones cross its end at 24,057 and
+    # take the descent on the shifted ints
+    m = mk(["a", "b"], ["a b a a", "b b b"], "a", degrees=(1, 2))
+    prefix = fixed_point_prefix(m, AnalysisConfig().prefix_letters)
+    s = s_set(m, prefix)
+    f = factor_closure(m, CHAIN_CHECK_LEN)
+    end = prefix.gen_lengths[-2]
+    assert end == 24_057
+    before = s_set(m, level_prefix(m, prefix.generation_level - 1))
+    for d in range(1, 9):
+        w = max_homogeneous_chain(s, f, d, previous=True)
+        assert (w.span[1] > end) == (d % 2 == 0), d
+        assert w.previous == max_homogeneous_chain(before, f, d).length
+    w = max_homogeneous_chain(s, f, 2, previous=True)
+    assert (w.span, w.length, w.previous) == ((24_052, 30_618), 6_564, 2_190)
+
+
+def test_previous_generation_of_a_witness_inside_it_needs_no_descent(paper12, monkeypatch):
+    # every paper12 witness ends inside phi^(G-1)(start): one descent a degree
+    calls = []
+    longest = graded._longest_run
+
+    def spy(bits, powers, d):
+        calls.append(d)
+        return longest(bits, powers, d)
+
+    monkeypatch.setattr(graded, "_longest_run", spy)
+    report.analyze(paper12, AnalysisConfig(), "paper12")
+    assert calls == list(range(1, 9))
+
+
 # ---------------------------------------------------------------------------
 # rotation audit
 
@@ -685,20 +719,20 @@ def test_audit_lie_linkage(paper12, closure):
 
 def test_every_window_contains(paper12):
     w6 = apply_n(paper12, chr(paper12.start), 6)
-    assert every_window_contains(w6, paper12.start, 16)
-    assert not every_window_contains(w6, paper12.start, 3)
+    assert every_window_contains(w6, paper12.start, 16, paper12.size)
+    assert not every_window_contains(w6, paper12.start, 3, paper12.size)
 
 
 def test_window_missing_letter():
-    assert not every_window_contains("aaaa", 1, 2)
-    assert every_window_contains("", 0, 4)
+    assert not every_window_contains("aaaa", 1, 2, ord("a") + 1)
+    assert every_window_contains("", 0, 4, 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet="\x00\x01\x02", max_size=30), st.integers(0, 2), st.integers(0, 8))
 def test_every_window_contains_matches_the_windows(word, letter, window):
     # letter 2 is often absent; the empty word and windows 0 and past the word come up
-    assert every_window_contains(word, letter, window) == window_reference(word, letter, window)
+    assert every_window_contains(word, letter, window, 3) == window_reference(word, letter, window)
 
 
 @pytest.mark.parametrize(
@@ -707,8 +741,8 @@ def test_every_window_contains_matches_the_windows(word, letter, window):
 )
 def test_every_window_contains_at_the_largest_gap(word, gap):
     # a window of the largest gap misses the letter; one letter longer does not
-    assert not every_window_contains(word, 0, gap)
-    assert every_window_contains(word, 0, gap + 1)
+    assert not every_window_contains(word, 0, gap, 2)
+    assert every_window_contains(word, 0, gap + 1, 2)
 
 
 def test_prefix_identity_paper12(paper12):
