@@ -16,7 +16,7 @@ from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .errors import ContractError, InvariantError, NoSplitError
-from .words import FactorSet, Morphism, PowerTables, Word, WordPrefix, letter_counts
+from .words import FactorSet, Morphism, PowerTables, Word, WordPrefix, letter_counts, one_char_table
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,15 @@ class PositionDegreeSet:
         table and start, extended when a longer span asks for it.
 
         An entry of two or more marks would send ``str.translate`` down its
-        slow per-letter path, so each letter is first translated to one
-        character, an entry of one mark to itself and a longer one to a
-        placeholder other than "0" and "1", and each placeholder is then
-        replaced by its entry."""
+        slow per-letter path, so each letter is translated to one character
+        and each longer entry put back by one replace (``one_char_table``)."""
         key = (tuple(table), i)
         end, marks = self._marks.get(key, (i, ""))
         if j > end:
-            wide = dict.fromkeys(v for v in table if len(v) > 1)
-            placeholders = {v: chr(ord("2") + n) for n, v in enumerate(wide)}
-            new = self.word[end:j].translate([placeholders.get(v, v) for v in table])
-            for v, placeholder in placeholders.items():
-                new = new.replace(placeholder, v)
+            narrow, wide = one_char_table(table)
+            new = self.word[end:j].translate(narrow)
+            for placeholder, entry in wide:
+                new = new.replace(placeholder, entry)
             marks += new
             self._marks[key] = (j, marks)
         return marks

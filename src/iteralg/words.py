@@ -13,9 +13,9 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, compress, count, cycle, islice, pairwise, repeat, starmap
+from itertools import accumulate, compress, count, cycle, islice, repeat, tee
 from operator import itemgetter, mul, or_, xor
-from typing import ClassVar, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import ClassVar, Collection, Iterable, NamedTuple, Sequence
 
 from .errors import (
     ContractError,
@@ -275,8 +275,9 @@ def _lcps(words: Iterable[Word], n: int, bits: int, codec: str) -> str:
     last ceil(bit_length(xor) / bits) = n - lcp letters, so code point b of
     ``by_bits`` is the lcp of a pair whose XOR has b bits."""
     by_bits = chr(n) + "".join(chr(n - k) * bits for k in range(1, n + 1))
-    keys = map(int.from_bytes, map(str.encode, words, repeat(codec)), repeat("big"))
-    return "".join(map(by_bits.__getitem__, map(int.bit_length, starmap(xor, pairwise(keys)))))
+    keys, later = tee(map(int.from_bytes, map(str.encode, words, repeat(codec)), repeat("big")))
+    next(later, None)
+    return "".join(map(by_bits.__getitem__, map(int.bit_length, map(xor, keys, later))))
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +736,37 @@ def _check_budget(m: Morphism, stored: Iterable[tuple[int, int]], budget: int) -
         )
 
 
+def one_char_table(
+    table: Sequence[str], most: int = 128
+) -> tuple[Sequence[str | None], tuple[tuple[str, str], ...]]:
+    """(narrow, replacements): ``word.translate(narrow)`` followed by
+    ``.replace(placeholder, entry)`` for each pair of ``replacements`` is
+    ``word.translate(table)``, for a word whose letters all index ``table``.
+
+    ``str.translate`` leaves its ASCII fast path at the first entry that is
+    not one ASCII character, and then costs about 30 ns a letter.  In
+    ``narrow`` an empty entry is None, which the fast path deletes, and each
+    distinct longer entry is a placeholder: one code point above every code
+    point that the entries hold.  With more than ``most`` such entries, or
+    a placeholder that would not be below 128, ``table`` comes back as it
+    is, with no replacements.
+    """
+    wide = dict.fromkeys(v for v in table if len(v) > 1)
+    first = ord(max("".join(table), default="\0")) + 1
+    if len(wide) > most or first + len(wide) > 128:
+        return table, ()
+    placeholders = {v: chr(first + n) for n, v in enumerate(wide)}
+    narrow = [placeholders.get(v, v) or None for v in table]
+    return narrow, tuple((p, v) for v, p in placeholders.items())
+
+
 def _windows(word: Word, size: int) -> set[Word]:
     return {word[i : i + size] for i in range(len(word) - size + 1)}
+
+
+# Above this many distinct entries of two or more letters, the replace passes
+# of a one-character translation cost more than they save on 9-33-letter words.
+LEAD_WIDE_ENTRIES_MAX = 3
 
 
 def _lead_windows(
@@ -745,22 +775,33 @@ def _lead_windows(
     size: int,
     full: Collection[Word] = (),
     last: set[Word] | None = None,
-) -> Iterator[Word]:
+) -> set[Word]:
     """The length-``size`` windows of v translated under ``table``, v in
     ``words``, that start in table[v[0]], the image of v's first letter, or
     anywhere for v in ``full``.  Any other window of v lies in the image of
     v[1:].  Given ``last``, the last window of each image goes there instead,
-    so that a next window of its image follows every window yielded.
+    so that a next window of its image follows every window returned.  A
+    word's windows are sliced at most ``size`` at a time, so a long image
+    holds no list of all of its windows.
     """
+    narrow, wide = one_char_table(table, LEAD_WIDE_ENTRIES_MAX)
+    out: set[Word] = set()
     for v in words:
-        w = v.translate(table)
+        w = v.translate(narrow)
+        for placeholder, entry in wide:
+            w = w.replace(placeholder, entry)
         end = len(w) - size + 1
         if v not in full and len(table[ord(v[0])]) < end:
             end = len(table[ord(v[0])])
         elif last is not None:
             end -= 1
             last.add(w[end:])
-        yield from [w[i : i + size] for i in range(end)]
+        if end <= size:
+            out.update([w[i : i + size] for i in range(end)])
+        else:
+            for low in range(0, end, size):
+                out.update([w[i : i + size] for i in range(low, min(low + size, end))])
+    return out
 
 
 def _harvest_cost(lengths: Sequence[int], words: Collection[Word], n: int) -> int:
@@ -913,10 +954,10 @@ def factor_closure(
         if keyed:
             keys = {v[:key_len] for v in frontier} - read
             read |= keys
-            inner = set(_lead_windows(keys, psi._table, expand_bound))
-            inner.update(_lead_windows(ends, psi._table, expand_bound, ends, last))
+            inner = _lead_windows(keys, psi._table, expand_bound)
+            inner |= _lead_windows(ends, psi._table, expand_bound, ends, last)
         else:
-            inner = set(_lead_windows(frontier, psi._table, expand_bound, ends, last))
+            inner = _lead_windows(frontier, psi._table, expand_bound, ends, last)
         inner -= known
         ends = last - inner - known
         if not (frontier := inner | ends):
@@ -945,7 +986,7 @@ def factor_closure(
                 and held <= memory_budget_bytes
             ):
                 table, sources = tables.table(2), read
-        harvest = set(_lead_windows(sources, table, max_len))
+        harvest = _lead_windows(sources, table, max_len)
         _check_budget(
             m,
             [(len(known), expand_bound), (len(read), key_len), (len(harvest), max_len)],

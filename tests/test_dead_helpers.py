@@ -1,6 +1,7 @@
 """No dead helpers in the library: every module-level private function or
 class is named by library code outside its own definition, so a helper kept
-alive only by a test import fails here."""
+alive only by a test import fails here; and every name that a module imports
+is named by that module's code."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,54 @@ def test_library_has_no_dead_private_helpers():
     package = Path(iteralg.__file__).parent
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     assert unreferenced_private(sources) == []
+
+
+def unused_imports(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each name that a module-level import in ``sources``
+    binds and no code of that module names, reading the names inside string
+    annotations too; a ``__future__`` import binds no name."""
+    unused = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+        named = names_in(tree)
+        unused += [f"{module}.{name}" for name in bound if name not in named]
+    return unused
+
+
+def names_in(tree: ast.AST) -> set[str]:
+    """The names that ``tree`` reads, with those of its string annotations."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    named |= names_in(ast.parse(part.value, mode="eval"))
+    return named
+
+
+def test_unused_imports_are_found():
+    sources = {
+        "a": "from __future__ import annotations\nimport os.path\nimport sys as system\n"
+        "from typing import Iterator, Sequence\nfrom .b import helper, Record\n\n"
+        "def f(x: 'list[Record]') -> 'Iterator[int]':\n    return os.path.join(helper(x))\n",
+        "b": "import json\n\ndef helper(x: dict['Sequence', int]):\n    return x\n",
+    }
+    assert unused_imports(sources) == ["a.system", "a.Sequence", "b.json"]
+
+
+def test_library_has_no_unused_imports():
+    package = Path(iteralg.__file__).parent
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"  # its imports are re-exports
+    }
+    assert unused_imports(sources) == []

@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import json
 import os
+import random
 import sys
 import time
 import tracemalloc
@@ -32,6 +34,7 @@ from iteralg.words import (
     is_prolongable,
     letter_counts,
     mortal_letters,
+    one_char_table,
     parse_morphism,
     subword_complexity,
 )
@@ -689,6 +692,93 @@ def test_keyed_closure_matches_the_all_windows_reference(m, max_len):
     # translates t-letter keys (t < B) and the harvest reads F_t under psi^2
     f = factor_closure(m, max_len)
     assert (f.words, f.counts, f.closure_rounds) == reference_closure(m, max_len)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_morphisms(max_image=40, allow_erasing=True), st.integers(min_value=1, max_value=24)
+)
+def test_long_image_closure_matches_the_all_windows_reference(m, max_len):
+    # images of up to 40 letters: a table with at most 3 distinct long entries
+    # takes the one-character translation, one with 4 the plain one, and a
+    # first image with more than L lead windows is sliced L windows at a time
+    f = factor_closure(m, max_len)
+    assert (f.words, f.counts, f.closure_rounds) == reference_closure(m, max_len)
+
+
+def test_a_long_image_holds_no_list_of_all_its_windows():
+    # a -> a b^30000, b -> b at L = 64: j = 1, so B = L and the seed's last
+    # window a b^63 gives all 30,001 windows of its image, sliced 64 at a time
+    m = Morphism(("a", "b"), ("\0" + "\1" * 30000, "\1"), 0)
+    budget = 256 * 1024
+    tracemalloc.start()
+    try:
+        f = factor_closure(m, 64, memory_budget_bytes=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (f.words, f.closure_rounds) == (("\0" + "\1" * 63, "\1" * 64), 1)
+    assert peak <= budget
+
+
+def narrow_translate(word, table, most=128):
+    narrow, wide = one_char_table(table, most)
+    out = word.translate(narrow)
+    for placeholder, entry in wide:
+        out = out.replace(placeholder, entry)
+    return out, narrow, wide
+
+
+@pytest.mark.parametrize(
+    ("table", "replaced"),
+    [
+        (["\1", "\0"], 0),
+        (["\0\1", "\0"], 1),
+        (["\0\1", "\0\2", "\2\2\1", "\1"], 3),
+        (["\0\1", "\0\2", "\2\1", "\1\0\0\1\2", "\3\3"], 5),
+        (["\0\1", "\0\1", "", "\2"], 1),
+        # a cut image: a separator above the alphabet, and an entry that is it
+        (["\0\1\3\1\0", "\3", "\1\0"], 2),
+        # "0"/"1" marks, as the chain stage translates them
+        (["0", "01", "011"], 2),
+    ],
+)
+def test_one_char_table_translates_as_the_table_does(table, replaced):
+    word = "".join(chr(i % len(table)) for i in range(5 * len(table) + 1))
+    out, narrow, wide = narrow_translate(word, table)
+    assert out == word.translate(table)
+    assert len(wide) == replaced
+    assert all(v is None or (len(v) == 1 and v < "\x80") for v in narrow)
+    assert {p for p, _ in wide}.isdisjoint("".join(table))
+
+
+def test_one_char_table_keeps_the_table_when_placeholders_do_not_fit():
+    word = "\0\1\2\1"
+    for table, most in [(["\0\1", "\0\2", "\x7f"], 128), (["\0\1", "\1\0", "\2"], 1)]:
+        out, narrow, wide = narrow_translate(word, table, most)
+        assert (out, narrow, wide) == (word.translate(table), table, ())
+
+
+def test_renaming_the_letters_renames_the_factor_set(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    mix = importlib.import_module("mix")
+    rng = random.Random(3)
+    for _ in range(400):
+        m = parse_morphism(mix.generate_one(rng).text)
+        perm = list(range(m.size))
+        rng.shuffle(perm)
+        rename = [chr(c) for c in perm]
+        old = sorted(range(m.size), key=perm.__getitem__)  # old[perm[c]] == c
+        renamed = Morphism(
+            tuple(m.letters[c] for c in old),
+            tuple(m.images[c].translate(rename) for c in old),
+            perm[m.start],
+            tuple(m.degrees[c] for c in old),
+        )
+        for max_len in (1, 8, 32):
+            f, g = factor_closure(m, max_len), factor_closure(renamed, max_len)
+            assert tuple(sorted(w.translate(rename) for w in f.words)) == g.words
+            assert (f.counts, f.closure_rounds) == (g.counts, g.closure_rounds)
 
 
 def spy_lead_windows(monkeypatch) -> list[tuple[int, list[str]]]:
