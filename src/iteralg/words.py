@@ -737,7 +737,7 @@ def _check_budget(m: Morphism, stored: Iterable[tuple[int, int]], budget: int) -
 
 
 def one_char_table(
-    table: Sequence[str], most: int = 128
+    table: Sequence[str],
 ) -> tuple[Sequence[str | None], tuple[tuple[str, str], ...]]:
     """(narrow, replacements): ``word.translate(narrow)`` followed by
     ``.replace(placeholder, entry)`` for each pair of ``replacements`` is
@@ -747,13 +747,12 @@ def one_char_table(
     not one ASCII character, and then costs about 30 ns a letter.  In
     ``narrow`` an empty entry is None, which the fast path deletes, and each
     distinct longer entry is a placeholder: one code point above every code
-    point that the entries hold.  With more than ``most`` such entries, or
-    a placeholder that would not be below 128, ``table`` comes back as it
-    is, with no replacements.
+    point that the entries hold.  When a placeholder would not be below
+    128, ``table`` comes back as it is, with no replacements.
     """
     wide = dict.fromkeys(v for v in table if len(v) > 1)
-    first = ord(max("".join(table), default="\0")) + 1
-    if len(wide) > most or first + len(wide) > 128:
+    first = ord(max(map(max, filter(None, table)), default="\0")) + 1
+    if first + len(wide) > 128:
         return table, ()
     placeholders = {v: chr(first + n) for n, v in enumerate(wide)}
     narrow = [placeholders.get(v, v) or None for v in table]
@@ -764,8 +763,12 @@ def _windows(word: Word, size: int) -> set[Word]:
     return {word[i : i + size] for i in range(len(word) - size + 1)}
 
 
-# Above this many distinct entries of two or more letters, the replace passes
-# of a one-character translation cost more than they save on 9-33-letter words.
+# Most distinct entries of two or more letters for which _lead_windows takes
+# the one-character translation.  Per word against plain translate (timeit,
+# Python 3.11, 2 vCPUs; 12 letters, entries of 2-4 letters) it costs 0.85x
+# with 3 such entries on 33-letter words, 1.0x with 4, and 1.6-3.2x with 12
+# on words of 9-129 letters.  Giving paper12's twelve the one-character path
+# slows the benchmark's factors-deep workload 13%.
 LEAD_WIDE_ENTRIES_MAX = 3
 
 
@@ -784,7 +787,10 @@ def _lead_windows(
     word's windows are sliced at most ``size`` at a time, so a long image
     holds no list of all of its windows.
     """
-    narrow, wide = one_char_table(table, LEAD_WIDE_ENTRIES_MAX)
+    if len({v for v in table if len(v) > 1}) > LEAD_WIDE_ENTRIES_MAX:
+        narrow, wide = table, ()
+    else:
+        narrow, wide = one_char_table(table)
     out: set[Word] = set()
     for v in words:
         w = v.translate(narrow)
